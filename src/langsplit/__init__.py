@@ -24,8 +24,7 @@ from .errors import (DegenerateRange, EmptyWindow, GridMismatch,
 from .model import (EnergyConstants, GibbsMoments, PhysParams,
                     QuarticPotential, State, energy_H, energy_H0,
                     gibbs_log_density, gibbs_moments, grad_U)
-from .montecarlo import (BrownianGrid, EnsembleReport, SeedPolicy, coarsen,
-                         generate_grid, run_ensemble)
+from .montecarlo import SeedPolicy
 from .splitting import (SchemeSpec, Trajectory, consistency_residuals,
                         lie_trotter_step, simulate, simulate_on_grid,
                         strang_step)

@@ -17,13 +17,15 @@ import numpy as np
 from scipy import integrate, stats
 
 from .detflow import CONSERVATIVE_KINDS
-from .errors import (DegenerateRange, EmptyWindow, NonConvergence,
-                     NonPositiveError, QuadratureError)
+from .errors import (DegenerateRange, EmptyWindow, NonIntegralGrid,
+                     NonIntegralRatio, NonPositiveError, QuadratureError)
 from .model import (ArrayLike, EnergyConstants, PhysParams, State, energy_H,
                     energy_H0, exp_moment_rate_constant,
                     position_marginal_normalizer)
-from .montecarlo import SeedPolicy, increment_matrix
-from .splitting import SchemeSpec, Trajectory, scheme_step, simulate, simulate_on_grid
+from .montecarlo import (SeedPolicy, increment_matrix, path_chunks, path_noise,
+                         steps_for)
+from .splitting import (SchemeSpec, Trajectory, _evolve, require_finite,
+                        scheme_step, simulate_on_grid)
 from .stochflow import OUIncrement, naive_increment
 
 Observable = Callable[[ArrayLike, ArrayLike], ArrayLike]
@@ -117,14 +119,6 @@ def fit_order(levels, std_errors=None) -> OrderFit:
 # coupled convergence studies
 
 
-def _check_levels(tau_levels, tau_f):
-    for tau in tau_levels:
-        ratio = tau / tau_f
-        if abs(round(ratio) - ratio) > 1e-9 or round(ratio) < 1:
-            raise ValueError(
-                f"level tau={tau} is not an integer multiple of tau_f={tau_f}")
-
-
 def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
                            reference_tau_f: float, T: float, prm: PhysParams,
                            n_paths: int, seeds: SeedPolicy,
@@ -143,28 +137,36 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
     Returns
     -------
     (errors, std_errors) : two arrays over levels.
+
+    Raises
+    ------
+    ValueError
+        If a level is not an integer multiple of ``reference_tau_f``.
+    NonIntegralGrid, NonIntegralRatio
+        If ``T`` is not a multiple of ``reference_tau_f`` or of a level.
     """
-    _check_levels(tau_levels, reference_tau_f)
+    for tau in tau_levels:
+        steps_for(tau, reference_tau_f, minimum=1)
+    steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
+    for tau in tau_levels:
+        steps_for(T, tau, NonIntegralRatio)
     n_levels = len(tau_levels)
     sums = np.zeros(n_levels)
     sumsq = np.zeros(n_levels)
-    done = 0
-    while done < n_paths:
-        width = min(chunk, n_paths - done)
-        path_seeds = seeds.path_seeds(width, start=done)
+    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
         fine = increment_matrix(T, reference_tau_f, path_seeds)
         ref = simulate_on_grid(initial, reference_tau_f, prm, scheme, fine,
-                               reference_tau_f, keep="last")
+                               reference_tau_f, keep="last", first_path=first)
         for i, tau in enumerate(tau_levels):
             num = simulate_on_grid(initial, tau, prm, scheme, fine,
-                                   reference_tau_f, keep="last")
+                                   reference_tau_f, keep="last",
+                                   first_path=first)
             if g is None:
                 val = (num.p - ref.p) ** 2 + (num.q - ref.q) ** 2
             else:
                 val = g(num.p, num.q) - g(ref.p, ref.q)
             sums[i] += val.sum()
             sumsq[i] += (val * val).sum()
-        done += width
 
     mean = sums / n_paths
     var = np.maximum(sumsq / n_paths - mean**2, 0.0) * n_paths / max(n_paths - 1, 1)
@@ -244,26 +246,6 @@ class Histogram2D:
     def bin_area(self) -> float:
         return float((self.p_edges[1] - self.p_edges[0])
                      * (self.q_edges[1] - self.q_edges[0]))
-
-
-def require_finite(p: np.ndarray, q: np.ndarray, step_index=None,
-                   first_path: int = 0) -> None:
-    """Raise :class:`NonConvergence` at the first non-finite sample.
-
-    ``p`` and ``q`` hold one ensemble (last axis: path) or a trajectory
-    (axes: step, path); the error names the step and the path index, with
-    path indices offset by ``first_path``.
-    """
-    bad = ~(np.isfinite(p) & np.isfinite(q))
-    if not bad.any():
-        return
-    where = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    if len(where) == 2:
-        step_index = int(where[0])
-    path_index = int(where[-1]) + first_path if where else None
-    at = "" if step_index is None else f" at step {step_index}"
-    raise NonConvergence(f"non-finite state{at} in path {path_index}",
-                         step_index=step_index, path_index=path_index)
 
 
 def empirical_distribution(states: State, bins: Tuple[int, int],
@@ -443,26 +425,24 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
                        T: float, n_paths: int, seeds: SeedPolicy,
                        initial: State = State(0.0, 0.0),
                        chunk: int = 2048) -> ExpMomentReport:
-    """Monitor the exponential moment of the numerical solution."""
+    """Monitor the exponential moment of the numerical solution, streamed."""
     c_e = EnergyConstants.from_params(prm).c_e
-    n_steps = int(round(T / tau))
+    n_steps = steps_for(T, tau)
     times = np.arange(n_steps + 1) * tau
     scale = np.exp(prm.sigma**2 * times)
 
     sum_exp = np.zeros(n_steps + 1)
     max_expo = np.full(n_steps + 1, -np.inf)
-    done = 0
-    while done < n_paths:
-        width = min(chunk, n_paths - done)
-        path_seeds = seeds.path_seeds(width, start=done)
-        traj = simulate(State(np.full(width, float(initial.p)),
-                              np.full(width, float(initial.q))),
-                        T, tau, prm, scheme, seed=path_seeds)
-        expo = c_e * (traj.p**2 + traj.q**4) / scale[:, None]
+
+    def visit(n, st):
+        expo = c_e * (st.p**2 + st.q**4) / scale[n]
         with np.errstate(over="ignore"):
-            sum_exp += np.exp(expo).sum(axis=1)
-        max_expo = np.maximum(max_expo, expo.max(axis=1))
-        done += width
+            sum_exp[n] += np.exp(expo).sum()
+        max_expo[n] = np.maximum(max_expo[n], expo.max())
+
+    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+        _evolve(initial, (len(path_seeds),), tau, prm, scheme,
+                path_noise(path_seeds, n_steps), visit, first)
 
     estimates = sum_exp / n_paths
     envelope_log = (exp_moment_rate_constant(prm) * (T + 1.0)
@@ -510,22 +490,17 @@ def phase_area(scheme: SchemeSpec, prm: PhysParams, tau: float, T: float,
     same noise realization, so the polygon is carried by one random map per
     step.  Returns ``(times, areas)``.
     """
-    n_steps = int(round(T / tau))
+    n_steps = steps_for(T, tau)
     theta = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
-    cur = State(np.cos(theta), np.sin(theta))
-    rng = np.random.default_rng(seed)
+    areas = np.empty(n_steps + 1)
 
-    def shoelace(x):
-        return 0.5 * abs(float(
+    def shoelace(n, x):
+        areas[n] = 0.5 * abs(float(
             x.p @ np.roll(x.q, -1) - x.q @ np.roll(x.p, -1)))
 
-    times = np.arange(n_steps + 1) * tau
-    areas = np.empty(n_steps + 1)
-    areas[0] = shoelace(cur)
-    for n in range(n_steps):
-        cur = scheme_step(cur, tau, prm, scheme, rng.standard_normal())
-        areas[n + 1] = shoelace(cur)
-    return times, areas
+    _evolve(State(np.cos(theta), np.sin(theta)), (n_vertices,), tau, prm,
+            scheme, path_noise(seed, n_steps), shoelace)
+    return np.arange(n_steps + 1) * tau, areas
 
 
 @dataclass
@@ -550,33 +525,28 @@ def h0_dissipation_compare(prm: PhysParams, tau: float, T: float,
     energy on top of the frozen potential energy; the dissipative sub-flow
     contracts both coordinates.
     """
-    n_steps = int(round(T / tau))
+    n_steps = steps_for(T, tau)
     times = np.arange(n_steps + 1) * tau
     stats = np.zeros((4, n_steps + 1))  # sums and square-sums per flow
 
     dec_n, std_n = naive_increment(prm, tau)
     inc_d = OUIncrement.from_params(prm, tau)
 
-    done = 0
-    while done < n_paths:
-        width = min(chunk, n_paths - done)
-        rngs = [np.random.default_rng(s)
-                for s in seeds.path_seeds(width, start=done)]
-        z_all = np.stack([r.standard_normal(n_steps) for r in rngs], axis=1)
-        nv = State(np.full(width, float(initial.p)),
-                   np.full(width, float(initial.q)))
+    def tally(n, *flows):
+        for row, st in zip((0, 2), flows):
+            h0 = energy_H0(st)
+            stats[row, n] += h0.sum()
+            stats[row + 1, n] += (h0 * h0).sum()
+
+    for _, path_seeds in path_chunks(n_paths, chunk, seeds):
+        nv = State(np.full(len(path_seeds), float(initial.p)),
+                   np.full(len(path_seeds), float(initial.q)))
         dv = State(nv.p.copy(), nv.q.copy())
-        for n in range(n_steps + 1):
-            for row, st in ((0, nv), (2, dv)):
-                h0 = energy_H0(st)
-                stats[row, n] += h0.sum()
-                stats[row + 1, n] += (h0 * h0).sum()
-            if n == n_steps:
-                break
-            z = z_all[n]
+        tally(0, nv, dv)
+        for n, z in enumerate(path_noise(path_seeds, n_steps), 1):
             nv = State(dec_n * nv.p + std_n * z, nv.q)
             dv = inc_d.apply(dv, z)
-        done += width
+            tally(n, nv, dv)
 
     def mean_se(row):
         mean = stats[row] / n_paths

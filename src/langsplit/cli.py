@@ -15,7 +15,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import analysis, experiments
 from .errors import LangsplitError
 from .model import PhysParams, State, energy_H0, gibbs_moments
-from .montecarlo import SeedPolicy, WORKERS_ENV, default_workers
+from .montecarlo import SeedPolicy
 from .splitting import SchemeSpec, scheme_step, simulate
 
 EXPERIMENTS = (
@@ -302,11 +301,15 @@ def run_histogram(cfg: Config, outdir: Path):
                   ["p_lo", "p_hi", "q_lo", "q_hi", "mass"], rows)
         distances.append(analysis.distribution_distance(h, prm))
     metrics = {f"distance_t{t:g}": d for t, d in zip(sorted(times), distances)}
+    # Samples outside the window are dropped from the histogram.
+    metrics.update({f"dropped_t{t:g}": n_paths - h.n_samples
+                    for t, h in zip(sorted(times), hists)})
     decreasing = all(distances[i] > distances[i + 1]
                      for i in range(len(distances) - 1))
     dec_margin = min((distances[i] - distances[i + 1]
                       for i in range(len(distances) - 1)), default=0.0)
-    # An exact sampler of the same size sets the attainable distance.
+    # An exact sampler of the same size sets the attainable distance; the
+    # floor assumes that the window holds every sample.
     final = hists[-1]
     floor = analysis.distance_noise_floor(prm, final.p_edges, final.q_edges,
                                           final.n_samples)
@@ -315,7 +318,9 @@ def run_histogram(cfg: Config, outdir: Path):
                     "final_distance_threshold": threshold})
     checks = [_check("distance_decreasing", decreasing, dec_margin),
               _check("final_distance", distances[-1] < threshold,
-                     threshold - distances[-1])]
+                     threshold - distances[-1]),
+              _check("final_window_holds_all", final.n_samples == n_paths,
+                     final.n_samples - n_paths)]
     return metrics, checks
 
 
@@ -498,7 +503,6 @@ def main(argv=None) -> int:
     parser.add_argument("--experiment", help=f"one of {', '.join(EXPERIMENTS)}")
     parser.add_argument("--config", help="plain-text key = value config file")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--workers", type=int, help="ensemble worker count")
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
@@ -506,8 +510,6 @@ def main(argv=None) -> int:
         entries = parse_config_file(args.config) if args.config else {}
         if args.seed is not None:
             entries["seed"] = str(args.seed)
-        if args.workers is not None:
-            os.environ[WORKERS_ENV] = str(args.workers)
         experiment = args.experiment or entries.get("experiment")
         if experiment is None:
             raise ConfigError("no experiment given (flag --experiment or "
@@ -532,7 +534,7 @@ def main(argv=None) -> int:
 
     summary = {
         "experiment": experiment,
-        "config": {**cfg.entries, "workers": default_workers()},
+        "config": cfg.entries,
         "metrics": metrics,
         "checks": checks,
     }

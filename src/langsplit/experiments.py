@@ -13,11 +13,12 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import Histogram2D, Observable, require_finite
-from .errors import DegenerateRange
+from .analysis import Histogram2D, Observable
+from .errors import DegenerateRange, NonIntegralGrid, NonIntegralRatio
 from .model import PhysParams, State
-from .montecarlo import SeedPolicy, increment_matrix
-from .splitting import SchemeSpec, scheme_step, simulate_on_grid
+from .montecarlo import (SeedPolicy, increment_matrix, path_chunks, path_noise,
+                         steps_for)
+from .splitting import SchemeSpec, _evolve, simulate_on_grid
 
 __all__ = [
     "stream_paths",
@@ -28,30 +29,20 @@ __all__ = [
     "window_means",
 ]
 
-_NOISE_BLOCK = 4096
-
 
 def stream_paths(scheme: SchemeSpec, prm: PhysParams, tau: float,
                  n_steps: int, initial: State, path_seeds: Sequence[int],
-                 visit: Callable[[int, State], None]) -> None:
+                 visit: Callable[[int, State], None],
+                 first_path: int = 0) -> None:
     """Evolve a batch of paths, calling ``visit(n, state)`` at every step.
 
     ``visit`` is called with n = 0 (the initial state) through n_steps; the
-    state's fields are arrays of width ``len(path_seeds)``.
+    state's fields are arrays of width ``len(path_seeds)``.  A non-finite
+    state raises :class:`~langsplit.errors.NonConvergence` naming its step
+    and its path, counted from ``first_path``.
     """
-    width = len(path_seeds)
-    rngs = [np.random.default_rng(s) for s in path_seeds]
-    cur = State(np.full(width, float(initial.p)),
-                np.full(width, float(initial.q)))
-    visit(0, cur)
-    done = 0
-    while done < n_steps:
-        block = min(_NOISE_BLOCK, n_steps - done)
-        z_block = np.stack([r.standard_normal(block) for r in rngs], axis=1)
-        for k in range(block):
-            cur = scheme_step(cur, tau, prm, scheme, z_block[k])
-            visit(done + k + 1, cur)
-        done += block
+    _evolve(initial, (len(path_seeds),), tau, prm, scheme,
+            path_noise(path_seeds, n_steps), visit, first_path)
 
 
 def ergodic_averages(scheme: SchemeSpec, prm: PhysParams, tau: float,
@@ -65,9 +56,9 @@ def ergodic_averages(scheme: SchemeSpec, prm: PhysParams, tau: float,
     the left-endpoint Riemann mean over ``burn_in <= t_n < T``.  Returns
     one array of ``n_seeds`` averages per observable.
     """
-    n_steps = int(round(T / tau))
-    n_burn = int(round(burn_in / tau))
-    if not 0 <= n_burn < n_steps:
+    n_steps = steps_for(T, tau)
+    n_burn = steps_for(burn_in, tau)
+    if n_burn >= n_steps:
         raise ValueError("burn-in must leave a nonempty window before T")
     count = n_steps - n_burn
     sums = {name: np.zeros(n_seeds) for name in observables}
@@ -89,20 +80,17 @@ def msd_experiment(scheme: SchemeSpec, prm: PhysParams, tau: float, T: float,
 
     Returns ``(times, msd)`` over the full step grid.
     """
-    n_steps = int(round(T / tau))
+    n_steps = steps_for(T, tau)
     acc = np.zeros(n_steps + 1)
     p0, q0 = float(initial.p), float(initial.q)
-    done = 0
-    while done < n_paths:
-        width = min(chunk, n_paths - done)
 
-        def visit(n, st):
-            d = (st.p - p0) ** 2 + (st.q - q0) ** 2
-            acc[n] += d.sum()
+    def visit(n, st):
+        d = (st.p - p0) ** 2 + (st.q - q0) ** 2
+        acc[n] += d.sum()
 
-        stream_paths(scheme, prm, tau, n_steps, initial,
-                     seeds.path_seeds(width, start=done), visit)
-        done += width
+    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+        stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
+                     first)
     times = np.arange(n_steps + 1) * tau
     return times, acc / n_paths
 
@@ -121,18 +109,15 @@ def histogram_snapshots(scheme: SchemeSpec, prm: PhysParams, tau: float,
     Raises
     ------
     NonConvergence
-        If a path is non-finite at a snapshot, naming that step and the
-        path index, instead of dropping the path from the histogram.
+        At the first non-finite state, naming its step and path, instead of
+        dropping the path from the histogram.
+    ValueError
+        If a snapshot time is not on the step grid.
     """
     n_p, n_q = bins
     if not (p_range[1] > p_range[0] and q_range[1] > q_range[0]):
         raise DegenerateRange(f"bad window {p_range} x {q_range}")
-    snap_steps = {}
-    for t in snapshot_times:
-        n = int(round(t / tau))
-        if abs(n * tau - t) > 1e-9 * max(t, tau):
-            raise ValueError(f"snapshot time {t} is not on the step grid")
-        snap_steps[n] = t
+    snap_steps = {steps_for(t, tau): t for t in snapshot_times}
     n_steps = max(snap_steps) if snap_steps else 0
 
     counts = {n: np.zeros((n_p, n_q)) for n in snap_steps}
@@ -140,18 +125,14 @@ def histogram_snapshots(scheme: SchemeSpec, prm: PhysParams, tau: float,
 
     def visit(n, st):
         if n in counts:
-            require_finite(st.p, st.q, step_index=n, first_path=done)
             c, pe, qe = np.histogram2d(st.p, st.q, bins=[n_p, n_q],
                                        range=[p_range, q_range])
             counts[n] += c
             edges[n] = (pe, qe)
 
-    done = 0
-    while done < n_paths:
-        width = min(chunk, n_paths - done)
-        stream_paths(scheme, prm, tau, n_steps, initial,
-                     seeds.path_seeds(width, start=done), visit)
-        done += width
+    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+        stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
+                     first)
 
     out = []
     for n in sorted(snap_steps):
@@ -176,28 +157,25 @@ def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
     share each path's fine Wiener grid.  Returns ``(times, rms_error)`` on
     about ``n_records`` record times.
     """
-    ratio = int(round(tau / reference_tau_f))
-    n_steps = int(round(T / tau))
+    ratio = steps_for(tau, reference_tau_f, NonIntegralRatio, minimum=1)
+    steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
+    n_steps = steps_for(T, tau, NonIntegralRatio)
     stride = max(1, n_steps // n_records)
     while n_steps % stride != 0:
         stride -= 1
     n_rec = n_steps // stride
 
     acc = np.zeros(n_rec + 1)
-    done = 0
-    while done < n_paths:
-        width = min(chunk, n_paths - done)
-        path_seeds = seeds.path_seeds(width, start=done)
+    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
         fine = increment_matrix(T, reference_tau_f, path_seeds)
         ref = simulate_on_grid(initial, reference_tau_f, prm, scheme, fine,
                                reference_tau_f, keep="all",
-                               record_every=stride * ratio)
+                               record_every=stride * ratio, first_path=first)
         num = simulate_on_grid(initial, tau, prm, scheme, fine,
                                reference_tau_f, keep="all",
-                               record_every=stride)
+                               record_every=stride, first_path=first)
         acc += (((num.p - ref.p) ** 2 + (num.q - ref.q) ** 2)
                 .sum(axis=1))
-        done += width
 
     times = np.arange(n_rec + 1) * (stride * tau)
     return times, np.sqrt(acc / n_paths)

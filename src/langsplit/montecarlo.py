@@ -1,44 +1,34 @@
-"""Reproducible path generation and parallel ensemble statistics.
+"""Reproducible path generation: step counts, path chunks and noise draws.
 
 Per-path randomness is derived by hashing (master seed, path index) into an
-independent stream, so any subset of paths can be regenerated in any order,
-on any worker layout, with identical results.  Ensemble reductions always
-run in fixed path-index order, which makes the reported statistics
-bit-identical for every worker count.
+independent stream, so any subset of paths can be regenerated in any order
+with identical results.  Every experiment counts its steps with
+:func:`steps_for`, walks its ensemble with :func:`path_chunks` and draws its
+noise with :func:`path_noise` (sampled runs) or :func:`increment_matrix`
+(path-coupled runs).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NonIntegralGrid, NonIntegralRatio
+from .errors import NonIntegralGrid
 
 __all__ = [
     "SeedPolicy",
-    "BrownianGrid",
-    "EnsembleReport",
-    "generate_grid",
+    "steps_for",
+    "path_chunks",
+    "path_noise",
     "increment_matrix",
-    "coarsen",
-    "coarsen_increments",
-    "run_ensemble",
-    "default_workers",
 ]
 
-WORKERS_ENV = "LANGSPLIT_WORKERS"
-
-
-def default_workers() -> int:
-    """Worker count from the environment (``LANGSPLIT_WORKERS``), default 1."""
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+# Number of per-path draws pulled from each generator at a time.  Any value
+# gives identical results (per-path streams are consumed in time order);
+# this only bounds memory.
+_NOISE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -61,153 +51,67 @@ class SeedPolicy:
                         dtype=np.uint64)
 
 
-@dataclass
-class BrownianGrid:
-    """Fine-resolution Wiener increments for one path.
+def steps_for(T: float, tau: float, error: type = ValueError,
+              minimum: int = 0) -> int:
+    """Number of steps of size ``tau`` that tile ``[0, T]`` exactly.
 
-    ``increments[k]`` is N(0, tau_f); the grid spans exactly
-    ``len(increments) * tau_f``.  Regenerating from the same ``path_seed``
-    reproduces the grid bit for bit.
+    Raises ``error`` unless ``T`` is an integer multiple of ``tau`` (to a
+    relative 1e-9) of at least ``minimum`` steps.
     """
-
-    tau_f: float
-    increments: np.ndarray
-    path_seed: int
-
-    @property
-    def horizon(self) -> float:
-        return self.increments.shape[0] * self.tau_f
-
-
-def _fine_count(T: float, tau_f: float) -> int:
-    n = int(round(T / tau_f))
-    if n < 1 or abs(n * tau_f - T) > 1e-9 * max(T, tau_f):
-        raise NonIntegralGrid(
-            f"horizon {T} is not an integer multiple of fine spacing {tau_f}")
+    n = int(round(T / tau)) if tau > 0 else -1
+    if n < minimum or abs(n * tau - T) > 1e-9 * max(abs(T), tau):
+        raise error(f"{T:g} is not an integer multiple of the step {tau:g}")
     return n
 
 
-def generate_grid(T: float, tau_f: float, path_seed: int) -> BrownianGrid:
-    """Independent N(0, tau_f) increments spanning ``[0, T]``, seed-deterministic."""
-    n = _fine_count(T, tau_f)
-    rng = np.random.default_rng(path_seed)
-    inc = rng.standard_normal(n) * np.sqrt(tau_f)
-    return BrownianGrid(tau_f=tau_f, increments=inc, path_seed=path_seed)
+def path_chunks(n_paths: int, chunk: int,
+                seeds: SeedPolicy) -> Iterator[Tuple[int, np.ndarray]]:
+    """Consecutive batches of at most ``chunk`` paths, as ``(first, seeds)``.
+
+    ``first`` is the ensemble index of the batch's first path; every path
+    keeps the seed of its index, whatever the chunk size.
+    """
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    for first in range(0, n_paths, chunk):
+        yield first, seeds.path_seeds(min(chunk, n_paths - first), start=first)
+
+
+def path_noise(seed, n_steps: int) -> Iterator:
+    """Standard normal draws for ``n_steps`` steps, one item per step.
+
+    ``seed`` is one int, whose stream every lane shares (items are scalars),
+    or a sequence of per-path seeds (items are rows holding each path's
+    next draw).  Draws are pulled ``_NOISE_BLOCK`` steps at a time into one
+    ``(block, width)`` buffer that is refilled in place, so a row is only
+    valid until the next item is requested.
+    """
+    shared = np.ndim(seed) == 0
+    rngs = [np.random.default_rng(s) for s in ([seed] if shared else seed)]
+    buf = np.empty((min(_NOISE_BLOCK, n_steps), len(rngs)))
+    for start in range(0, n_steps, _NOISE_BLOCK):
+        rows = buf[:min(_NOISE_BLOCK, n_steps - start)]
+        for i, rng in enumerate(rngs):
+            rows[:, i] = rng.standard_normal(len(rows))
+        yield from (rows[:, 0] if shared else rows)
 
 
 def increment_matrix(T: float, tau_f: float,
                      path_seeds: Sequence[int]) -> np.ndarray:
-    """Stack per-path grids into a ``(n_fine, n_paths)`` matrix.
+    """Fine Wiener increments spanning ``[0, T]``, shape ``(n_fine, n_paths)``.
 
-    Column ``i`` equals ``generate_grid(T, tau_f, path_seeds[i]).increments``.
+    Column ``i`` holds N(0, tau_f) draws from the stream of
+    ``path_seeds[i]`` in time order, so each path's grid is regenerated bit
+    for bit from its seed alone.
+
+    Raises
+    ------
+    NonIntegralGrid
+        If ``T`` is not a positive integer multiple of ``tau_f``.
     """
-    n = _fine_count(T, tau_f)
+    n = steps_for(T, tau_f, NonIntegralGrid, minimum=1)
     out = np.empty((n, len(path_seeds)))
     root = np.sqrt(tau_f)
     for i, s in enumerate(path_seeds):
         out[:, i] = np.random.default_rng(s).standard_normal(n) * root
     return out
-
-
-def coarsen_increments(increments: np.ndarray, ratio: int) -> np.ndarray:
-    """Block-sum fine increments (time axis first) into coarse increments."""
-    inc = np.asarray(increments)
-    n = inc.shape[0]
-    if ratio < 1 or n % ratio != 0:
-        raise NonIntegralRatio(
-            f"{n} fine increments do not split into blocks of {ratio}")
-    return inc.reshape((n // ratio, ratio) + inc.shape[1:]).sum(axis=1)
-
-
-def coarsen(grid: BrownianGrid, tau: float) -> np.ndarray:
-    """Coarse increments of ``grid`` at step ``tau``; exactly Brownian-consistent.
-
-    The k-th coarse increment is the sum of the k-th block of fine
-    increments, so the coarse path is the same Wiener path sampled coarser.
-    """
-    ratio = int(round(tau / grid.tau_f))
-    if abs(ratio * grid.tau_f - tau) > 1e-9 * tau:
-        raise NonIntegralRatio(
-            f"coarse step {tau} is not an integer multiple of {grid.tau_f}")
-    return coarsen_increments(grid.increments, ratio)
-
-
-@dataclass
-class EnsembleReport:
-    """Statistics of a per-path job over an ensemble.
-
-    ``estimates``/``std_errors`` are per output component (a scalar job has
-    one component); ``taus`` labels components when the job reports one
-    value per step-size level.
-    """
-
-    n_paths: int
-    estimates: np.ndarray
-    std_errors: np.ndarray
-    taus: Optional[np.ndarray] = None
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def estimate(self) -> float:
-        return float(self.estimates.reshape(-1)[0])
-
-    @property
-    def std_error(self) -> float:
-        return float(self.std_errors.reshape(-1)[0])
-
-
-def run_ensemble(job: Callable[[int], object], n_paths: int,
-                 seeds: SeedPolicy, workers: Optional[int] = None,
-                 taus=None, metadata: Optional[dict] = None) -> EnsembleReport:
-    """Evaluate ``job(path_seed)`` over ``n_paths`` independent paths.
-
-    The job must be pure given its path seed; it may return a scalar or a
-    fixed-length 1-D array.  Results are accumulated into a buffer indexed
-    by path and reduced in fixed order, so the report does not depend on
-    ``workers`` (default: the ``LANGSPLIT_WORKERS`` environment variable,
-    else 1).  The first per-path failure is re-raised annotated with its
-    path index.
-    """
-    if n_paths < 2:
-        raise ValueError("ensembles need n_paths >= 2")
-    if workers is None:
-        workers = default_workers()
-    path_seeds = seeds.path_seeds(n_paths)
-
-    results = [None] * n_paths
-
-    def run_one(i):
-        results[i] = np.atleast_1d(np.asarray(job(int(path_seeds[i])), dtype=float))
-
-    def annotate(exc, i):
-        # Keep the original exception type; just attach the failing path.
-        try:
-            exc.path_index = i
-        except Exception:
-            pass
-        exc.args = (f"path {i}: {exc.args[0]}" if exc.args else f"path {i}",
-                    *exc.args[1:])
-        return exc
-
-    if workers <= 1:
-        for i in range(n_paths):
-            try:
-                run_one(i)
-            except Exception as exc:
-                raise annotate(exc, i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(pool.submit(run_one, i), i) for i in range(n_paths)]
-            for fut, i in futures:
-                try:
-                    fut.result()
-                except Exception as exc:
-                    raise annotate(exc, i)
-
-    values = np.stack(results, axis=0)
-    mean = values.mean(axis=0)
-    std_err = values.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    return EnsembleReport(
-        n_paths=n_paths, estimates=mean, std_errors=std_err,
-        taus=None if taus is None else np.asarray(taus, dtype=float),
-        metadata=dict(metadata or {}))

@@ -13,7 +13,7 @@ caller-controlled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .detflow import (MAP_KINDS, SolverSettings, conservative_step,
                       subsystem_field)
 from .errors import NonConvergence, NonIntegralRatio
 from .model import ArrayLike, PhysParams, State
+from .montecarlo import path_noise, steps_for
 from .stochflow import FineWindow, OUIncrement, ou_substep_coupled
 
 COMPOSITIONS = ("lie_trotter", "strang")
@@ -49,6 +50,7 @@ __all__ = [
     "scheme_step",
     "simulate",
     "simulate_on_grid",
+    "require_finite",
     "consistency_residuals",
 ]
 
@@ -108,9 +110,6 @@ class Trajectory:
     def states(self) -> State:
         return State(self.p, self.q)
 
-    def state(self, n: int) -> State:
-        return State(self.p[n], self.q[n])
-
     def __len__(self):
         return self.times.shape[0]
 
@@ -154,17 +153,51 @@ def scheme_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
     return lie_trotter_step(s, tau, prm, spec, noise)
 
 
-def _steps_for(T: float, tau: float) -> int:
-    n = int(round(T / tau))
-    if n < 0 or abs(n * tau - T) > 1e-9 * max(abs(T), tau):
-        raise ValueError(f"horizon {T} is not an integer multiple of tau={tau}")
-    return n
+def require_finite(p: np.ndarray, q: np.ndarray, step_index=None,
+                   first_path: int = 0) -> None:
+    """Raise :class:`NonConvergence` at the first non-finite sample.
+
+    ``p`` and ``q`` hold one ensemble (last axis: path) or a trajectory
+    (axes: step, path); the error names the step and the path index, with
+    path indices offset by ``first_path``.
+    """
+    bad = ~(np.isfinite(p) & np.isfinite(q))
+    if not bad.any():
+        return
+    where = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    if len(where) == 2:
+        step_index = int(where[0])
+    path_index = int(where[-1]) + first_path if where else None
+    at = "" if step_index is None else f" at step {step_index}"
+    raise NonConvergence(f"non-finite state{at} in path {path_index}",
+                         step_index=step_index, path_index=path_index)
 
 
-# Number of per-path draws pulled from each generator at a time.  Any value
-# gives identical results (per-path streams are consumed in time order);
-# this only bounds memory.
-_NOISE_BLOCK = 4096
+def _evolve(initial: State, shape: tuple, tau: float, prm: PhysParams,
+            spec: SchemeSpec, noise: Iterable[Noise],
+            visit: Callable[[int, State], None], first_path: int = 0) -> State:
+    """The stepping loop of every run: one scheme step per item of ``noise``.
+
+    ``initial`` is copied out to a batch of the given shape; ``visit(n,
+    state)`` sees step n = 0 through the last step, and the final state is
+    returned.  Every state is checked before it is visited, so a non-finite
+    state raises :class:`NonConvergence` naming its step and its path
+    (offset by ``first_path``); a solver failure names the step it was
+    taking.
+    """
+    cur = State(np.broadcast_to(np.asarray(initial.p, float), shape).astype(float),
+                np.broadcast_to(np.asarray(initial.q, float), shape).astype(float))
+    require_finite(np.ravel(cur.p), np.ravel(cur.q), 0, first_path)
+    visit(0, cur)
+    for n, dw in enumerate(noise, 1):
+        try:
+            cur = scheme_step(cur, tau, prm, spec, dw)
+        except NonConvergence as exc:
+            exc.step_index = n - 1
+            raise
+        require_finite(np.ravel(cur.p), np.ravel(cur.q), n, first_path)
+        visit(n, cur)
+    return cur
 
 
 def simulate(initial: State, T: float, tau: float, prm: PhysParams,
@@ -186,69 +219,42 @@ def simulate(initial: State, T: float, tau: float, prm: PhysParams,
     -------
     Trajectory
         Deterministic in (seed, spec, prm, tau, initial); bit-identical
-        across runs and worker counts.
+        across runs.
 
     Raises
     ------
     NonConvergence
-        From the inner solver, annotated with the failing step index.
+        From the inner solver, annotated with the failing step index, or
+        at the first non-finite state, naming its step and path.
     """
-    n_steps = _steps_for(T, tau)
-    times = np.arange(n_steps + 1) * tau
-
-    shared_stream = np.isscalar(seed) or isinstance(seed, (int, np.integer))
-    if shared_stream:
-        rngs = [np.random.default_rng(seed)]
-    else:
-        seed = np.asarray(seed)
-        rngs = [np.random.default_rng(s) for s in seed]
-
+    n_steps = steps_for(T, tau)
     p0 = np.asarray(initial.p, dtype=float)
     q0 = np.asarray(initial.q, dtype=float)
     batch_shape = np.broadcast_shapes(p0.shape, q0.shape)
-    if not shared_stream and batch_shape != (len(rngs),):
-        raise ValueError(
-            f"per-path seeds (n={len(rngs)}) require a matching 1-D batch of "
-            f"initial states, got batch shape {batch_shape}")
+    if np.ndim(seed) != 0:
+        seed = np.asarray(seed)
+        if batch_shape != (len(seed),):
+            raise ValueError(
+                f"per-path seeds (n={len(seed)}) require a matching 1-D batch "
+                f"of initial states, got batch shape {batch_shape}")
 
     p_out = np.empty((n_steps + 1,) + batch_shape)
     q_out = np.empty_like(p_out)
-    p_out[0] = p0
-    q_out[0] = q0
 
-    cur = State(np.broadcast_to(p0, batch_shape).astype(float),
-                np.broadcast_to(q0, batch_shape).astype(float))
-    done = 0
-    while done < n_steps:
-        block = min(_NOISE_BLOCK, n_steps - done)
-        if shared_stream:
-            z_block = rngs[0].standard_normal(block)
-        else:
-            z_block = np.stack([rng.standard_normal(block) for rng in rngs],
-                               axis=1)
-        for k in range(block):
-            n = done + k
-            try:
-                cur = scheme_step(cur, tau, prm, spec, z_block[k])
-            except NonConvergence as exc:
-                exc.step_index = n
-                raise
-            p_out[n + 1] = cur.p
-            q_out[n + 1] = cur.q
-        done += block
-        if not (np.all(np.isfinite(cur.p)) and np.all(np.isfinite(cur.q))):
-            raise NonConvergence(
-                "trajectory left the finite domain", step_index=done)
+    def record(n, s):
+        p_out[n] = s.p
+        q_out[n] = s.q
 
-    if p0.ndim == 0 and q0.ndim == 0:
-        p_out = p_out.reshape(n_steps + 1)
-        q_out = q_out.reshape(n_steps + 1)
+    _evolve(initial, batch_shape, tau, prm, spec, path_noise(seed, n_steps),
+            record)
+    times = np.arange(n_steps + 1) * tau
     return Trajectory(times=times, p=p_out, q=q_out, scheme=spec, seed=seed)
 
 
 def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
                      spec: SchemeSpec, increments: np.ndarray, tau_f: float,
-                     keep: str = "all", record_every: int = 1):
+                     keep: str = "all", record_every: int = 1,
+                     first_path: int = 0):
     """Evolve on a shared fine Brownian grid (path-coupled evaluation).
 
     Each coarse step consumes one window of ``tau/tau_f`` fine increments,
@@ -265,52 +271,40 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
     record_every : int
         With ``keep="all"``, record every k-th coarse state (the initial
         state is always recorded and the horizon must tile).
+    first_path : int
+        Ensemble index of the first column, used to name a path that goes
+        non-finite.
 
     Raises
     ------
     NonIntegralRatio
-        If ``tau`` is not an integer multiple of ``tau_f``.
+        If ``tau`` is not an integer multiple of ``tau_f``, or its steps do
+        not tile the increments.
     """
     increments = np.asarray(increments, dtype=float)
-    ratio = int(round(tau / tau_f))
-    if ratio < 1 or abs(ratio * tau_f - tau) > 1e-9 * tau:
-        raise NonIntegralRatio(
-            f"coarse step {tau} is not an integer multiple of fine spacing {tau_f}")
-    n_fine = increments.shape[0]
-    n_steps = n_fine // ratio
-    if n_steps * ratio != n_fine:
-        raise NonIntegralRatio(
-            f"{n_fine} fine increments do not tile steps of {ratio} cells")
-
+    ratio = steps_for(tau, tau_f, NonIntegralRatio, minimum=1)
+    n_steps = steps_for(increments.shape[0], ratio, NonIntegralRatio)
+    windows = (FineWindow(increments[n * ratio:(n + 1) * ratio], tau_f)
+               for n in range(n_steps))
     batch_shape = increments.shape[1:]
-    cur = State(np.broadcast_to(np.asarray(initial.p, float), batch_shape).astype(float),
-                np.broadcast_to(np.asarray(initial.q, float), batch_shape).astype(float))
+    if keep != "all":
+        return _evolve(initial, batch_shape, tau, prm, spec, windows,
+                       lambda n, s: None, first_path)
 
-    record = keep == "all"
-    if record:
-        if n_steps % record_every != 0:
-            raise ValueError("record_every must tile the number of steps")
-        n_rec = n_steps // record_every
-        times = np.arange(n_rec + 1) * (tau * record_every)
-        p_out = np.empty((n_rec + 1,) + batch_shape)
-        q_out = np.empty_like(p_out)
-        p_out[0] = cur.p
-        q_out[0] = cur.q
+    if n_steps % record_every != 0:
+        raise ValueError("record_every must tile the number of steps")
+    n_rec = n_steps // record_every
+    p_out = np.empty((n_rec + 1,) + batch_shape)
+    q_out = np.empty_like(p_out)
 
-    for n in range(n_steps):
-        window = FineWindow(increments[n * ratio:(n + 1) * ratio], tau_f)
-        try:
-            cur = scheme_step(cur, tau, prm, spec, window)
-        except NonConvergence as exc:
-            exc.step_index = n
-            raise
-        if record and (n + 1) % record_every == 0:
-            p_out[(n + 1) // record_every] = cur.p
-            q_out[(n + 1) // record_every] = cur.q
+    def record(n, s):
+        if n % record_every == 0:
+            p_out[n // record_every] = s.p
+            q_out[n // record_every] = s.q
 
-    if record:
-        return Trajectory(times=times, p=p_out, q=q_out, scheme=spec, seed=None)
-    return cur
+    _evolve(initial, batch_shape, tau, prm, spec, windows, record, first_path)
+    times = np.arange(n_rec + 1) * (tau * record_every)
+    return Trajectory(times=times, p=p_out, q=q_out, scheme=spec, seed=None)
 
 
 def consistency_residuals(map_kind: str, s: State, tau: float,

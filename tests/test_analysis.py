@@ -13,13 +13,15 @@ from langsplit.analysis import (distance_noise_floor, distribution_distance,
                                 msd_fit_window, msd_plateau, phase_area,
                                 time_average)
 from langsplit.errors import (DegenerateRange, EmptyWindow, NonConvergence,
+                              NonIntegralGrid, NonIntegralRatio,
                               NonPositiveError)
 from langsplit.experiments import (ergodic_averages, histogram_snapshots,
                                    long_time_error, msd_experiment,
                                    window_means)
 from langsplit.model import (EnergyConstants, PhysParams, State, energy_H0)
-from langsplit.montecarlo import SeedPolicy
-from langsplit.splitting import SchemeSpec, scheme_step, simulate
+from langsplit.montecarlo import SeedPolicy, increment_matrix
+from langsplit.splitting import (SchemeSpec, scheme_step, simulate,
+                                 simulate_on_grid)
 from langsplit.stochflow import OUIncrement
 
 PRM10 = PhysParams(10.0, 1.0)
@@ -440,7 +442,7 @@ class TestStreamingDrivers:
 
     def test_histogram_diverged_path_raises(self):
         # The explicit map far beyond its stability limit sends path 149 to
-        # infinity by step 50; it must not drop out of the histogram.
+        # infinity at step 49; it must not drop out of the histogram.
         for chunk in (64, 200):
             with pytest.raises(NonConvergence) as info, \
                     np.errstate(over="ignore", invalid="ignore"):
@@ -448,7 +450,7 @@ class TestStreamingDrivers:
                                     PhysParams(1.0, 1.0), 2.0, [0.0, 100.0],
                                     200, SeedPolicy(1), State(0.0, 0.0),
                                     (10, 10), (-2, 2), (-2, 2), chunk=chunk)
-            assert (info.value.step_index, info.value.path_index) == (50, 149)
+            assert (info.value.step_index, info.value.path_index) == (49, 149)
 
     def test_histogram_chunking_invariant(self):
         kwargs = dict(snapshot_times=[0.25], n_paths=300,
@@ -476,3 +478,126 @@ class TestStreamingDrivers:
         early, late = window_means(times, vals)
         assert early == pytest.approx(2.0)
         assert late == pytest.approx(1.0)
+
+
+# The explicit map far beyond its stability limit: path 149 of SeedPolicy(1)
+# is the first to leave the finite domain, at step 49 (t = 98).
+SE = SchemeSpec.from_name("sympl-euler")
+PRM1 = PhysParams(1.0, 1.0)
+ORIGIN = State(0.0, 0.0)
+
+DIVERGING_RUNS = {
+    "simulate": lambda: simulate(
+        State(np.zeros(200), np.zeros(200)), 100.0, 2.0, PRM1, SE,
+        seed=SeedPolicy(1).path_seeds(200)),
+    "ergodic_averages": lambda: ergodic_averages(
+        SE, PRM1, 2.0, 100.0, 0.0, 200, SeedPolicy(1), ORIGIN,
+        {"p2": lambda p, q: p * p}),
+    "msd_experiment": lambda: msd_experiment(
+        SE, PRM1, 2.0, 100.0, 200, SeedPolicy(1), ORIGIN, chunk=64),
+    "exp_moment_monitor": lambda: exp_moment_monitor(
+        SE, PRM1, 2.0, 100.0, 200, SeedPolicy(1), chunk=64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGING_RUNS))
+def test_non_finite_state_names_step_and_path(name):
+    with pytest.raises(NonConvergence) as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        DIVERGING_RUNS[name]()
+    assert (info.value.step_index, info.value.path_index) == (49, 149)
+
+
+# Each experiment given a horizon that its step does not tile (T = 1 is 33.3
+# steps of 0.03, and 85.3 steps of 3 * 2^-8).
+OFF_GRID_RUNS = {
+    "simulate": (ValueError, lambda: simulate(
+        ORIGIN, 1.0, 0.03, PRM10, SAVF, seed=1)),
+    "simulate_on_grid": (NonIntegralRatio, lambda: simulate_on_grid(
+        ORIGIN, 3 * 2.0**-8, PRM10, SAVF, np.zeros((256, 2)), 2.0**-8)),
+    "increment_matrix": (NonIntegralGrid, lambda: increment_matrix(
+        1.0, 0.03, [1, 2])),
+    "ergodic_averages": (ValueError, lambda: ergodic_averages(
+        SAVF, PRM10, 0.03, 1.0, 0.3, 4, SeedPolicy(1), ORIGIN, {})),
+    "ergodic_averages_burn_in": (ValueError, lambda: ergodic_averages(
+        SAVF, PRM10, 2.0**-6, 1.0, 0.1, 4, SeedPolicy(1), ORIGIN, {})),
+    "msd_experiment": (ValueError, lambda: msd_experiment(
+        SAVF, PRM10, 0.03, 1.0, 4, SeedPolicy(1), ORIGIN)),
+    "histogram_snapshots": (ValueError, lambda: histogram_snapshots(
+        SAVF, PRM10, 0.03, [0.0, 1.0], 4, SeedPolicy(1), ORIGIN,
+        (4, 4), (-1, 1), (-1, 1))),
+    "exp_moment_monitor": (ValueError, lambda: exp_moment_monitor(
+        SAVF, PRM10, 0.03, 1.0, 4, SeedPolicy(1))),
+    "phase_area": (ValueError, lambda: phase_area(
+        SE, PRM10, 0.03, 1.0, 8, seed=1)),
+    "h0_dissipation_compare": (ValueError, lambda: h0_dissipation_compare(
+        PRM10, 0.03, 1.0, ORIGIN, 4)),
+    "coupled_terminal_stats_level": (ValueError, lambda:
+        analysis.coupled_terminal_stats(
+            SAVF, [0.03], 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1))),
+    "coupled_terminal_stats_reference": (NonIntegralGrid, lambda:
+        analysis.coupled_terminal_stats(
+            SAVF, [0.06], 0.03, 1.0, PRM10, 4, SeedPolicy(1))),
+    "coupled_terminal_stats_horizon": (NonIntegralRatio, lambda:
+        analysis.coupled_terminal_stats(
+            SAVF, [3 * 2.0**-8], 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1))),
+    "long_time_error_level": (NonIntegralRatio, lambda: long_time_error(
+        SAVF, 0.03, 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1))),
+    "long_time_error_reference": (NonIntegralGrid, lambda: long_time_error(
+        SAVF, 0.06, 0.03, 1.0, PRM10, 4, SeedPolicy(1))),
+    "long_time_error_horizon": (NonIntegralRatio, lambda: long_time_error(
+        SAVF, 3 * 2.0**-8, 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_GRID_RUNS))
+def test_off_grid_horizon_is_rejected(name):
+    error, run = OFF_GRID_RUNS[name]
+    with pytest.raises(error):
+        run()
+
+
+def _coupled(g):
+    return lambda chunk: analysis.coupled_terminal_stats(
+        SAVF, [2.0**-4, 2.0**-5], 2.0**-7, 0.5, PRM10, 300, SeedPolicy(5),
+        g=g, chunk=chunk)
+
+
+def _exp_moment(chunk):
+    rep = exp_moment_monitor(SAVF, PRM10, 2.0**-6, 0.5, 300, SeedPolicy(5),
+                             chunk=chunk)
+    return rep.estimates, rep.max_exponents
+
+
+def _dissipation(chunk):
+    c = h0_dissipation_compare(PRM10, 2.0**-6, 0.5, State(0.0, 2.0), 300,
+                               SeedPolicy(5), chunk=chunk)
+    return c.naive_mean, c.naive_se, c.dissipative_mean, c.dissipative_se
+
+
+# Every chunked experiment as a function of its chunk size, 300 paths each.
+CHUNKED_RUNS = {
+    "msd_experiment": lambda chunk: msd_experiment(
+        SAVF, PRM10, 2.0**-6, 0.5, 300, SeedPolicy(5), ORIGIN, chunk=chunk),
+    "exp_moment_monitor": _exp_moment,
+    "coupled_terminal_stats_strong": _coupled(None),
+    "coupled_terminal_stats_weak": _coupled(lambda p, q: np.sin(p) * np.sin(q)),
+    "long_time_error": lambda chunk: long_time_error(
+        SAVF, 2.0**-5, 2.0**-7, 1.0, PRM10, 300, SeedPolicy(5), n_records=8,
+        chunk=chunk),
+    "h0_dissipation_compare": _dissipation,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_RUNS))
+def test_chunking_changes_only_rounding(name):
+    # Each path keeps its seed whatever the chunk size, so the chunkings
+    # differ only in how the float sums over paths are grouped.  Standard
+    # errors subtract the squared mean from the mean square, which lifts
+    # that rounding to ~1e-11 relative; a path with a wrong seed would move
+    # the results by ~1e-2.
+    run = CHUNKED_RUNS[name]
+    whole, chunked = run(300), run(64)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, run(300)))
+    for a, b in zip(whole, chunked):
+        np.testing.assert_allclose(b, a, rtol=1e-9, atol=0)

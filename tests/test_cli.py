@@ -185,8 +185,28 @@ def test_histogram_recipe_small(tmp_path):
     assert (out / "histogram_t0.25.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert "distance_t0" in summary["metrics"]
+    assert summary["metrics"]["dropped_t0"] == 0
+    assert summary["metrics"]["dropped_t0.25"] == 0
     checks = {c["name"]: c for c in summary["checks"]}
     assert checks["distance_decreasing"]["pass"] is True
+    assert checks["final_window_holds_all"]["pass"] is True
+
+
+def test_histogram_recipe_reports_dropped_samples(tmp_path):
+    # p has sd 0.18 by t = 0.25 at upsilon = 15: a window of +-0.1 loses
+    # most paths, which the noise floor does not allow for.
+    code, out = run_cli(
+        tmp_path, "histogram",
+        "times = 0,0.25\nn_paths = 400\ntau = 2^-6\nbins_p = 10\n"
+        "bins_q = 10\np_min = -0.1\np_max = 0.1\n", seed=8)
+    assert code == 0
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    assert metrics["dropped_t0"] == 0
+    assert 0 < metrics["dropped_t0.25"] < 400
+    checks = {c["name"]: c for c in
+              json.loads((out / "summary.json").read_text())["checks"]}
+    assert checks["final_window_holds_all"]["pass"] is False
+    assert checks["final_window_holds_all"]["margin"] == -metrics["dropped_t0.25"]
 
 
 def test_msd_recipe_small(tmp_path):
@@ -222,10 +242,8 @@ def test_long_time_error_recipe_small(tmp_path):
     assert "ratio" in summary["metrics"]
 
 
-def test_workers_flag_sets_environment(tmp_path, monkeypatch):
-    monkeypatch.delenv("LANGSPLIT_WORKERS", raising=False)
-    code, out = run_cli(tmp_path, "simulate", "tau = 2^-6\nT = 0.125\n",
-                        extra=["--workers", "3"])
-    assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["workers"] == 3
+def test_workers_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        run_cli(tmp_path, "simulate", "tau = 2^-6\nT = 0.125\n",
+                extra=["--workers", "2"])
+    assert info.value.code == 2

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from scipy import stats
 
-from langsplit.errors import NonConvergence, NonIntegralGrid, NonIntegralRatio
-from langsplit.montecarlo import (SeedPolicy, coarsen,
-                                  coarsen_increments, generate_grid,
-                                  increment_matrix, run_ensemble)
+from langsplit.errors import NonIntegralGrid
+from langsplit.montecarlo import SeedPolicy, increment_matrix
 
 
 class TestSeedPolicy:
@@ -30,19 +27,21 @@ class TestSeedPolicy:
 
 
 class TestGenerateGrid:
+    """Fine Brownian grids as built by ``increment_matrix``."""
+
     def test_single_increment(self):
-        g = generate_grid(2.0**-6, 2.0**-6, path_seed=77)
-        assert g.increments.shape == (1,)
-        assert g.horizon == 2.0**-6
+        inc = increment_matrix(2.0**-6, 2.0**-6, [77])
+        assert inc.shape == (1, 1)
 
     def test_deterministic(self):
-        a = generate_grid(1.0, 2.0**-8, path_seed=3)
-        b = generate_grid(1.0, 2.0**-8, path_seed=3)
-        assert np.array_equal(a.increments, b.increments)
+        a = increment_matrix(1.0, 2.0**-8, [3, 4])
+        b = increment_matrix(1.0, 2.0**-8, [3, 4])
+        assert a.shape == (256, 2)
+        assert np.array_equal(a, b)
 
     def test_non_integral_grid(self):
         with pytest.raises(NonIntegralGrid):
-            generate_grid(1.0, 0.3, path_seed=1)
+            increment_matrix(1.0, 0.3, [1])
 
     def test_total_variance_is_horizon(self):
         # sum of increments over [0, T] has variance T
@@ -53,97 +52,9 @@ class TestGenerateGrid:
         assert abs(totals.var(ddof=1) - T) < 3 * se
 
     def test_increment_matrix_matches_grids(self):
+        # column i is path i's own stream, regenerated from its seed alone
         seeds = SeedPolicy(2).path_seeds(5)
         mat = increment_matrix(0.25, 2.0**-6, seeds)
         for i, s in enumerate(seeds):
-            assert np.array_equal(mat[:, i],
-                                  generate_grid(0.25, 2.0**-6, int(s)).increments)
-
-
-class TestCoarsen:
-    def test_identity_at_fine_spacing(self):
-        g = generate_grid(0.5, 2.0**-6, path_seed=4)
-        assert np.array_equal(coarsen(g, 2.0**-6), g.increments)
-
-    def test_whole_horizon_is_total(self):
-        g = generate_grid(0.5, 2.0**-6, path_seed=4)
-        out = coarsen(g, 0.5)
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(g.increments.sum(), rel=1e-12)
-
-    def test_coarse_variance(self):
-        tau = 2.0**-4
-        inc = increment_matrix(0.5, 2.0**-8, SeedPolicy(8).path_seeds(20000))
-        coarse = coarsen_increments(inc, int(tau / 2.0**-8))
-        se = tau * np.sqrt(2.0 / (20000 * coarse.shape[0] - 1))
-        assert abs(coarse.var(ddof=1) - tau) < 3 * se
-
-    def test_non_integral_ratio(self):
-        g = generate_grid(0.5, 2.0**-6, path_seed=4)
-        with pytest.raises(NonIntegralRatio):
-            coarsen(g, 3.3 * 2.0**-6)
-
-    def test_distribution_matches_direct_coarse_grid(self):
-        # coarsened fine grids vs directly generated coarse grids: same law
-        n_paths, T, tau_f, tau = 10**4, 0.25, 2.0**-8, 2.0**-4
-        pol = SeedPolicy(31)
-        fine = increment_matrix(T, tau_f, pol.path_seeds(n_paths))
-        coarse_a = coarsen_increments(fine, int(tau / tau_f))[0]
-        coarse_b = increment_matrix(T, tau, pol.path_seeds(n_paths))[0]
-        p_value = stats.ks_2samp(coarse_a, coarse_b).pvalue
-        assert p_value > 0.01
-
-
-class TestRunEnsemble:
-    def test_constant_job(self):
-        rep = run_ensemble(lambda seed: 3.25, 16, SeedPolicy(1))
-        assert rep.estimate == 3.25
-        assert rep.std_error == 0.0
-        assert rep.n_paths == 16
-
-    def test_clt_job(self):
-        n = 4000
-        rep = run_ensemble(
-            lambda seed: np.random.default_rng(seed).standard_normal(),
-            n, SeedPolicy(6))
-        assert abs(rep.estimate) < 3.0 / np.sqrt(n)
-        assert rep.std_error == pytest.approx(1.0 / np.sqrt(n), rel=0.1)
-
-    def test_worker_invariance(self):
-        def job(seed):
-            rng = np.random.default_rng(seed)
-            return rng.standard_normal(3).cumsum()
-
-        reports = [run_ensemble(job, 64, SeedPolicy(2), workers=w)
-                   for w in (1, 4, 16)]
-        for rep in reports[1:]:
-            assert np.array_equal(rep.estimates, reports[0].estimates)
-            assert np.array_equal(rep.std_errors, reports[0].std_errors)
-
-    def test_vector_job_statistics(self):
-        rep = run_ensemble(
-            lambda seed: np.random.default_rng(seed).standard_normal(2),
-            512, SeedPolicy(3), taus=[0.5, 0.25])
-        assert rep.estimates.shape == (2,)
-        assert np.array_equal(rep.taus, [0.5, 0.25])
-
-    def test_failure_carries_path_index(self):
-        def job(seed):
-            if seed == SeedPolicy(1).path_seed(5):
-                raise NonConvergence("boom")
-            return 0.0
-
-        with pytest.raises(NonConvergence) as err:
-            run_ensemble(job, 10, SeedPolicy(1))
-        assert err.value.path_index == 5
-
-    def test_needs_two_paths(self):
-        with pytest.raises(ValueError):
-            run_ensemble(lambda s: 0.0, 1, SeedPolicy(1))
-
-    def test_env_var_default(self, monkeypatch):
-        from langsplit.montecarlo import default_workers
-        monkeypatch.setenv("LANGSPLIT_WORKERS", "7")
-        assert default_workers() == 7
-        monkeypatch.setenv("LANGSPLIT_WORKERS", "junk")
-        assert default_workers() == 1
+            own = np.random.default_rng(s).standard_normal(16) * 2.0**-3
+            assert np.array_equal(mat[:, i], own)
