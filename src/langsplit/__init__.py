@@ -14,16 +14,15 @@ law, conformal phase-volume contraction, and the strong/weak convergence
 orders.
 """
 
-from .detflow import (SolverSettings, avf_step, avg_cubic, dg_step,
-                      energy_residual, newton_solve_2d, pavf_step,
-                      sympl_euler_step)
+from .detflow import (SolverSettings, avf_step, dg_step, energy_residual,
+                      newton_solve_2d, pavf_step, sympl_euler_step)
 from .errors import (DegenerateRange, EmptyWindow, GridMismatch,
                      LangsplitError, NonConvergence, NonIntegralGrid,
                      NonIntegralRatio, NonPositiveError, QuadratureError,
                      SingularJacobian)
 from .model import (EnergyConstants, GibbsMoments, PhysParams,
                     QuarticPotential, State, energy_H, energy_H0,
-                    gibbs_log_density, gibbs_moments, grad_U)
+                    gibbs_log_density, gibbs_moments)
 from .montecarlo import SeedPolicy
 from .splitting import (SchemeSpec, Trajectory, consistency_residuals,
                         lie_trotter_step, simulate, simulate_on_grid,

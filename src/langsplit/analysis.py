@@ -435,7 +435,8 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
     max_expo = np.full(n_steps + 1, -np.inf)
 
     def visit(n, st):
-        expo = c_e * (st.p**2 + st.q**4) / scale[n]
+        q2 = st.q * st.q
+        expo = c_e * (st.p * st.p + q2 * q2) / scale[n]
         with np.errstate(over="ignore"):
             sum_exp[n] += np.exp(expo).sum()
         max_expo[n] = np.maximum(max_expo[n], expo.max())

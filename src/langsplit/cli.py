@@ -6,7 +6,8 @@ provenance comment block (scheme, upsilon, sigma, tau, T, seed) and a
 timestamp line; bodies are byte-reproducible for identical config + seed.
 
 Exit codes: 0 success, 2 configuration errors (bad config file, unknown
-experiment), 1 numerical failures.
+experiment, a value of the wrong type or an unknown choice), 1 numerical
+failures.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ OBSERVABLES = {
     "sin_norm": lambda p, q: np.sin(np.sqrt(p * p + q * q)),
     "sin1norm": lambda p, q: np.sin(1.0 + np.sqrt(p * p + q * q)),
     "p2": lambda p, q: p * p,
-    "q4": lambda p, q: q ** 4,
+    "q4": lambda p, q: (q * q) * (q * q),
 }
 
 
@@ -86,35 +87,53 @@ class Config:
     def __init__(self, entries: dict):
         self.entries = dict(entries)
 
+    @staticmethod
+    def _number(key, text):
+        try:
+            return _parse_number(text)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: not a number: {text!r}")
+
     def num(self, key, default=None):
         if key not in self.entries:
             return default
-        try:
-            return _parse_number(self.entries[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: not a number: "
-                              f"{self.entries[key]!r}")
+        return self._number(key, self.entries[key])
 
     def integer(self, key, default=None):
         val = self.num(key, default)
-        return val if val is None else int(round(val))
+        if val is None:
+            return None
+        if not (math.isfinite(val) and val == int(val)):
+            raise ConfigError(f"config key {key!r}: not an integer: {val!r}")
+        return int(val)
 
     def text(self, key, default=None):
         return self.entries.get(key, default)
 
+    def choice(self, key, options: dict, default: str):
+        """The entry of ``options`` named by the key's value."""
+        name = self.entries.get(key, default)
+        if name not in options:
+            raise ConfigError(f"config key {key!r}: unknown value {name!r}; "
+                              f"expected one of {', '.join(options)}")
+        return options[name]
+
     def numbers(self, key, default=None):
         if key not in self.entries:
             return default
-        return [_parse_number(tok) for tok in self.entries[key].split(",")
-                if tok.strip()]
+        return [self._number(key, tok)
+                for tok in self.entries[key].split(",") if tok.strip()]
 
     def pairs(self, key, default=None):
         if key not in self.entries:
             return default
         out = []
         for tok in self.entries[key].split(";"):
-            a, b = tok.split(",")
-            out.append((_parse_number(a), _parse_number(b)))
+            parts = tok.split(",")
+            if len(parts) != 2:
+                raise ConfigError(f"config key {key!r}: expected pairs "
+                                  f"'a,b;c,d', got {tok.strip()!r}")
+            out.append(tuple(self._number(key, t) for t in parts))
         return out
 
 
@@ -201,7 +220,7 @@ def _order_recipe(cfg, outdir, weak):
     initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 0.0))
     seeds = SeedPolicy(seed)
     if weak:
-        g = OBSERVABLES[cfg.text("observable", "sinsin")]
+        g = cfg.choice("observable", OBSERVABLES, "sinsin")
         fit = analysis.weak_error(scheme, g, levels, ref, T, prm, n_paths,
                                   seeds, initial=initial)
         lo, hi = cfg.num("slope_min", 0.8), cfg.num("slope_max", 1.2)
@@ -528,6 +547,9 @@ def main(argv=None) -> int:
 
     try:
         metrics, checks = RECIPES[experiment](cfg, outdir)
+    except ConfigError as exc:
+        print(_error_record("config", exc), file=sys.stderr)
+        return 2
     except (LangsplitError, ValueError) as exc:
         print(_error_record(type(exc).__name__, exc), file=sys.stderr)
         return 1

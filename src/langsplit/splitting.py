@@ -57,7 +57,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Composition recipe: which conservative map, and how it is composed."""
+    """Composition recipe: which conservative map, and how it is composed.
+
+    ``solver`` holds the Newton settings of the ``dg`` map; the other maps
+    are explicit or closed form and ignore it.
+    """
 
     map_kind: str
     composition: str = "lie_trotter"
@@ -224,7 +228,7 @@ def simulate(initial: State, T: float, tau: float, prm: PhysParams,
     Raises
     ------
     NonConvergence
-        From the inner solver, annotated with the failing step index, or
+        From the ``dg`` solver, annotated with the failing step index, or
         at the first non-finite state, naming its step and path.
     """
     n_steps = steps_for(T, tau)

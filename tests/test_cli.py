@@ -247,3 +247,19 @@ def test_workers_flag_is_rejected(tmp_path):
         run_cli(tmp_path, "simulate", "tau = 2^-6\nT = 0.125\n",
                 extra=["--workers", "2"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("name, config_text", [
+    ("strong-order", "n_paths = abc\n"),
+    ("weak-order", "observable = bogus\n"),
+    ("lyapunov", "states = 1,2;3\n"),
+    ("strong-order", "tau_levels = 2^-5,x\n"),
+    ("simulate", "seed = inf\n"),
+    ("lyapunov", "n_draws = 2000.5\n"),
+])
+def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
+    code, out = run_cli(tmp_path, name, config_text)
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "config"
+    assert not (out / "summary.json").exists()

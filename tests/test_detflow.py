@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from langsplit import detflow
 from langsplit.analysis import jacobian_det
-from langsplit.detflow import (SolverSettings, avf_step, avg_cubic,
-                               conservative_step, dg_step, energy_residual,
-                               newton_solve_2d, pavf_step, subsystem_field,
-                               sympl_euler_step)
+from langsplit.detflow import (SolverSettings, avf_step, conservative_step,
+                               dg_step, energy_residual, newton_solve_2d,
+                               pavf_step, subsystem_field, sympl_euler_step)
 from langsplit.errors import NonConvergence
-from langsplit.model import PhysParams, State, energy_H
+from langsplit.model import PhysParams, QuarticPotential, State, energy_H
 
 PRM10 = PhysParams(10.0, 1.0)
 
@@ -38,16 +38,19 @@ def picard_solve(kind, s, tau, prm, sweeps=400):
 
 
 class TestAvgCubic:
+    avg_grad = staticmethod(QuarticPotential().avg_grad)
+
     def test_values(self):
-        assert avg_cubic(2.0, 2.0) == 8.0
-        assert avg_cubic(0.0, 1.0) == 0.25
-        assert avg_cubic(-1.0, 1.0) == 0.0
+        assert self.avg_grad(2.0, 2.0) == 8.0
+        assert self.avg_grad(0.0, 1.0) == 0.25
+        assert self.avg_grad(-1.0, 1.0) == 0.0
 
     @given(st.floats(-30, 30), st.floats(-30, 30))
     def test_matches_simpson(self, a, b):
         mid = 0.5 * (a + b)
         simpson = (a**3 + 4 * mid**3 + b**3) / 6.0
-        assert avg_cubic(a, b) == pytest.approx(simpson, rel=1e-12, abs=1e-9)
+        assert self.avg_grad(a, b) == pytest.approx(simpson, rel=1e-12,
+                                                    abs=1e-9)
 
 
 @pytest.mark.parametrize("step", [avf_step, dg_step, pavf_step])
@@ -87,6 +90,85 @@ class TestImplicitMapsCommon:
         a = step(s, 2.0**-8, PRM10)
         b = step(s, 2.0**-8, PRM10)
         assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
+
+
+# Tighter than the solver's defaults, so that the oracle's own error stays
+# well below the 1e-12 the closed forms are compared at.
+ORACLE_SOLVER = SolverSettings(rel_tol=1e-14, abs_tol=1e-14)
+
+
+def newton_oracle(kind, s, tau, prm):
+    """The average-vector-field equations solved by 2-D Newton iteration."""
+    pot, u = prm.potential, prm.upsilon
+    p0, q0 = s.p, s.q
+    if kind == "avf":
+        a = 0.25 * tau * u
+
+        def residual(x):
+            return (x.p - p0 + a * (x.p + p0) + tau * pot.avg_grad(q0, x.q),
+                    x.q - q0 - 0.5 * tau * (x.p + p0) - a * (x.q + q0))
+
+        def jacobian(x):
+            return (1.0 + a, tau * pot.avg_grad_db(q0, x.q),
+                    -0.5 * tau, 1.0 - a)
+    else:
+        a = 0.5 * tau * u
+
+        def residual(x):
+            return (x.p - p0 + a * x.p + tau * pot.avg_grad(q0, x.q),
+                    x.q - q0 - 0.5 * tau * (x.p + p0) - a * q0)
+
+        def jacobian(x):
+            return (1.0 + a, tau * pot.avg_grad_db(q0, x.q), -0.5 * tau, 1.0)
+    f = subsystem_field(s, prm)
+    guess = State(p0 + tau * f.p, q0 + tau * f.q)
+    return newton_solve_2d(residual, jacobian, guess, ORACLE_SOLVER)
+
+
+closed_form_cases = dict(
+    kind=st.sampled_from(["avf", "pavf"]),
+    p=st.floats(-30, 30), q=st.floats(-30, 30),
+    tau=st.sampled_from([2.0**-4, 2.0**-8, 2.0**-13]),
+    upsilon=st.sampled_from([2.0, 10.0]))
+
+
+class TestClosedForms:
+    """avf and pavf take the real root of a cubic instead of iterating."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**closed_form_cases)
+    def test_matches_newton_oracle(self, kind, p, q, tau, upsilon):
+        prm, s = PhysParams(upsilon, 1.0), State(p, q)
+        out = conservative_step(kind, s, tau, prm)
+        ref = newton_oracle(kind, s, tau, prm)
+        tol = 1e-12 * (1.0 + max(abs(ref.p), abs(ref.q)))
+        assert abs(out.p - ref.p) <= tol and abs(out.q - ref.q) <= tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(**closed_form_cases)
+    def test_energy_to_rounding(self, kind, p, q, tau, upsilon):
+        # Rounding of H itself scales with the size of its terms, which
+        # near H = 0 is far above |H|.
+        prm, s = PhysParams(upsilon, 1.0), State(p, q)
+        out = conservative_step(kind, s, tau, prm)
+        terms = 1.0 + 0.5 * p * p + 0.25 * q**4 + 0.5 * upsilon * abs(p * q)
+        assert abs(energy_H(out, prm) - energy_H(s, prm)) <= 1e-13 * terms
+
+    def test_calls_no_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("newton_solve_2d called")
+
+        monkeypatch.setattr(detflow, "newton_solve_2d", refuse)
+        s = State(np.linspace(-3, 3, 7), np.linspace(2, -2, 7))
+        for step in (avf_step, pavf_step):
+            out = step(s, 2.0**-8, PRM10)
+            assert np.all(np.isfinite(out.p)) and np.all(np.isfinite(out.q))
+
+    def test_scalar_in_float_out(self):
+        for step in (avf_step, pavf_step):
+            for tau in (0.0, 2.0**-8):
+                out = step(State(0.5, -1.0), tau, PRM10)
+                assert type(out.p) is float and type(out.q) is float
 
 
 class TestFrozenValues:

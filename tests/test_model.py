@@ -6,13 +6,14 @@ from hypothesis import given, strategies as st
 
 from langsplit.model import (EnergyConstants, PhysParams, QuarticPotential,
                              State, energy_H, energy_H0, gibbs_log_density,
-                             gibbs_moments, grad_U)
+                             gibbs_moments)
 
 
 def test_grad_U_values():
-    assert grad_U(0.0) == 0.0
-    assert grad_U(1.0) == 1.0
-    assert grad_U(-2.0) == -8.0
+    grad = QuarticPotential().grad
+    assert grad(0.0) == 0.0
+    assert grad(1.0) == 1.0
+    assert grad(-2.0) == -8.0
 
 
 def test_energy_H0_values():

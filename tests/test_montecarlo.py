@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from langsplit import montecarlo
 from langsplit.errors import NonIntegralGrid
+from langsplit.model import PhysParams, State
 from langsplit.montecarlo import SeedPolicy, increment_matrix
+from langsplit.splitting import SchemeSpec, simulate
 
 
 class TestSeedPolicy:
@@ -58,3 +61,18 @@ class TestGenerateGrid:
         for i, s in enumerate(seeds):
             own = np.random.default_rng(s).standard_normal(16) * 2.0**-3
             assert np.array_equal(mat[:, i], own)
+
+
+@pytest.mark.parametrize("seed", [11, [11, 12, 13]],
+                         ids=["shared", "per-path"])
+def test_noise_block_size_does_not_change_paths(monkeypatch, seed):
+    # 1100 steps cross a block boundary at either block size.
+    start = State(np.zeros(3), np.zeros(3))
+    args = (1100 * 2.0**-8, 2.0**-8, PhysParams(4.0, 1.0),
+            SchemeSpec.from_name("savf"), seed)
+    runs = []
+    for block in (7, 1024):
+        monkeypatch.setattr(montecarlo, "_NOISE_BLOCK", block)
+        runs.append(simulate(start, *args))
+    assert np.array_equal(runs[0].p, runs[1].p)
+    assert np.array_equal(runs[0].q, runs[1].q)

@@ -177,8 +177,9 @@ class TestSimulate:
             simulate(State(0.0, 0.0), 0.3, 2.0**-6, PRM10, SAVF, seed=1)
 
     def test_nonconvergence_carries_step_index(self):
+        # dg is the only map that still runs the Newton solver
         settings = SolverSettings(max_iter=1, fallback=False)
-        spec = SchemeSpec("avf", solver=settings)
+        spec = SchemeSpec("dg", solver=settings)
         with pytest.raises(NonConvergence) as err:
             simulate(State(60.0, 60.0), 0.38, 0.19, PRM10, spec, seed=1)
         assert err.value.step_index == 0
