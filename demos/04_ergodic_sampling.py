@@ -2,8 +2,8 @@
 
 One long trajectory of the dissipative splitting visits phase space with
 the Gibbs frequency exp(-(2 upsilon/sigma^2) H0), so time averages of
-observables converge to closed-form (or quadrature) moments of that law,
-from any initial condition.  Desk-scale version of the long-time runs:
+observables converge to closed-form moments of that law, from any initial
+condition.  Desk-scale version of the long-time runs:
 shorter horizon, fewer seeds, but the same estimators as the acceptance
 suite.
 """

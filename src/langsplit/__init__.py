@@ -18,8 +18,7 @@ from .detflow import (SolverSettings, avf_step, dg_step, energy_residual,
                       newton_solve_2d, pavf_step, sympl_euler_step)
 from .errors import (DegenerateRange, EmptyWindow, GridMismatch,
                      LangsplitError, NonConvergence, NonIntegralGrid,
-                     NonIntegralRatio, NonPositiveError, QuadratureError,
-                     SingularJacobian)
+                     NonIntegralRatio, NonPositiveError, SingularJacobian)
 from .model import (EnergyConstants, GibbsMoments, PhysParams,
                     QuarticPotential, State, energy_H, energy_H0,
                     gibbs_log_density, gibbs_moments)

@@ -6,8 +6,8 @@ provenance comment block (scheme, upsilon, sigma, tau, T, seed) and a
 timestamp line; bodies are byte-reproducible for identical config + seed.
 
 Exit codes: 0 success, 2 configuration errors (bad config file, unknown
-experiment, a value of the wrong type or an unknown choice), 1 numerical
-failures.
+experiment, a value of the wrong type, a count below 1 or a negative seed,
+an unknown choice), 1 numerical failures.
 """
 
 from __future__ import annotations
@@ -99,12 +99,16 @@ class Config:
             return default
         return self._number(key, self.entries[key])
 
-    def integer(self, key, default=None):
+    def integer(self, key, default=None, minimum=1):
+        """An integer of at least ``minimum``; every count must be >= 1."""
         val = self.num(key, default)
         if val is None:
             return None
         if not (math.isfinite(val) and val == int(val)):
             raise ConfigError(f"config key {key!r}: not an integer: {val!r}")
+        if val < minimum:
+            raise ConfigError(f"config key {key!r}: must be at least "
+                              f"{minimum}, got {int(val)}")
         return int(val)
 
     def text(self, key, default=None):
@@ -194,7 +198,7 @@ def _common(cfg, scheme_default="savf", upsilon=10.0, sigma=1.0):
     scheme = SchemeSpec.from_name(cfg.text("scheme", scheme_default))
     prm = PhysParams(upsilon=cfg.num("upsilon", upsilon),
                      sigma=cfg.num("sigma", sigma))
-    seed = cfg.integer("seed", 12345)
+    seed = cfg.integer("seed", 12345, minimum=0)
     return scheme, prm, seed
 
 
@@ -348,10 +352,11 @@ def run_msd(cfg: Config, outdir: Path):
     tau = cfg.num("tau", 2.0**-8)
     T = cfg.num("T", 512.0)
     n_paths = cfg.integer("n_paths", 1000)
+    n_records = cfg.integer("n_records", 2048)
     initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 0.0))
     times, msd = experiments.msd_experiment(
         scheme, prm, tau, T, n_paths, SeedPolicy(seed), initial)
-    stride = max(1, len(times) // cfg.integer("n_records", 2048))
+    stride = max(1, len(times) // n_records)
     write_csv(outdir / "msd.csv", _meta(cfg, scheme, prm, tau, T, seed),
               ["t", "msd"], zip(times[::stride], msd[::stride]))
     plateau = analysis.msd_plateau(times, msd)
@@ -441,8 +446,9 @@ def run_phase_area(cfg: Config, outdir: Path):
     tau = cfg.num("tau", 1e-4)
     T = cfg.num("T", 1.0)
     n_vertices = cfg.integer("n_vertices", 10000)
+    n_records = cfg.integer("n_records", 1024)
     times, areas = analysis.phase_area(scheme, prm, tau, T, n_vertices, seed)
-    stride = max(1, len(times) // cfg.integer("n_records", 1024))
+    stride = max(1, len(times) // n_records)
     write_csv(outdir / "phase_area.csv", _meta(cfg, scheme, prm, tau, T, seed),
               ["t", "area"], zip(times[::stride], areas[::stride]))
     ratio = areas[-1] / math.pi

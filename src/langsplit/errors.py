@@ -49,7 +49,3 @@ class DegenerateRange(LangsplitError):
 class NonPositiveError(LangsplitError):
     """A convergence level has error <= 0 (typically the Monte Carlo noise
     floor); a log-log fit is impossible and more paths are needed."""
-
-
-class QuadratureError(LangsplitError):
-    """Adaptive quadrature failed to reach the requested tolerance."""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from langsplit import analysis
 from langsplit.analysis import (distance_noise_floor, distribution_distance,
@@ -163,6 +163,31 @@ class TestDistributionDistance:
         rho = gibbs_bin_masses(PRM15, edges_p, edges_q)
         assert rho.sum() == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("ups, p_edges, q_edges", [
+        # the acceptance gate's grid
+        (15.0, np.linspace(-1.0, 1.0, 41), np.linspace(-1.5, 1.5, 41)),
+        # the benchmark's ensemble-histogram grid
+        (4.0, np.linspace(-2.0, 2.0, 41), np.linspace(-2.0, 2.0, 41)),
+        # one wide bin: a single 20-node panel is off by 79% here
+        (15.0, np.array([-1.0, 1.0]), np.array([-10.0, 10.0])),
+    ])
+    def test_bin_masses_match_adaptive_quadrature(self, ups, p_edges,
+                                                  q_edges):
+        # scipy serves only as an independent oracle here.
+        prm = PhysParams(ups, 1.0)
+        c = ups / 2.0
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        z, _ = integrate.quad(lambda q: math.exp(-c * q**4), -np.inf, np.inf,
+                              **opts)
+        q_mass = np.array([integrate.quad(lambda q: math.exp(-c * q**4),
+                                          a, b, **opts)[0]
+                           for a, b in zip(q_edges[:-1], q_edges[1:])]) / z
+        p_mass = np.diff(stats.norm.cdf(p_edges,
+                                        scale=1.0 / math.sqrt(2.0 * ups)))
+        np.testing.assert_allclose(gibbs_bin_masses(prm, p_edges, q_edges),
+                                   np.outer(p_mass, q_mass), rtol=0,
+                                   atol=1e-13)
+
     def test_self_sampling_small_distance(self):
         s = _sample_gibbs(PRM15, 10**6, seed=5)
         h = empirical_distribution(s, self.BINS, self.P_RANGE, self.Q_RANGE)
@@ -201,6 +226,22 @@ class TestDistanceNoiseFloor:
         var = (pmf * dev * dev).sum(axis=0) - mean**2
         assert floor.mean == pytest.approx(mean.sum(), rel=1e-12)
         assert floor.sd == pytest.approx(math.sqrt(var.sum()), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 10, 300, 4096, 5000])
+    def test_binomial_pmf_matches_scipy(self, n):
+        rhos = np.linspace(0.001, 0.999, 97)
+        for rho in rhos:
+            mode = int(n * rho)
+            for k in range(max(0, mode - 20), min(n, mode + 20) + 1):
+                assert analysis._binom_pmf(k, n, rho) == pytest.approx(
+                    stats.binom.pmf(k, n, rho), rel=5e-11, abs=0.0)
+
+    def test_binomial_pmf_degenerate_cases_are_exact(self):
+        pmf = analysis._binom_pmf
+        for k, n, rho in [(0, 5, 0.0), (1, 5, 0.0), (5, 5, 1.0), (4, 5, 1.0),
+                          (6, 5, 0.3), (6, 5, 1.0), (5001, 5000, 1.0),
+                          (-1, 5, 0.3)]:
+            assert pmf(k, n, rho) == stats.binom.pmf(k, n, rho), (k, n, rho)
 
     def test_mean_matches_exact_draws(self):
         # _sample_gibbs is an independent sampler of the invariant law.

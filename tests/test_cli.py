@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import langsplit
 from langsplit.cli import main, parse_config_file, _parse_number
 
 
@@ -256,6 +262,22 @@ def test_workers_flag_is_rejected(tmp_path):
     ("strong-order", "tau_levels = 2^-5,x\n"),
     ("simulate", "seed = inf\n"),
     ("lyapunov", "n_draws = 2000.5\n"),
+    ("strong-order", "n_paths = -4\n"),
+    ("histogram", "n_paths = 0\n"),
+    ("histogram", "bins_p = 0\n"),
+    ("histogram", "bins_q = -1\n"),
+    ("weak-order", "n_paths = 0\n"),
+    ("ergodic-average", "n_seeds = 0\n"),
+    ("lyapunov", "n_draws = 0\n"),
+    ("jacobian", "n_states = 0\n"),
+    ("jacobian", "n_draws = -1\n"),
+    ("phase-area", "n_vertices = 0\n"),
+    ("phase-area", "n_records = 0\n"),
+    ("msd", "n_records = 0\n"),
+    ("long-time-error", "n_records = -2\n"),
+    ("dissipation-demo", "n_paths = 0\n"),
+    ("exp-moment", "n_paths = -1\n"),
+    ("simulate", "seed = -1\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
@@ -263,3 +285,51 @@ def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["type"] == "config"
     assert not (out / "summary.json").exists()
+    # A bad value is named by its key, not blamed on the numerics.
+    key = config_text.split("=")[0].strip()
+    assert repr(key) in record["error"]["message"]
+
+
+def test_seed_zero_is_accepted(tmp_path):
+    code, _ = run_cli(tmp_path, "simulate", "tau = 2^-6\nT = 0.125\n",
+                      seed=0)
+    assert code == 0
+
+
+_NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules
+                      if m == "scipy" or m.startswith("scipy."))
+
+    import langsplit, langsplit.cli
+    assert not scipy_modules(), scipy_modules()[:3]
+    out = Path(sys.argv[1])
+    recipes = {
+        "histogram": "times = 0,0.25\\nn_paths = 200\\ntau = 2^-6\\n"
+                     "bins_p = 10\\nbins_q = 10\\n",
+        "msd": "tau = 2^-6\\nT = 4\\nn_paths = 20\\nfit_t_min = 0.1\\n"
+               "fit_t_max = 1\\n",
+        "ergodic-average": "tau = 2^-6\\nT = 4\\nburn_in = 1\\nn_seeds = 4\\n",
+    }
+    for name, text in recipes.items():
+        cfg = out / (name + ".cfg")
+        cfg.write_text(text)
+        code = langsplit.cli.main(["--experiment", name, "--config", str(cfg),
+                                   "--seed", "3", "--out", str(out / name)])
+        assert code == 0, name
+    assert not scipy_modules(), scipy_modules()[:3]
+""")
+
+
+def test_no_scipy_at_run_time(tmp_path):
+    # The Gibbs oracles are closed forms: importing the package and running
+    # the recipes that use them must not load scipy.
+    src = str(Path(langsplit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import integrate
 
 from langsplit.model import (EnergyConstants, PhysParams, QuarticPotential,
                              State, energy_H, energy_H0, gibbs_log_density,
-                             gibbs_moments)
+                             gibbs_moments, position_marginal_normalizer)
 
 
 def test_grad_U_values():
@@ -82,6 +83,20 @@ class TestGibbsMoments:
         w = np.exp(-c * q**4)
         oracle = np.trapezoid(q * q * w, q) / np.trapezoid(w, q)
         assert gibbs_moments(prm).Eq2 == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("sig", [0.5, 1.0])
+    @pytest.mark.parametrize("ups", [2.0, 4.0, 10.0, 15.0])
+    def test_closed_forms_match_adaptive_quadrature(self, ups, sig):
+        # scipy serves only as an independent oracle here.
+        prm = PhysParams(ups, sig)
+        c = ups / (2.0 * sig**2)
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        z, _ = integrate.quad(lambda q: math.exp(-c * q**4), -np.inf, np.inf,
+                              **opts)
+        num, _ = integrate.quad(lambda q: q * q * math.exp(-c * q**4),
+                                -np.inf, np.inf, **opts)
+        assert position_marginal_normalizer(prm) == pytest.approx(z, rel=1e-13)
+        assert gibbs_moments(prm).Eq2 == pytest.approx(num / z, rel=1e-13)
 
     def test_ep2_matches_gaussian_sampling(self):
         prm = PhysParams(15.0, 1.0)
