@@ -14,8 +14,8 @@ law, conformal phase-volume contraction, and the strong/weak convergence
 orders.
 """
 
-from .detflow import (SolverSettings, avf_step, dg_step, energy_residual,
-                      newton_solve_2d, pavf_step, sympl_euler_step)
+from .detflow import (SolverSettings, avf_step, dg_step, newton_solve_2d,
+                      pavf_step, sympl_euler_step)
 from .errors import (DegenerateRange, EmptyWindow, GridMismatch,
                      LangsplitError, NonConvergence, NonIntegralGrid,
                      NonIntegralRatio, NonPositiveError, SingularJacobian)
@@ -26,7 +26,7 @@ from .montecarlo import SeedPolicy
 from .splitting import (SchemeSpec, Trajectory, consistency_residuals,
                         lie_trotter_step, simulate, simulate_on_grid,
                         strang_step)
-from .stochflow import (FineWindow, OUIncrement, naive_substep_exact,
-                        ou_substep_coupled, ou_substep_exact)
+from .stochflow import (FineWindow, OUIncrement, ou_substep_coupled,
+                        ou_substep_exact)
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ points can be stepped in one call.  For the quartic well the two
 average-vector-field maps reduce to a cubic in the position increment with
 exactly one real root, which they take in closed form; only the
 discrete-gradient map runs the vectorized 2-D Newton iteration with
-analytic Jacobians.
+analytic Jacobians, evaluating the terms its residual and Jacobian share
+once per iterate.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import NonConvergence, SingularJacobian
-from .model import ArrayLike, PhysParams, State, energy_H
+from .model import ArrayLike, PhysParams, State
 
 __all__ = [
     "CONSERVATIVE_KINDS",
@@ -40,7 +41,6 @@ __all__ = [
     "pavf_step",
     "sympl_euler_step",
     "conservative_step",
-    "energy_residual",
     "subsystem_field",
 ]
 
@@ -110,7 +110,9 @@ def newton_solve_2d(
     jacobian : callable
         Maps a state to the row-major Jacobian entries
         ``(d f_p/d p, d f_p/d q, d f_q/d p, d f_q/d q)``; must be the exact
-        derivative of ``residual``.
+        derivative of ``residual``.  It is only ever called with the state
+        of the latest ``residual`` call, so it may reuse the terms that call
+        computed.
     guess : State
         Initial iterate; also sets the relative-tolerance scale.
     settings : SolverSettings
@@ -140,25 +142,34 @@ def newton_solve_2d(
         f1, f2 = residual(x)
         return np.maximum(np.abs(f1), np.abs(f2)), (f1, f2)
 
-    norm, (f1, f2) = res_norm(State(p, q))
+    x = State(p, q)
+    norm, (f1, f2) = res_norm(x)
     iterations = 0
     fallback_used = False
-    while iterations < settings.max_iter and not np.all(norm <= tol):
-        j11, j12, j21, j22 = jacobian(State(p, q))
+    converged = bool((norm <= tol).all())
+    while iterations < settings.max_iter and not converged:
+        j11, j12, j21, j22 = jacobian(x)
         det = j11 * j22 - j12 * j21
         active = norm > tol
-        if np.any(active & (np.abs(det) < 1e-13)):
+        all_active = bool(active.all())
+        small = np.abs(det) < 1e-13
+        if (small if all_active else active & small).any():
             raise SingularJacobian(
                 "Newton Jacobian numerically singular; step size too close "
                 "to the conditioning boundary")
         # Converged lanes are frozen, so each lane's iterate sequence is the
         # one a standalone solve of that lane would produce.
         with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(active, p - (j22 * f1 - j12 * f2) / det, p)
-            q = np.where(active, q - (j11 * f2 - j21 * f1) / det, q)
-        norm, (f1, f2) = res_norm(State(p, q))
+            if all_active:
+                p = p - (j22 * f1 - j12 * f2) / det
+                q = q - (j11 * f2 - j21 * f1) / det
+            else:
+                p = np.where(active, p - (j22 * f1 - j12 * f2) / det, p)
+                q = np.where(active, q - (j11 * f2 - j21 * f1) / det, q)
+        x = State(p, q)
+        norm, (f1, f2) = res_norm(x)
         iterations += 1
-    converged = bool(np.all(norm <= tol))
+        converged = bool((norm <= tol).all())
 
     if not converged and settings.fallback and settings.max_iter > 0:
         # Damped fixed-point retry: contraction for the small steps the
@@ -198,7 +209,7 @@ def _predictor(s: State, tau: float, prm: PhysParams) -> State:
     return State(s.p + tau * f.p, s.q + tau * f.q)
 
 
-def _cubic_increment(q0: np.ndarray, k: float, c0: np.ndarray) -> np.ndarray:
+def _cubic_increment(q0: np.ndarray, k: float, c0: ArrayLike) -> ArrayLike:
     """The real root d of ``d^3 + 4 q0 d^2 + (6 q0^2 + k) d + c0 = 0``.
 
     The cubic is the average-vector-field position equation for the quartic
@@ -209,16 +220,72 @@ def _cubic_increment(q0: np.ndarray, k: float, c0: np.ndarray) -> np.ndarray:
     shift cancels digits of ``d`` when it is small against ``q0``; one
     Newton step on the unshifted cubic restores them, which cuts the
     energy defect of the maps about fourfold.
+
+    Each pass below updates its work array in place and rounds as the
+    expression in the comment above it; a product or a sum may take its
+    two operands in the other order, which rounds the same.  A 0-d state
+    runs the same passes on numpy scalars.
     """
+    # q2 = q0^2, c1 = 6 q2 + k, r = sqrt((k + (2/3) q2) / 3)
     q2 = q0 * q0
-    c1 = 6.0 * q2 + k
-    r = np.sqrt((k + (2.0 / 3.0) * q2) / 3.0)
-    big_q = c0 - q0 * ((88.0 / 27.0) * q2 + (4.0 / 3.0) * k)
-    d = -2.0 * r * np.sinh(np.arcsinh(big_q / (2.0 * r * r * r)) / 3.0)
+    c1 = 6.0 * q2
+    c1 += k
+    r = (2.0 / 3.0) * q2
+    r += k
+    r /= 3.0
+    r = np.sqrt(r)
+    # t = c0 - q0 ((88/27) q2 + (4/3) k)
+    t = (88.0 / 27.0) * q2
+    t += (4.0 / 3.0) * k
+    t *= q0
+    t = c0 - t
+    # d = -2 r sinh(asinh(t / (2 r r r)) / 3) - (4/3) q0
+    r3 = 2.0 * r
+    r3 *= r
+    r3 *= r
+    t /= r3
+    t = np.arcsinh(t)
+    t /= 3.0
+    d = np.sinh(t)
+    r *= -2.0
+    d *= r
     d -= (4.0 / 3.0) * q0
-    f = ((d + 4.0 * q0) * d + c1) * d + c0
-    df = (3.0 * d + 8.0 * q0) * d + c1
-    return d - f / df
+    # d - f / df with f = ((d + 4 q0) d + c1) d + c0, df = (3 d + 8 q0) d + c1
+    f = 4.0 * q0
+    f += d
+    f *= d
+    f += c1
+    f *= d
+    f += c0
+    df = 3.0 * d
+    df += 8.0 * q0
+    df *= d
+    df += c1
+    f /= df
+    d -= f
+    return d
+
+
+def _cubic_map(p0: np.ndarray, q0: np.ndarray, tau: float, prm: PhysParams,
+               k: float, c_p: float, c_q: float, keep: float,
+               scale: float) -> State:
+    """The step shared by the two average-vector-field maps.
+
+    ``q1 = q0 + d`` with ``d`` the root of the cubic with ``k`` and
+    ``c0 = 4 q0^3 - c_p p0 - c_q q0``; then
+    ``p1 = (keep p0 - tau avg_grad(q0, q1)) / scale``.
+    """
+    c0 = 4.0 * q0
+    c0 *= q0
+    c0 *= q0
+    c0 -= c_p * p0
+    c0 -= c_q * q0
+    q1 = _cubic_increment(q0, k, c0)
+    q1 += q0
+    p1 = -tau * prm.potential.avg_grad(q0, q1)
+    p1 += p0 if keep == 1.0 else keep * p0
+    p1 /= scale
+    return _float_state(p1, q1)
 
 
 def avf_step(s: State, tau: float, prm: PhysParams,
@@ -242,12 +309,9 @@ def avf_step(s: State, tau: float, prm: PhysParams,
     if tau == 0:
         return _float_state(p0, q0)
     a4 = 0.25 * tau * prm.upsilon
-    k = 8.0 * (1.0 - a4 * a4) / (tau * tau)
-    c0 = (4.0 * q0 * q0 * q0 - (8.0 / tau) * p0
-          - (16.0 * a4 * (1.0 + a4) / (tau * tau)) * q0)
-    q1 = q0 + _cubic_increment(q0, k, c0)
-    p1 = ((1.0 - a4) * p0 - tau * prm.potential.avg_grad(q0, q1)) / (1.0 + a4)
-    return _float_state(p1, q1)
+    return _cubic_map(p0, q0, tau, prm, k=8.0 * (1.0 - a4 * a4) / (tau * tau),
+                      c_p=8.0 / tau, c_q=16.0 * a4 * (1.0 + a4) / (tau * tau),
+                      keep=1.0 - a4, scale=1.0 + a4)
 
 
 def dg_step(s: State, tau: float, prm: PhysParams,
@@ -260,41 +324,56 @@ def dg_step(s: State, tau: float, prm: PhysParams,
     ``(avg_grad(q, q1) - U'(mid_q)) * (q1 - q)``, which is identical to the
     literal ``H``-difference quotient but stable for small displacements.
     When ``|delta|^2 < 1e-28`` the correction is defined as zero.
+
+    The shared terms are evaluated once per Newton iterate: the residual
+    keeps them, and the Jacobian, which :func:`newton_solve_2d` asks for
+    only at the state of the latest residual, reuses them.  The masks for
+    lanes with a vanishing displacement run only when some lane has one.
     """
     _check_tau(tau, prm)
     u, pot = prm.upsilon, prm.potential
+    half_u = 0.5 * u
     p0 = np.asarray(s.p, dtype=float)
     q0 = np.asarray(s.q, dtype=float)
     tiny = 1e-28
+    # Terms of the latest residual: x, mq, dp, dq, safe |delta|^2, the live
+    # mask (None when every lane is live), avg_grad - U'(mq), correction.
+    last = [None] * 8
 
-    def _parts(x):
+    def residual(x):
         mp = 0.5 * (x.p + p0)
         mq = 0.5 * (x.q + q0)
         dp = x.p - p0
         dq = x.q - q0
         dd = dp * dp + dq * dq
-        live = dd >= tiny
-        dd_safe = np.where(live, dd, 1.0)
-        corr_num = (pot.avg_grad(q0, x.q) - pot.grad(mq)) * dq
-        c = np.where(live, corr_num / dd_safe, 0.0)
-        return mp, mq, dp, dq, dd_safe, live, c
-
-    def residual(x):
-        mp, mq, dp, dq, _, _, c = _parts(x)
-        f1 = x.p - p0 + tau * (pot.grad(mq) + 0.5 * u * mp + c * dq)
-        f2 = x.q - q0 - tau * (mp + 0.5 * u * mq + c * dp)
+        g = pot.grad(mq)
+        s_term = pot.avg_grad(q0, x.q) - g
+        if dd.min(initial=np.inf) >= tiny:
+            live = None
+            c = s_term * dq / dd
+        else:
+            live = dd >= tiny
+            dd = np.where(live, dd, 1.0)
+            c = np.where(live, s_term * dq / dd, 0.0)
+        last[:] = x, mq, dp, dq, dd, live, s_term, c
+        f1 = dp + tau * (g + half_u * mp + c * dq)
+        f2 = dq - tau * (mp + half_u * mq + c * dp)
         return f1, f2
 
     def jacobian(x):
-        mp, mq, dp, dq, dd_safe, live, c = _parts(x)
-        s_term = pot.avg_grad(q0, x.q) - pot.grad(mq)
-        ds_dq1 = pot.avg_grad_db(q0, x.q) - 0.5 * pot.hess(mq)
-        dc_dp1 = np.where(live, -2.0 * c * dp / dd_safe, 0.0)
-        dc_dq1 = np.where(live,
-                          (ds_dq1 * dq + s_term) / dd_safe - 2.0 * c * dq / dd_safe,
-                          0.0)
+        if x is not last[0]:
+            residual(x)
+        _, mq, dp, dq, dd, live, s_term, c = last
+        h = pot.hess(mq)
+        ds_dq1 = pot.avg_grad_db(q0, x.q) - 0.5 * h
+        m2c = -2.0 * c
+        dc_dp1 = m2c * dp / dd
+        dc_dq1 = (ds_dq1 * dq + s_term) / dd + m2c * dq / dd
+        if live is not None:
+            dc_dp1 = np.where(live, dc_dp1, 0.0)
+            dc_dq1 = np.where(live, dc_dq1, 0.0)
         j11 = 1.0 + tau * (0.25 * u + dc_dp1 * dq)
-        j12 = tau * (0.5 * pot.hess(mq) + dc_dq1 * dq + c)
+        j12 = tau * (0.5 * h + dc_dq1 * dq + c)
         j21 = -tau * (0.5 + dc_dp1 * dp + c)
         j22 = 1.0 - tau * (0.25 * u + dc_dq1 * dp)
         return j11, j12, j21, j22
@@ -324,12 +403,10 @@ def pavf_step(s: State, tau: float, prm: PhysParams,
     if tau == 0:
         return _float_state(p0, q0)
     a2 = 0.5 * tau * prm.upsilon
-    k = 8.0 * (1.0 + a2) / (tau * tau)
-    c0 = (4.0 * q0 * q0 * q0 - (4.0 * (2.0 + a2) / tau) * p0
-          - (8.0 * a2 * (1.0 + a2) / (tau * tau)) * q0)
-    q1 = q0 + _cubic_increment(q0, k, c0)
-    p1 = (p0 - tau * prm.potential.avg_grad(q0, q1)) / (1.0 + a2)
-    return _float_state(p1, q1)
+    return _cubic_map(p0, q0, tau, prm, k=8.0 * (1.0 + a2) / (tau * tau),
+                      c_p=4.0 * (2.0 + a2) / tau,
+                      c_q=8.0 * a2 * (1.0 + a2) / (tau * tau),
+                      keep=1.0, scale=1.0 + a2)
 
 
 def sympl_euler_step(s: State, tau: float, prm: PhysParams,
@@ -367,13 +444,3 @@ def conservative_step(kind: str, s: State, tau: float, prm: PhysParams,
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
     return func(s, tau, prm, settings)
 
-
-def energy_residual(kind: str, s: State, tau: float, prm: PhysParams,
-                    settings: SolverSettings = SolverSettings()) -> ArrayLike:
-    """``H(map(s)) - H(s)`` for one deterministic sub-step.
-
-    Near machine zero for the conservative kinds; O(tau^2) and generally
-    nonzero for ``sympl_euler``.
-    """
-    out = conservative_step(kind, s, tau, prm, settings)
-    return energy_H(out, prm) - energy_H(s, prm)

@@ -8,15 +8,20 @@ The dissipative stochastic subsystem contracts both coordinates at rate
 It is solved exactly in two interchangeable forms: distribution-exact
 sampling from a single standard normal draw, and path-coupled evaluation of
 the stochastic convolution on a window of fine Brownian increments (so a
-coarse run and a fine reference run can share one Wiener path).
+coarse run and a fine reference run can share one Wiener path).  The
+path-coupled form weights the window's increments with quadrature weights
+that are built once per level (step size and fine spacing) and shared by
+every step of it.
 
-The naive sub-step (full-rate Ornstein-Uhlenbeck momentum, frozen position)
-is kept for the non-dissipation comparison; it is exactly the sub-flow whose
-failure to damp the physical energy motivates the dissipative splitting.
+The constants of the naive sub-step (full-rate Ornstein-Uhlenbeck momentum,
+frozen position) are kept for the non-dissipation comparison; that sub-step
+is exactly the sub-flow whose failure to damp the physical energy motivates
+the dissipative splitting.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +35,6 @@ __all__ = [
     "FineWindow",
     "ou_substep_exact",
     "ou_substep_coupled",
-    "naive_substep_exact",
     "naive_increment",
 ]
 
@@ -74,6 +78,9 @@ class FineWindow:
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
         object.__setattr__(self, "increments", inc)
+        if inc.ndim not in (1, 2):
+            raise ValueError("fine increments must be (n_fine,) or "
+                             f"(n_fine, n_paths), got shape {inc.shape}")
         if inc.shape[0] == 0:
             raise GridMismatch("fine window is empty")
         if self.tau_f <= 0:
@@ -94,13 +101,16 @@ def ou_substep_exact(s: State, tau: float, prm: PhysParams,
     return OUIncrement.from_params(prm, tau).apply(s, z)
 
 
+@functools.lru_cache(maxsize=64)
 def _midpoint_weights(upsilon: float, tau: float, n_fine: int,
                       tau_f: float) -> np.ndarray:
     # Deterministic weight of fine cell k, evaluated at the cell midpoint:
     # exp(-(u/2) (tau - (k + 1/2) tau_f)).  Second-order quadrature of the
-    # exact convolution kernel.
+    # exact convolution kernel.  Cached, so callers share one read-only array.
     k = np.arange(n_fine)
-    return np.exp(-0.5 * upsilon * (tau - (k + 0.5) * tau_f))
+    w = np.exp(-0.5 * upsilon * (tau - (k + 0.5) * tau_f))
+    w.flags.writeable = False
+    return w
 
 
 def ou_substep_coupled(s: State, window: FineWindow, prm: PhysParams,
@@ -110,7 +120,9 @@ def ou_substep_coupled(s: State, window: FineWindow, prm: PhysParams,
     The stochastic convolution is evaluated as a midpoint-weighted sum of the
     window's fine increments, so a coarse run and a fine-step reference run
     consume the same Brownian path.  Consistent with
-    :func:`ou_substep_exact` to O(tau_f) in mean and variance.
+    :func:`ou_substep_exact` to O(tau_f) in mean and variance.  The weights
+    depend only on the step and the fine spacing, so they are computed once
+    per level and reused by every step of it.
 
     Parameters
     ----------
@@ -129,7 +141,7 @@ def ou_substep_coupled(s: State, window: FineWindow, prm: PhysParams,
     u = prm.upsilon
     decay = math.exp(-0.5 * u * span)
     w = _midpoint_weights(u, span, window.increments.shape[0], window.tau_f)
-    conv = np.tensordot(w, window.increments, axes=(0, 0))
+    conv = w @ window.increments
     if np.ndim(conv) == 0:
         conv = float(conv)
     return State(decay * s.p + prm.sigma * conv, decay * s.q)
@@ -142,16 +154,3 @@ def naive_increment(prm: PhysParams, tau: float):
         (1.0 - decay * decay) / (2.0 * prm.upsilon))
     return decay, noise_std
 
-
-def naive_substep_exact(s: State, tau: float, prm: PhysParams,
-                        z: ArrayLike) -> State:
-    """Naive stochastic sub-step: full-rate OU momentum, frozen position.
-
-    Exact solution of ``dP = -upsilon P dt + sigma dW, dQ = 0``.  The
-    position (hence the potential energy) is untouched, which is why this
-    sub-step cannot damp the physical energy.
-    """
-    if tau <= 0:
-        raise ValueError(f"step size must be positive, got {tau}")
-    decay, noise_std = naive_increment(prm, tau)
-    return State(decay * s.p + noise_std * z, s.q)

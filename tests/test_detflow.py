@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from langsplit import detflow
 from langsplit.analysis import jacobian_det
 from langsplit.detflow import (SolverSettings, avf_step, conservative_step,
-                               dg_step, energy_residual, newton_solve_2d,
-                               pavf_step, subsystem_field, sympl_euler_step)
+                               dg_step, newton_solve_2d, pavf_step,
+                               subsystem_field, sympl_euler_step)
 from langsplit.errors import NonConvergence
 from langsplit.model import PhysParams, QuarticPotential, State, energy_H
+
+from helpers import energy_residual
 
 PRM10 = PhysParams(10.0, 1.0)
 
@@ -169,6 +171,49 @@ class TestClosedForms:
             for tau in (0.0, 2.0**-8):
                 out = step(State(0.5, -1.0), tau, PRM10)
                 assert type(out.p) is float and type(out.q) is float
+
+
+def closed_form_reference(kind, s, tau, prm):
+    """avf and pavf with each expression written out once, no work arrays."""
+    p0, q0 = np.asarray(s.p, dtype=float), np.asarray(s.q, dtype=float)
+    if kind == "avf":
+        a = 0.25 * tau * prm.upsilon
+        k = 8.0 * (1.0 - a * a) / (tau * tau)
+        c0 = (4.0 * q0 * q0 * q0 - (8.0 / tau) * p0
+              - (16.0 * a * (1.0 + a) / (tau * tau)) * q0)
+    else:
+        a = 0.5 * tau * prm.upsilon
+        k = 8.0 * (1.0 + a) / (tau * tau)
+        c0 = (4.0 * q0 * q0 * q0 - (4.0 * (2.0 + a) / tau) * p0
+              - (8.0 * a * (1.0 + a) / (tau * tau)) * q0)
+    q2 = q0 * q0
+    c1 = 6.0 * q2 + k
+    r = np.sqrt((k + (2.0 / 3.0) * q2) / 3.0)
+    big_q = c0 - q0 * ((88.0 / 27.0) * q2 + (4.0 / 3.0) * k)
+    d = -2.0 * r * np.sinh(np.arcsinh(big_q / (2.0 * r * r * r)) / 3.0)
+    d -= (4.0 / 3.0) * q0
+    f = ((d + 4.0 * q0) * d + c1) * d + c0
+    df = (3.0 * d + 8.0 * q0) * d + c1
+    q1 = q0 + (d - f / df)
+    avg = prm.potential.avg_grad(q0, q1)
+    if kind == "avf":
+        return State(((1.0 - a) * p0 - tau * avg) / (1.0 + a), q1)
+    return State((p0 - tau * avg) / (1.0 + a), q1)
+
+
+@pytest.mark.parametrize("kind", ["avf", "pavf"])
+@pytest.mark.parametrize("width", [None, 1, 7, 256, 4099])
+def test_closed_forms_match_plain_expressions_bitwise(kind, width):
+    # The maps evaluate the cubic in place; every rounding stays as in the
+    # plain expressions.
+    rng = np.random.default_rng(8)
+    shape = () if width is None else (width,)
+    s = State(rng.uniform(-30, 30, shape), rng.uniform(-30, 30, shape))
+    for upsilon, tau in ((2.0, 2.0**-4), (10.0, 2.0**-8), (15.0, 2.0**-13)):
+        prm = PhysParams(upsilon, 1.0)
+        out = conservative_step(kind, s, tau, prm)
+        ref = closed_form_reference(kind, s, tau, prm)
+        assert np.array_equal(out.p, ref.p) and np.array_equal(out.q, ref.q)
 
 
 class TestFrozenValues:
@@ -339,3 +384,118 @@ def test_first_order_consistency_with_subsystem_flow(kind):
 
     ratio = defect(2.0**-7) / defect(2.0**-8)
     assert np.all(ratio > 3.0) and np.all(ratio < 5.0)
+
+
+def dg_reference(s, tau, prm, settings=SolverSettings()):
+    """dg_step with every shared term recomputed in each callable and every
+    lane masked, as the map is written out in its docstring."""
+    u, pot = prm.upsilon, prm.potential
+    p0 = np.asarray(s.p, dtype=float)
+    q0 = np.asarray(s.q, dtype=float)
+
+    def parts(x):
+        mp, mq = 0.5 * (x.p + p0), 0.5 * (x.q + q0)
+        dp, dq = x.p - p0, x.q - q0
+        dd = dp * dp + dq * dq
+        live = dd >= 1e-28
+        dd_safe = np.where(live, dd, 1.0)
+        corr_num = (pot.avg_grad(q0, x.q) - pot.grad(mq)) * dq
+        c = np.where(live, corr_num / dd_safe, 0.0)
+        return mp, mq, dp, dq, dd_safe, live, c
+
+    def residual(x):
+        mp, mq, dp, dq, _, _, c = parts(x)
+        return (x.p - p0 + tau * (pot.grad(mq) + 0.5 * u * mp + c * dq),
+                x.q - q0 - tau * (mp + 0.5 * u * mq + c * dp))
+
+    def jacobian(x):
+        mp, mq, dp, dq, dd_safe, live, c = parts(x)
+        s_term = pot.avg_grad(q0, x.q) - pot.grad(mq)
+        ds_dq1 = pot.avg_grad_db(q0, x.q) - 0.5 * pot.hess(mq)
+        dc_dp1 = np.where(live, -2.0 * c * dp / dd_safe, 0.0)
+        dc_dq1 = np.where(
+            live, (ds_dq1 * dq + s_term) / dd_safe - 2.0 * c * dq / dd_safe,
+            0.0)
+        return (1.0 + tau * (0.25 * u + dc_dp1 * dq),
+                tau * (0.5 * pot.hess(mq) + dc_dq1 * dq + c),
+                -tau * (0.5 + dc_dp1 * dp + c),
+                1.0 - tau * (0.25 * u + dc_dq1 * dp))
+
+    f = subsystem_field(s, prm)
+    guess = State(s.p + tau * f.p, s.q + tau * f.q)
+    return detflow.newton_solve_2d(residual, jacobian, guess, settings)
+
+
+def mixed_batch(n, seed):
+    """Live lanes of all sizes, the degenerate origin and near-rest lanes."""
+    rng = np.random.default_rng(seed)
+    p, q = rng.uniform(-3, 3, n), rng.uniform(-3, 3, n)
+    p[0] = q[0] = 0.0
+    p[1], q[1] = 1e-16, 0.0
+    p[2], q[2] = 0.0, -2.5
+    return State(p, q)
+
+
+class TestDgBitIdentity:
+    """The one-pass iterate gives the written-out map's results bit for bit."""
+
+    @pytest.mark.parametrize("upsilon", [2.0, 10.0, 15.0])
+    @pytest.mark.parametrize("tau", [2.0**-4, 2.0**-8, 2.0**-13])
+    def test_matches_reference_form(self, upsilon, tau):
+        prm = PhysParams(upsilon, 1.0)
+        s = mixed_batch(256, 3)
+        for batch in (s, State(s.p[3:], s.q[3:])):  # masked, then all live
+            out, ref = dg_step(batch, tau, prm), dg_reference(batch, tau, prm)
+            assert np.array_equal(out.p, ref.p)
+            assert np.array_equal(out.q, ref.q)
+
+    def test_batch_equals_lane_by_lane(self):
+        s, tau = mixed_batch(33, 4), 2.0**-8
+        out = dg_step(s, tau, PRM10)
+        for i in range(len(s.p)):
+            lane = dg_step(State(float(s.p[i]), float(s.q[i])), tau, PRM10)
+            assert (lane.p, lane.q) == (out.p[i], out.q[i]), i
+
+    def test_same_solver_iterations(self, monkeypatch):
+        counts = []
+        solve = detflow.newton_solve_2d
+
+        def counting(*args, **kwargs):
+            out, info = solve(*args, return_info=True)
+            counts.append(info["iterations"])
+            return out
+
+        monkeypatch.setattr(detflow, "newton_solve_2d", counting)
+        s = mixed_batch(64, 5)
+        for tau in (2.0**-4, 2.0**-10):
+            dg_step(s, tau, PRM10)
+            dg_reference(s, tau, PRM10)
+        assert counts[0::2] == counts[1::2]
+
+
+def test_newton_asks_for_jacobian_at_latest_residual_point():
+    # dg_step reuses the terms of the latest residual in its Jacobian, so
+    # the solver must ask for the Jacobian only with the state it last
+    # passed to the residual.  Lanes that converge at different iterations
+    # exercise the masked update too.
+    calls = []
+    target = np.array([0.5, -1.5, 2.0])
+
+    def residual(x):
+        calls.append(("residual", x))
+        return x.p ** 3 - target, x.q - 0.1 * x.p
+
+    def jacobian(x):
+        calls.append(("jacobian", x))
+        return 3.0 * x.p ** 2, np.zeros(3), -0.1 * np.ones(3), np.ones(3)
+
+    out, info = newton_solve_2d(residual, jacobian,
+                                State(np.ones(3), np.zeros(3)),
+                                return_info=True)
+    np.testing.assert_allclose(out.p ** 3, target, rtol=1e-12)
+    assert info["iterations"] >= 3
+    kinds = [kind for kind, _ in calls]
+    pairs = ["jacobian", "residual"] * info["iterations"]
+    assert kinds == ["residual"] + pairs
+    for i in range(1, len(calls), 2):
+        assert calls[i][1] is calls[i - 1][1]

@@ -63,11 +63,18 @@ class TestGenerateGrid:
             assert np.array_equal(mat[:, i], own)
 
 
-@pytest.mark.parametrize("seed", [11, [11, 12, 13]],
-                         ids=["shared", "per-path"])
+# Widths inside one 64-path noise tile and on either side of its edges.
+PER_PATH_WIDTHS = [1, 3, 63, 65, 130]
+
+
+@pytest.mark.parametrize(
+    "seed", [11] + [list(range(11, 11 + w)) for w in PER_PATH_WIDTHS],
+    ids=["shared"] + [f"per-path-{w}" if w != 3 else "per-path"
+                      for w in PER_PATH_WIDTHS])
 def test_noise_block_size_does_not_change_paths(monkeypatch, seed):
     # 1100 steps cross a block boundary at either block size.
-    start = State(np.zeros(3), np.zeros(3))
+    width = 3 if np.ndim(seed) == 0 else len(seed)
+    start = State(np.zeros(width), np.zeros(width))
     args = (1100 * 2.0**-8, 2.0**-8, PhysParams(4.0, 1.0),
             SchemeSpec.from_name("savf"), seed)
     runs = []
@@ -76,3 +83,17 @@ def test_noise_block_size_does_not_change_paths(monkeypatch, seed):
         runs.append(simulate(start, *args))
     assert np.array_equal(runs[0].p, runs[1].p)
     assert np.array_equal(runs[0].q, runs[1].q)
+
+
+@pytest.mark.parametrize("width", PER_PATH_WIDTHS)
+@pytest.mark.parametrize("block", [7, 1024])
+def test_path_noise_columns_are_each_paths_own_stream(monkeypatch, width,
+                                                      block):
+    monkeypatch.setattr(montecarlo, "_NOISE_BLOCK", block)
+    seeds = SeedPolicy(4).path_seeds(width)
+    rows = np.array([row.copy() for row in montecarlo.path_noise(seeds, 20)])
+    for i, s in enumerate(seeds):
+        own = np.random.default_rng(s).standard_normal(20)
+        assert np.array_equal(rows[:, i], own), i
+    shared = [float(z) for z in montecarlo.path_noise(int(seeds[0]), 20)]
+    assert shared == list(np.random.default_rng(seeds[0]).standard_normal(20))

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from langsplit import stochflow
 from langsplit.errors import GridMismatch
 from langsplit.model import PhysParams, State, energy_H, energy_H0
 from langsplit.stochflow import (FineWindow, OUIncrement, naive_increment,
-                                 naive_substep_exact, ou_substep_coupled,
-                                 ou_substep_exact)
+                                 ou_substep_coupled, ou_substep_exact)
+
+from helpers import naive_substep_exact
 
 PRM10 = PhysParams(10.0, 1.0)
 
@@ -125,6 +127,38 @@ class TestOUSubstepCoupled:
             ou_substep_coupled(State(0.0, 0.0), win, PRM10, tau=2.0**-6)
         with pytest.raises(GridMismatch):
             FineWindow(np.zeros(0), 2.0**-8)
+
+    def test_window_is_one_or_two_dimensional(self):
+        for shape in ((), (4, 2, 3)):
+            with pytest.raises(ValueError):
+                FineWindow(np.zeros(shape), 2.0**-8)
+
+    @pytest.mark.parametrize("ratio", [1, 2, 128])
+    @pytest.mark.parametrize("width", [None, 1, 32, 256],
+                             ids=["1-D", "1", "32", "256"])
+    def test_matches_tensordot_bitwise(self, ratio, width):
+        tau_f = 2.0**-13
+        shape = (ratio,) if width is None else (ratio, width)
+        rng = np.random.default_rng(ratio)
+        inc = rng.standard_normal(shape) * math.sqrt(tau_f)
+        s = State(rng.standard_normal(shape[1:]),
+                  rng.standard_normal(shape[1:]))
+        prm = PhysParams(10.0, 0.7)
+        tau = ratio * tau_f
+        k = np.arange(ratio)
+        w = np.exp(-0.5 * prm.upsilon * (tau - (k + 0.5) * tau_f))
+        conv = np.tensordot(w, inc, axes=(0, 0))
+        decay = math.exp(-0.5 * prm.upsilon * tau)
+        for _ in range(2):  # the second call uses the cached weights
+            out = ou_substep_coupled(s, FineWindow(inc, tau_f), prm, tau=tau)
+            assert np.array_equal(out.p, decay * s.p + prm.sigma * conv)
+            assert np.array_equal(out.q, decay * s.q)
+
+    def test_cached_weights_are_shared_and_read_only(self):
+        w = stochflow._midpoint_weights(10.0, 2.0**-6, 128, 2.0**-13)
+        assert stochflow._midpoint_weights(10.0, 2.0**-6, 128, 2.0**-13) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
 
 
 class TestNaiveSubstep:
