@@ -118,6 +118,55 @@ def fit_order(levels, std_errors=None) -> OrderFit:
 # ---------------------------------------------------------------------------
 # coupled convergence studies
 
+# Fine steps drawn at a time in a path-coupled run.  A chunk then holds one
+# (block, width) matrix of fine increments whatever the horizon, 2 MiB at
+# width 256.  The block rounds up to a multiple of every run's step ratio
+# and record stride, so that each run's steps and records tile it.
+_FINE_BLOCK = 1024
+
+
+def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
+                  n_fine: int, prm: PhysParams, initial: State,
+                  path_seeds: Sequence[int], first_path: int,
+                  record_every: Optional[Sequence[int]] = None,
+                  visit: Optional[Callable[[int, list], None]] = None
+                  ) -> List[State]:
+    """Run the scheme at each step of ``taus`` on shared fine Wiener paths.
+
+    Path i's fine increments are the N(0, tau_f) draws of the stream of
+    ``path_seeds[i]`` in time order, as in one ``increment_matrix`` over the
+    ``n_fine`` steps.  They are drawn one block at a time, and every run
+    crosses a block before the next one is drawn.  With ``record_every``
+    (one stride per run), ``visit(start, runs)`` is called after each block
+    starting at fine step ``start``, with each run's :class:`Trajectory`
+    over the block; its first record is the state the block started from.
+    Returns the final state of each run.
+    """
+    ratios = [steps_for(tau, tau_f, NonIntegralRatio, minimum=1)
+              for tau in taus]
+    strides = record_every or [1] * len(taus)
+    grain = math.lcm(*(r * k for r, k in zip(ratios, strides)))
+    block = -(-_FINE_BLOCK // grain) * grain
+    keep = "last" if record_every is None else "all"
+    rngs = [np.random.default_rng(seed) for seed in path_seeds]
+    states = [initial] * len(taus)
+    for start in range(0, n_fine, block):
+        # A Generator passed as a seed continues its stream.
+        fine = increment_matrix(min(block, n_fine - start) * tau_f, tau_f,
+                                rngs)
+        runs = []
+        for i, (tau, ratio, every) in enumerate(zip(taus, ratios, strides)):
+            run = simulate_on_grid(states[i], tau, prm, scheme, fine, tau_f,
+                                   keep=keep, record_every=every,
+                                   first_path=first_path,
+                                   first_step=start // ratio)
+            states[i] = run if keep == "last" else State(run.p[-1],
+                                                         run.q[-1])
+            runs.append(run)
+        if visit is not None:
+            visit(start, runs)
+    return states
+
 
 def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
                            reference_tau_f: float, T: float, prm: PhysParams,
@@ -128,7 +177,8 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
     """Per-level terminal statistics on one shared Wiener path per sample.
 
     The reference is the same scheme run at ``reference_tau_f``; every level
-    consumes the same fine increments through block windows.  With ``g``
+    consumes the same fine increments through windows of its step, drawn
+    a block of about 1024 fine steps at a time.  With ``g``
     None the statistic is the root-mean-square terminal error and its
     (delta-method) standard error; otherwise it is
     ``|mean(g(numerical) - g(reference))|`` with the standard error of the
@@ -147,20 +197,17 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
     """
     for tau in tau_levels:
         steps_for(tau, reference_tau_f, minimum=1)
-    steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
+    n_fine = steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
     for tau in tau_levels:
         steps_for(T, tau, NonIntegralRatio)
     n_levels = len(tau_levels)
     sums = np.zeros(n_levels)
     sumsq = np.zeros(n_levels)
     for first, path_seeds in path_chunks(n_paths, chunk, seeds):
-        fine = increment_matrix(T, reference_tau_f, path_seeds)
-        ref = simulate_on_grid(initial, reference_tau_f, prm, scheme, fine,
-                               reference_tau_f, keep="last", first_path=first)
-        for i, tau in enumerate(tau_levels):
-            num = simulate_on_grid(initial, tau, prm, scheme, fine,
-                                   reference_tau_f, keep="last",
-                                   first_path=first)
+        ref, *levels = _coupled_runs(
+            scheme, [reference_tau_f, *tau_levels], reference_tau_f, n_fine,
+            prm, initial, path_seeds, first)
+        for i, num in enumerate(levels):
             if g is None:
                 val = (num.p - ref.p) ** 2 + (num.q - ref.q) ** 2
             else:

@@ -130,6 +130,7 @@ def newton_solve_2d(
     ------
     NonConvergence
         Budget exhausted (including ``max_iter == 0`` with a non-root guess).
+        For a batch, ``path_index`` is its first unconverged lane.
     SingularJacobian
         A Jacobian determinant vanished during the iteration.
     """
@@ -189,12 +190,17 @@ def newton_solve_2d(
 
     if not converged:
         worst = float(np.max(norm))
+        lane = None
+        if np.ndim(norm) > 0:
+            where = np.unravel_index(int(np.argmax(~(norm <= tol))),
+                                     np.shape(norm))
+            lane = int(where[-1])
         raise NonConvergence(
             f"implicit step did not converge (max |residual| = {worst:.3e} "
             f"after {settings.max_iter} Newton iterations"
             + (", fixed-point fallback tried" if fallback_used else "")
             + ")",
-            iterations=settings.max_iter, residual=worst)
+            iterations=settings.max_iter, residual=worst, path_index=lane)
 
     out = _float_state(p, q)
     if return_info:

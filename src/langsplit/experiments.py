@@ -13,12 +13,11 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import Histogram2D, Observable
+from .analysis import Histogram2D, Observable, _coupled_runs
 from .errors import DegenerateRange, NonIntegralGrid, NonIntegralRatio
 from .model import PhysParams, State
-from .montecarlo import (SeedPolicy, increment_matrix, path_chunks, path_noise,
-                         steps_for)
-from .splitting import SchemeSpec, _evolve, simulate_on_grid
+from .montecarlo import SeedPolicy, path_chunks, path_noise, steps_for
+from .splitting import SchemeSpec, _evolve
 
 __all__ = [
     "stream_paths",
@@ -146,36 +145,52 @@ def histogram_snapshots(scheme: SchemeSpec, prm: PhysParams, tau: float,
     return out
 
 
+# Paths whose squared errors ``long_time_error`` sums together.  The group
+# sums are added in path order, so the result is the same for every chunk.
+_SUM_GROUP = 32
+
+
 def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
                     T: float, prm: PhysParams, n_paths: int,
                     seeds: SeedPolicy, initial: State = State(0.0, 0.0),
-                    n_records: int = 1024, chunk: int = 32
+                    n_records: int = 1024, chunk: int = 1024
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Root-mean-square pathwise error on a time grid over a long horizon.
 
     The numerical run at ``tau`` and the reference at ``reference_tau_f``
-    share each path's fine Wiener grid.  Returns ``(times, rms_error)`` on
-    about ``n_records`` record times.
+    share each path's fine Wiener grid, which is drawn one time block at a
+    time.  Returns ``(times, rms_error)`` on about ``n_records`` record
+    times.  ``chunk`` is rounded down to a multiple of 32 paths (at least
+    32), and the squared errors are summed in groups of 32 paths, so every
+    chunking gives the same bits.
     """
     ratio = steps_for(tau, reference_tau_f, NonIntegralRatio, minimum=1)
-    steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
+    n_fine = steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
     n_steps = steps_for(T, tau, NonIntegralRatio)
     stride = max(1, n_steps // n_records)
     while n_steps % stride != 0:
         stride -= 1
     n_rec = n_steps // stride
+    fine_stride = stride * ratio
 
     acc = np.zeros(n_rec + 1)
+
+    def add_block(start, runs):
+        # A block's first record repeats the previous block's last one.
+        ref, num = runs
+        skip = 0 if start == 0 else 1
+        err = ((num.p[skip:] - ref.p[skip:]) ** 2
+               + (num.q[skip:] - ref.q[skip:]) ** 2)
+        first_rec = start // fine_stride + skip
+        rows = acc[first_rec:first_rec + len(err)]
+        for g in range(0, err.shape[1], _SUM_GROUP):
+            rows += err[:, g:g + _SUM_GROUP].sum(axis=1)
+
+    chunk = max(_SUM_GROUP, chunk - chunk % _SUM_GROUP)
     for first, path_seeds in path_chunks(n_paths, chunk, seeds):
-        fine = increment_matrix(T, reference_tau_f, path_seeds)
-        ref = simulate_on_grid(initial, reference_tau_f, prm, scheme, fine,
-                               reference_tau_f, keep="all",
-                               record_every=stride * ratio, first_path=first)
-        num = simulate_on_grid(initial, tau, prm, scheme, fine,
-                               reference_tau_f, keep="all",
-                               record_every=stride, first_path=first)
-        acc += (((num.p - ref.p) ** 2 + (num.q - ref.q) ** 2)
-                .sum(axis=1))
+        _coupled_runs(scheme, [reference_tau_f, tau], reference_tau_f, n_fine,
+                      prm, initial, path_seeds, first,
+                      record_every=[fine_stride, stride], visit=add_block)
 
     times = np.arange(n_rec + 1) * (stride * tau)
     return times, np.sqrt(acc / n_paths)

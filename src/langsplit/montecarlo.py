@@ -118,7 +118,10 @@ def increment_matrix(T: float, tau_f: float,
 
     Column ``i`` holds N(0, tau_f) draws from the stream of
     ``path_seeds[i]`` in time order, so each path's grid is regenerated bit
-    for bit from its seed alone.
+    for bit from its seed alone.  A seed may also be a
+    ``numpy.random.Generator``, which continues its stream: successive calls
+    on the same generators draw a long grid one time block at a time, with
+    the same draws as one call over the whole span.
 
     Raises
     ------

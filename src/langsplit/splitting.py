@@ -12,6 +12,7 @@ caller-controlled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -125,36 +126,43 @@ class ConsistencyResiduals(NamedTuple):
     rB: ArrayLike
 
 
-def _apply_noise(s: State, tau: float, prm: PhysParams, noise: Noise) -> State:
+def _apply_noise(s: State, tau: float, prm: PhysParams, noise: Noise,
+                 ou: OUIncrement = None) -> State:
     if isinstance(noise, FineWindow):
         return ou_substep_coupled(s, noise, prm, tau=tau)
-    return OUIncrement.from_params(prm, tau).apply(s, noise)
+    if ou is None:
+        ou = OUIncrement.from_params(prm, tau)
+    return ou.apply(s, noise)
 
 
 def lie_trotter_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
-                     noise: Noise) -> State:
-    """One single-sweep step: conservative map, then stochastic flow."""
+                     noise: Noise, ou: OUIncrement = None) -> State:
+    """One single-sweep step: conservative map, then stochastic flow.
+
+    ``ou`` is the sampled sub-step of (prm, tau) when the caller has built
+    it already; it is built here otherwise.
+    """
     if tau == 0:
         return s
     mid = conservative_step(spec.map_kind, s, tau, prm, spec.solver)
-    return _apply_noise(mid, tau, prm, noise)
+    return _apply_noise(mid, tau, prm, noise, ou)
 
 
 def strang_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
-                noise: Noise) -> State:
+                noise: Noise, ou: OUIncrement = None) -> State:
     """One symmetric step: half map, full stochastic flow, half map."""
     if tau == 0:
         return s
     half = conservative_step(spec.map_kind, s, 0.5 * tau, prm, spec.solver)
-    mid = _apply_noise(half, tau, prm, noise)
+    mid = _apply_noise(half, tau, prm, noise, ou)
     return conservative_step(spec.map_kind, mid, 0.5 * tau, prm, spec.solver)
 
 
 def scheme_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
-                noise: Noise) -> State:
+                noise: Noise, ou: OUIncrement = None) -> State:
     if spec.composition == "strang":
-        return strang_step(s, tau, prm, spec, noise)
-    return lie_trotter_step(s, tau, prm, spec, noise)
+        return strang_step(s, tau, prm, spec, noise, ou)
+    return lie_trotter_step(s, tau, prm, spec, noise, ou)
 
 
 def require_finite(p: np.ndarray, q: np.ndarray, step_index=None,
@@ -177,9 +185,18 @@ def require_finite(p: np.ndarray, q: np.ndarray, step_index=None,
                          step_index=step_index, path_index=path_index)
 
 
+def _check_finite(s: State, step_index: int, first_path: int) -> None:
+    # A non-finite lane makes the sum of products p*q non-finite, so one
+    # reduction screens the batch; only then are the lanes searched.  An
+    # overflowing sum of finite products is searched and passes.
+    if not math.isfinite(np.vdot(s.p, s.q)):
+        require_finite(np.ravel(s.p), np.ravel(s.q), step_index, first_path)
+
+
 def _evolve(initial: State, shape: tuple, tau: float, prm: PhysParams,
             spec: SchemeSpec, noise: Iterable[Noise],
-            visit: Callable[[int, State], None], first_path: int = 0) -> State:
+            visit: Callable[[int, State], None], first_path: int = 0,
+            first_step: int = 0) -> State:
     """The stepping loop of every run: one scheme step per item of ``noise``.
 
     ``initial`` is copied out to a batch of the given shape; ``visit(n,
@@ -187,19 +204,24 @@ def _evolve(initial: State, shape: tuple, tau: float, prm: PhysParams,
     returned.  Every state is checked before it is visited, so a non-finite
     state raises :class:`NonConvergence` naming its step and its path
     (offset by ``first_path``); a solver failure names the step it was
-    taking.
+    taking and, for a batch, its first unconverged path.  A run evolved in
+    pieces passes the step index of ``initial`` as ``first_step``, so that
+    errors name the step of the whole run; ``visit`` still counts from 0.
     """
     cur = State(np.broadcast_to(np.asarray(initial.p, float), shape).astype(float),
                 np.broadcast_to(np.asarray(initial.q, float), shape).astype(float))
-    require_finite(np.ravel(cur.p), np.ravel(cur.q), 0, first_path)
+    ou = OUIncrement.from_params(prm, tau) if tau > 0 else None
+    _check_finite(cur, first_step, first_path)
     visit(0, cur)
     for n, dw in enumerate(noise, 1):
         try:
-            cur = scheme_step(cur, tau, prm, spec, dw)
+            cur = scheme_step(cur, tau, prm, spec, dw, ou)
         except NonConvergence as exc:
-            exc.step_index = n - 1
+            exc.step_index = first_step + n - 1
+            if exc.path_index is not None:
+                exc.path_index += first_path
             raise
-        require_finite(np.ravel(cur.p), np.ravel(cur.q), n, first_path)
+        _check_finite(cur, first_step + n, first_path)
         visit(n, cur)
     return cur
 
@@ -258,12 +280,14 @@ def simulate(initial: State, T: float, tau: float, prm: PhysParams,
 def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
                      spec: SchemeSpec, increments: np.ndarray, tau_f: float,
                      keep: str = "all", record_every: int = 1,
-                     first_path: int = 0):
+                     first_path: int = 0, first_step: int = 0):
     """Evolve on a shared fine Brownian grid (path-coupled evaluation).
 
     Each coarse step consumes one window of ``tau/tau_f`` fine increments,
     so runs at different ``tau`` on the same ``increments`` see the same
-    Wiener path.
+    Wiener path.  A run can be continued on the next increments of its
+    paths from the state it reached, as the path-coupled studies do one time
+    block at a time.
 
     Parameters
     ----------
@@ -278,6 +302,10 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
     first_path : int
         Ensemble index of the first column, used to name a path that goes
         non-finite.
+    first_step : int
+        Step index of ``initial`` when continuing a run: errors name the
+        step of the whole run, and recorded times start at
+        ``first_step * tau``.
 
     Raises
     ------
@@ -293,7 +321,7 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
     batch_shape = increments.shape[1:]
     if keep != "all":
         return _evolve(initial, batch_shape, tau, prm, spec, windows,
-                       lambda n, s: None, first_path)
+                       lambda n, s: None, first_path, first_step)
 
     if n_steps % record_every != 0:
         raise ValueError("record_every must tile the number of steps")
@@ -306,8 +334,9 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
             p_out[n // record_every] = s.p
             q_out[n // record_every] = s.q
 
-    _evolve(initial, batch_shape, tau, prm, spec, windows, record, first_path)
-    times = np.arange(n_rec + 1) * (tau * record_every)
+    _evolve(initial, batch_shape, tau, prm, spec, windows, record, first_path,
+            first_step)
+    times = first_step * tau + np.arange(n_rec + 1) * (tau * record_every)
     return Trajectory(times=times, p=p_out, q=q_out, scheme=spec, seed=None)
 
 

@@ -12,6 +12,7 @@ from langsplit.analysis import (distance_noise_floor, distribution_distance,
                                 linear_fit, lyapunov_check, msd_curve,
                                 msd_fit_window, msd_plateau, phase_area,
                                 time_average)
+from langsplit.detflow import SolverSettings
 from langsplit.errors import (DegenerateRange, EmptyWindow, NonConvergence,
                               NonIntegralGrid, NonIntegralRatio,
                               NonPositiveError)
@@ -23,6 +24,8 @@ from langsplit.montecarlo import SeedPolicy, increment_matrix
 from langsplit.splitting import (SchemeSpec, scheme_step, simulate,
                                  simulate_on_grid)
 from langsplit.stochflow import OUIncrement
+
+from helpers import coupled_terminal_stats_whole, long_time_error_whole
 
 PRM10 = PhysParams(10.0, 1.0)
 PRM15 = PhysParams(15.0, 1.0)
@@ -67,6 +70,62 @@ class TestCoupledStats:
         with pytest.raises(ValueError):
             analysis.coupled_terminal_stats(
                 SAVF, [1.5 * 2.0**-8], 2.0**-8, 0.25, PRM10, 8, SeedPolicy(4))
+
+
+def _strong(form, chunk):
+    return form(SAVF, [2.0**-4, 2.0**-5, 2.0**-7], 2.0**-7, 0.6875, PRM10,
+                  70, SeedPolicy(6), chunk=chunk)
+
+
+def _weak(form, chunk):
+    return form(SchemeSpec.from_name("strang-sdg"), [2.0**-4, 2.0**-6],
+                  2.0**-7, 0.6875, PRM10, 70, SeedPolicy(6),
+                  g=lambda p, q: np.sin(p) * np.sin(q), chunk=chunk)
+
+
+def _long_time(form, chunk):
+    return form(SAVF, 2.0**-5, 2.0**-7, 1.0, PRM10, 70, SeedPolicy(6),
+                  n_records=8, chunk=chunk)
+
+
+# Each path-coupled estimator against its whole-horizon form, in two chunks of
+# 64 and 6 paths, with short blocks.  T = 0.6875 is 88 fine steps of 2^-7:
+# blocks of 12 round up to the largest ratio, 8, and give five blocks of 16
+# and one of 8.  The long-time run has 128 fine steps and a record every 16:
+# blocks of 40 round up to 48 and give 48, 48 and 32.  The whole-horizon
+# long-time form sums chunks of 32 paths.
+# name: (run, block constant, blocked form, whole form, its chunk, blocks)
+BLOCKED_RUNS = {
+    "coupled_terminal_stats_strong": (
+        _strong, 12, analysis.coupled_terminal_stats,
+        coupled_terminal_stats_whole, 64, [16] * 5 + [8]),
+    "coupled_terminal_stats_weak": (
+        _weak, 12, analysis.coupled_terminal_stats,
+        coupled_terminal_stats_whole, 64, [16] * 5 + [8]),
+    "long_time_error": (
+        _long_time, 40, long_time_error, long_time_error_whole, 32,
+        [48, 48, 32]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_RUNS))
+def test_blocked_runs_equal_whole_horizon(name, monkeypatch):
+    run, block, blocked, whole, whole_chunk, blocks = BLOCKED_RUNS[name]
+    expected = run(whole, whole_chunk)
+    drawn = []
+    original = analysis.increment_matrix
+
+    def recorded(T, tau_f, rngs):
+        out = original(T, tau_f, rngs)
+        drawn.append(out.shape)
+        return out
+
+    monkeypatch.setattr(analysis, "increment_matrix", recorded)
+    monkeypatch.setattr(analysis, "_FINE_BLOCK", block)
+    got = run(blocked, 64)
+    assert drawn == [(n, 64) for n in blocks] + [(n, 6) for n in blocks]
+    for a, b in zip(expected, got):
+        assert np.array_equal(a, b)
 
 
 class TestTimeAverage:
@@ -522,31 +581,56 @@ class TestStreamingDrivers:
 
 
 # The explicit map far beyond its stability limit: path 149 of SeedPolicy(1)
-# is the first to leave the finite domain, at step 49 (t = 98).
+# is the first to leave the finite domain, at step 49 (t = 98).  On the
+# coupled grid of SeedPolicy(3) (fine step 2, every run at that step) path
+# 46 goes first, at step 85.  With a Newton budget of two iterations, dg on
+# the coupled grid of SeedPolicy(2) first fails at step 222 in path 36.  The
+# coupled runs take blocks of 8 fine steps and chunks of 16 or 32 paths, so
+# these lie in later blocks and chunks.
 SE = SchemeSpec.from_name("sympl-euler")
 PRM1 = PhysParams(1.0, 1.0)
 ORIGIN = State(0.0, 0.0)
+DG2 = SchemeSpec("dg", solver=SolverSettings(max_iter=2, fallback=False))
+COUPLED_SE = (SE, [2.0], 2.0, 200.0, PRM1, 200, SeedPolicy(3))
+COUPLED_DG = (DG2, [2.0**-5], 2.0**-5, 8.0, PhysParams(10.0, 2.0), 100,
+              SeedPolicy(2))
 
+# name: (run, (step, path))
 DIVERGING_RUNS = {
-    "simulate": lambda: simulate(
+    "simulate": (lambda: simulate(
         State(np.zeros(200), np.zeros(200)), 100.0, 2.0, PRM1, SE,
-        seed=SeedPolicy(1).path_seeds(200)),
-    "ergodic_averages": lambda: ergodic_averages(
+        seed=SeedPolicy(1).path_seeds(200)), (49, 149)),
+    "ergodic_averages": (lambda: ergodic_averages(
         SE, PRM1, 2.0, 100.0, 0.0, 200, SeedPolicy(1), ORIGIN,
-        {"p2": lambda p, q: p * p}),
-    "msd_experiment": lambda: msd_experiment(
+        {"p2": lambda p, q: p * p}), (49, 149)),
+    "msd_experiment": (lambda: msd_experiment(
         SE, PRM1, 2.0, 100.0, 200, SeedPolicy(1), ORIGIN, chunk=64),
-    "exp_moment_monitor": lambda: exp_moment_monitor(
-        SE, PRM1, 2.0, 100.0, 200, SeedPolicy(1), chunk=64),
+        (49, 149)),
+    "exp_moment_monitor": (lambda: exp_moment_monitor(
+        SE, PRM1, 2.0, 100.0, 200, SeedPolicy(1), chunk=64), (49, 149)),
+    "coupled_terminal_stats": (lambda: analysis.coupled_terminal_stats(
+        *COUPLED_SE, chunk=16), (85, 46)),
+    "coupled_terminal_stats_whole": (lambda: coupled_terminal_stats_whole(
+        *COUPLED_SE, chunk=16), (85, 46)),
+    "long_time_error": (lambda: long_time_error(
+        SE, 2.0, 2.0, 200.0, PRM1, 200, SeedPolicy(3), chunk=32), (85, 46)),
+    "coupled_terminal_stats_dg": (lambda: analysis.coupled_terminal_stats(
+        *COUPLED_DG, chunk=32), (222, 36)),
+    "coupled_terminal_stats_dg_whole": (lambda: coupled_terminal_stats_whole(
+        *COUPLED_DG, chunk=32), (222, 36)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DIVERGING_RUNS))
-def test_non_finite_state_names_step_and_path(name):
+def test_non_finite_state_names_step_and_path(name, monkeypatch):
+    # The whole-horizon forms run each chunk's grid in one piece and fail
+    # at the same step and path.
+    run, expected = DIVERGING_RUNS[name]
+    monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
     with pytest.raises(NonConvergence) as info, \
             np.errstate(over="ignore", invalid="ignore"):
-        DIVERGING_RUNS[name]()
-    assert (info.value.step_index, info.value.path_index) == (49, 149)
+        run()
+    assert (info.value.step_index, info.value.path_index) == expected
 
 
 # Each experiment given a horizon that its step does not tile (T = 1 is 33.3
@@ -636,9 +720,15 @@ def test_chunking_changes_only_rounding(name):
     # differ only in how the float sums over paths are grouped.  Standard
     # errors subtract the squared mean from the mean square, which lifts
     # that rounding to ~1e-11 relative; a path with a wrong seed would move
-    # the results by ~1e-2.
+    # the results by ~1e-2.  long_time_error sums fixed groups of 32 paths
+    # in path order, so its chunkings agree bit for bit, also at a chunk of
+    # 100 (rounded down to 96: four chunks).
     run = CHUNKED_RUNS[name]
     whole, chunked = run(300), run(64)
     assert all(np.array_equal(a, b) for a, b in zip(whole, run(300)))
+    if name == "long_time_error":
+        for other in (run(32), chunked, run(100)):
+            assert all(np.array_equal(a, b) for a, b in zip(whole, other))
+        return
     for a, b in zip(whole, chunked):
         np.testing.assert_allclose(b, a, rtol=1e-9, atol=0)

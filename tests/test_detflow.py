@@ -315,6 +315,22 @@ class TestNewton:
                             lambda x: (1.0, 0.0, 0.0, 1.0),
                             State(0.0, 0.0), SolverSettings(max_iter=0))
 
+    def test_exhausted_budget_names_first_unconverged_lane(self):
+        target = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        guess = target.copy()
+        guess[[2, 4]] += 1.0
+        with pytest.raises(NonConvergence) as err:
+            newton_solve_2d(lambda x: (x.p - target, x.q),
+                            lambda x: (1.0, 0.0, 0.0, 1.0),
+                            State(guess, np.zeros(5)),
+                            SolverSettings(max_iter=0))
+        assert err.value.path_index == 2
+        with pytest.raises(NonConvergence) as err:
+            newton_solve_2d(lambda x: (x.p - 1.0, x.q),
+                            lambda x: (1.0, 0.0, 0.0, 1.0),
+                            State(0.0, 0.0), SolverSettings(max_iter=0))
+        assert err.value.path_index is None
+
     def test_fallback_retries_damped_fixed_point(self):
         # Badly scaled Jacobian entries stall Newton; the damped fixed-point
         # retry still contracts the affine residual.

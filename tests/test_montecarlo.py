@@ -62,6 +62,16 @@ class TestGenerateGrid:
             own = np.random.default_rng(s).standard_normal(16) * 2.0**-3
             assert np.array_equal(mat[:, i], own)
 
+    def test_generators_continue_their_streams(self):
+        # blocks of 7, 7 and 2 rows from the same generators are the rows of
+        # one call over the whole span
+        seeds = SeedPolicy(2).path_seeds(5)
+        whole = increment_matrix(16 * 2.0**-6, 2.0**-6, seeds)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        blocks = [increment_matrix(n * 2.0**-6, 2.0**-6, rngs)
+                  for n in (7, 7, 2)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+
 
 # Widths inside one 64-path noise tile and on either side of its edges.
 PER_PATH_WIDTHS = [1, 3, 63, 65, 130]

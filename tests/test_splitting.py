@@ -184,6 +184,31 @@ class TestSimulate:
             simulate(State(60.0, 60.0), 0.38, 0.19, PRM10, spec, seed=1)
         assert err.value.step_index == 0
 
+    def test_finite_state_with_overflowing_product_passes(self):
+        # p*q overflows to inf in both lanes, so the one-reduction screen
+        # trips; the lane-by-lane search finds every state finite.
+        se = SchemeSpec.from_name("sympl-euler")
+        tr = simulate(State(np.full(2, 1e300), np.full(2, 1e10)), 2.0**-8,
+                      2.0**-8, PRM10, se, seed=[1, 2])
+        assert np.all(np.isfinite(tr.p)) and np.all(np.isfinite(tr.q))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.vdot(tr.p[-1], tr.q[-1]))
+
+    def test_sampled_substep_is_built_once_per_run(self, monkeypatch):
+        calls = []
+        build = OUIncrement.from_params.__func__
+
+        def counted(cls, prm, tau):
+            calls.append(tau)
+            return build(cls, prm, tau)
+
+        monkeypatch.setattr(OUIncrement, "from_params", classmethod(counted))
+        for spec in (SAVF, SchemeSpec.from_name("strang-savf")):
+            calls.clear()
+            simulate(State(np.zeros(3), np.zeros(3)), 0.5, 2.0**-6, PRM10,
+                     spec, seed=[1, 2, 3])
+            assert calls == [2.0**-6]
+
     def test_moment_averages_stay_bounded(self):
         prm = PhysParams(15.0, 1.0)
         tr = simulate(State(np.zeros(4), np.zeros(4)), 32.0, 2.0**-8, prm,
@@ -218,6 +243,23 @@ class TestSimulateOnGrid:
         with pytest.raises(NonIntegralRatio):
             simulate_on_grid(State(0.0, 0.0), 3 * 2.0**-9, PRM10, SAVF, inc,
                              2.0**-9, keep="last")
+
+    def test_continued_run_equals_one_piece(self):
+        # The second half continues from the first half's last state on the
+        # next increments; its records and times are those of the whole run.
+        tau_f, tau = 2.0**-8, 2.0**-6
+        inc = increment_matrix(1.0, tau_f, SeedPolicy(6).path_seeds(3))
+        whole = simulate_on_grid(State(0.0, 0.0), tau, PRM10, SAVF, inc,
+                                 tau_f, record_every=4)
+        head = simulate_on_grid(State(0.0, 0.0), tau, PRM10, SAVF, inc[:128],
+                                tau_f, record_every=4)
+        tail = simulate_on_grid(State(head.p[-1], head.q[-1]), tau, PRM10,
+                                SAVF, inc[128:], tau_f, record_every=4,
+                                first_step=32)
+        assert np.array_equal(whole.p, np.concatenate([head.p, tail.p[1:]]))
+        assert np.array_equal(whole.q, np.concatenate([head.q, tail.q[1:]]))
+        assert np.array_equal(whole.times,
+                              np.concatenate([head.times, tail.times[1:]]))
 
     def test_record_every(self):
         tau_f = 2.0**-8
