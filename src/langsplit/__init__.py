@@ -21,11 +21,10 @@ from .errors import (DegenerateRange, EmptyWindow, GridMismatch,
                      NonIntegralRatio, NonPositiveError, SingularJacobian)
 from .model import (EnergyConstants, GibbsMoments, PhysParams,
                     QuarticPotential, State, energy_H, energy_H0,
-                    gibbs_log_density, gibbs_moments)
+                    gibbs_moments)
 from .montecarlo import SeedPolicy
-from .splitting import (SchemeSpec, Trajectory, consistency_residuals,
-                        lie_trotter_step, simulate, simulate_on_grid,
-                        strang_step)
+from .splitting import (SchemeSpec, Trajectory, lie_trotter_step, simulate,
+                        simulate_on_grid, strang_step)
 from .stochflow import (FineWindow, OUIncrement, ou_substep_coupled,
                         ou_substep_exact)
 

@@ -17,14 +17,16 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .detflow import CONSERVATIVE_KINDS
-from .errors import (DegenerateRange, EmptyWindow, NonIntegralGrid,
-                     NonIntegralRatio, NonPositiveError)
+from .errors import (EmptyWindow, NonIntegralGrid, NonIntegralRatio,
+                     NonPositiveError)
 from .model import (ArrayLike, EnergyConstants, PhysParams, State, energy_H,
                     energy_H0, exp_moment_rate_constant,
                     position_marginal_normalizer)
 from .montecarlo import (SeedPolicy, increment_matrix, path_chunks, path_noise,
                          steps_for)
-from .splitting import (SchemeSpec, Trajectory, _evolve, require_finite,
+# ``require_finite`` stays importable here: the benchmark traces it as
+# ``analysis.require_finite``.
+from .splitting import (SchemeSpec, _evolve, require_finite,  # noqa: F401
                         scheme_step, simulate_on_grid)
 from .stochflow import OUIncrement, naive_increment
 
@@ -42,12 +44,9 @@ __all__ = [
     "coupled_terminal_stats",
     "strong_error",
     "weak_error",
-    "time_average",
-    "empirical_distribution",
     "distribution_distance",
     "gibbs_bin_masses",
     "distance_noise_floor",
-    "msd_curve",
     "msd_plateau",
     "msd_fit_window",
     "exp_moment_monitor",
@@ -252,27 +251,6 @@ def weak_error(scheme: SchemeSpec, g: Observable, tau_levels: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# ergodic observables
-
-
-def time_average(trajectory: Trajectory, g: Observable,
-                 burn_in: float) -> ArrayLike:
-    """Left-endpoint Riemann average of ``g`` after ``burn_in``.
-
-    Averages ``g`` over the states at ``burn_in <= t_n < T``; for a batched
-    trajectory the average is taken per path.
-    """
-    times = trajectory.times
-    horizon = times[-1]
-    if burn_in >= horizon:
-        raise EmptyWindow(
-            f"burn-in {burn_in} leaves no window before horizon {horizon}")
-    start = int(np.searchsorted(times, burn_in - 1e-12 * max(horizon, 1.0)))
-    vals = g(trajectory.p[start:-1], trajectory.q[start:-1])
-    return np.mean(vals, axis=0)
-
-
-# ---------------------------------------------------------------------------
 # empirical distribution vs the invariant density
 
 
@@ -293,32 +271,6 @@ class Histogram2D:
     def bin_area(self) -> float:
         return float((self.p_edges[1] - self.p_edges[0])
                      * (self.q_edges[1] - self.q_edges[0]))
-
-
-def empirical_distribution(states: State, bins: Tuple[int, int],
-                           p_range: Tuple[float, float],
-                           q_range: Tuple[float, float]) -> Histogram2D:
-    """Histogram an ensemble of states; samples outside the window are dropped.
-
-    A non-finite sample is not dropped: it raises :class:`NonConvergence`
-    (see :func:`require_finite`).
-    """
-    n_p, n_q = bins
-    if not (p_range[1] > p_range[0] and q_range[1] > q_range[0]):
-        raise DegenerateRange(f"bad window {p_range} x {q_range}")
-    if n_p < 1 or n_q < 1:
-        raise DegenerateRange("need at least one bin per axis")
-    p, q = np.broadcast_arrays(np.asarray(states.p, dtype=float),
-                               np.asarray(states.q, dtype=float))
-    require_finite(p, q)
-    counts, p_edges, q_edges = np.histogram2d(
-        p.reshape(-1), q.reshape(-1), bins=[n_p, n_q],
-        range=[p_range, q_range])
-    total = int(counts.sum())
-    if total == 0:
-        raise DegenerateRange("no samples fall inside the window")
-    return Histogram2D(p_edges=p_edges, q_edges=q_edges, counts=counts,
-                       n_samples=total)
 
 
 # Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1].
@@ -415,20 +367,6 @@ def distance_noise_floor(prm: PhysParams, p_edges: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # mean square displacement
-
-
-def msd_curve(trajectory: Trajectory, initial: State):
-    """Ensemble mean square displacement from the common initial value.
-
-    Returns ``(times, msd)`` with ``msd[n]`` the across-path mean of
-    ``|X_n - X_0|^2``.
-    """
-    p0 = np.asarray(initial.p, dtype=float)
-    q0 = np.asarray(initial.q, dtype=float)
-    disp = (trajectory.p - p0) ** 2 + (trajectory.q - q0) ** 2
-    axes = tuple(range(1, disp.ndim))
-    msd = disp.mean(axis=axes) if axes else disp
-    return trajectory.times, msd
 
 
 _PLATEAU_FRACTION = 0.1

@@ -5,9 +5,14 @@ form ``{experiment, config, metrics, checks}``.  CSV headers carry a
 provenance comment block (scheme, upsilon, sigma, tau, T, seed) and a
 timestamp line; bodies are byte-reproducible for identical config + seed.
 
+Each recipe reads the config keys it uses before any work, and any other
+key is a configuration error.  The recipes' checks hold the acceptance
+bounds; no config key sets one.
+
 Exit codes: 0 success, 2 configuration errors (bad config file, unknown
-experiment, a value of the wrong type, a count below 1 or a negative seed,
-an unknown choice), 1 numerical failures.
+experiment, a key the experiment does not read, a value of the wrong type,
+a count below 1 or a negative seed, an unknown choice), 1 numerical
+failures.
 """
 
 from __future__ import annotations
@@ -26,12 +31,6 @@ from .errors import LangsplitError
 from .model import PhysParams, State, energy_H0, gibbs_moments
 from .montecarlo import SeedPolicy
 from .splitting import SchemeSpec, scheme_step, simulate
-
-EXPERIMENTS = (
-    "simulate", "strong-order", "weak-order", "long-time-error",
-    "ergodic-average", "histogram", "msd", "exp-moment", "lyapunov",
-    "jacobian", "phase-area", "dissipation-demo",
-)
 
 OBSERVABLES = {
     "sinsin": lambda p, q: np.sin(p) * np.sin(q),
@@ -82,10 +81,23 @@ def parse_config_file(path: str) -> dict:
 
 
 class Config:
-    """Typed access to string-valued config entries with defaults."""
+    """Typed access to string-valued config entries with defaults.
+
+    Every accessor records the key it reads, so that :meth:`reject_unread`
+    can name the entries an experiment never asked for.
+    """
 
     def __init__(self, entries: dict):
         self.entries = dict(entries)
+        self.read = {"experiment", "seed"}
+
+    def reject_unread(self):
+        """Fail on an entry no accessor has read: a misspelt or foreign key."""
+        unread = sorted(set(self.entries) - self.read)
+        if unread:
+            raise ConfigError(
+                f"unknown config key {', '.join(map(repr, unread))} for "
+                f"experiment {self.entries.get('experiment')!r}")
 
     @staticmethod
     def _number(key, text):
@@ -95,15 +107,12 @@ class Config:
             raise ConfigError(f"config key {key!r}: not a number: {text!r}")
 
     def num(self, key, default=None):
-        if key not in self.entries:
-            return default
-        return self._number(key, self.entries[key])
+        text = self.text(key)
+        return default if text is None else self._number(key, text)
 
-    def integer(self, key, default=None, minimum=1):
+    def integer(self, key, default, minimum=1):
         """An integer of at least ``minimum``; every count must be >= 1."""
         val = self.num(key, default)
-        if val is None:
-            return None
         if not (math.isfinite(val) and val == int(val)):
             raise ConfigError(f"config key {key!r}: not an integer: {val!r}")
         if val < minimum:
@@ -112,27 +121,30 @@ class Config:
         return int(val)
 
     def text(self, key, default=None):
+        self.read.add(key)
         return self.entries.get(key, default)
 
     def choice(self, key, options: dict, default: str):
         """The entry of ``options`` named by the key's value."""
-        name = self.entries.get(key, default)
+        name = self.text(key, default)
         if name not in options:
             raise ConfigError(f"config key {key!r}: unknown value {name!r}; "
                               f"expected one of {', '.join(options)}")
         return options[name]
 
     def numbers(self, key, default=None):
-        if key not in self.entries:
+        text = self.text(key)
+        if text is None:
             return default
         return [self._number(key, tok)
-                for tok in self.entries[key].split(",") if tok.strip()]
+                for tok in text.split(",") if tok.strip()]
 
     def pairs(self, key, default=None):
-        if key not in self.entries:
+        text = self.text(key)
+        if text is None:
             return default
         out = []
-        for tok in self.entries[key].split(";"):
+        for tok in text.split(";"):
             parts = tok.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"config key {key!r}: expected pairs "
@@ -180,33 +192,30 @@ def _check(name, passed, margin):
     return {"name": name, "pass": bool(passed), "margin": float(margin)}
 
 
-def _slope_checks(fit, lo, hi, r2_min=None):
-    checks = [_check("slope_in_window",
-                     lo <= fit.slope <= hi,
-                     min(fit.slope - lo, hi - fit.slope))]
-    if r2_min is not None:
-        checks.append(_check("r_squared", fit.r_squared > r2_min,
-                             fit.r_squared - r2_min))
-    return checks
-
-
 # ---------------------------------------------------------------------------
-# experiment recipes
+# experiment recipes: read every key, ``cfg.reject_unread()``, then run
 
 
-def _common(cfg, scheme_default="savf", upsilon=10.0, sigma=1.0):
-    scheme = SchemeSpec.from_name(cfg.text("scheme", scheme_default))
+def _common(cfg, scheme_default="savf", upsilon=10.0):
+    """Scheme (``None`` without a default), parameters and master seed."""
+    scheme = (SchemeSpec.from_name(cfg.text("scheme", scheme_default))
+              if scheme_default else None)
     prm = PhysParams(upsilon=cfg.num("upsilon", upsilon),
-                     sigma=cfg.num("sigma", sigma))
+                     sigma=cfg.num("sigma", 1.0))
     seed = cfg.integer("seed", 12345, minimum=0)
     return scheme, prm, seed
+
+
+def _initial(cfg, q=0.0):
+    return State(cfg.num("initial_p", 0.0), cfg.num("initial_q", q))
 
 
 def run_simulate(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
     tau = cfg.num("tau", 2.0**-8)
     T = cfg.num("T", 1.0)
-    initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 0.0))
+    initial = _initial(cfg)
+    cfg.reject_unread()
     traj = simulate(initial, T, tau, prm, scheme, seed)
     write_csv(outdir / "trajectory.csv",
               _meta(cfg, scheme, prm, tau, T, seed), ["t", "p", "q"],
@@ -215,32 +224,41 @@ def run_simulate(cfg: Config, outdir: Path):
             "final_p": float(traj.p[-1]), "final_q": float(traj.q[-1])}, []
 
 
+# The weak order of a composition: 1 for the single sweep, 2 for the
+# symmetric one.
+WEAK_SLOPE_WINDOWS = {"lie_trotter": (0.8, 1.2), "strang": (1.7, 2.3)}
+
+
 def _order_recipe(cfg, outdir, weak):
     scheme, prm, seed = _common(cfg)
     T = cfg.num("T", 1.0)
     levels = cfg.numbers("tau_levels", [2.0**-k for k in range(6, 11)])
     ref = cfg.num("ref_tau", 2.0**-13)
     n_paths = cfg.integer("n_paths", 5000 if weak else 1000)
-    initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 0.0))
+    initial = _initial(cfg)
+    g = cfg.choice("observable", OBSERVABLES, "sinsin") if weak else None
+    cfg.reject_unread()
     seeds = SeedPolicy(seed)
     if weak:
-        g = cfg.choice("observable", OBSERVABLES, "sinsin")
         fit = analysis.weak_error(scheme, g, levels, ref, T, prm, n_paths,
                                   seeds, initial=initial)
-        lo, hi = cfg.num("slope_min", 0.8), cfg.num("slope_max", 1.2)
-        name = "weak_order.csv"
     else:
         fit = analysis.strong_error(scheme, levels, ref, T, prm, n_paths,
                                     seeds, initial=initial)
-        lo, hi = cfg.num("slope_min", 0.85), cfg.num("slope_max", 1.15)
-        name = "strong_order.csv"
+    lo, hi = WEAK_SLOPE_WINDOWS[scheme.composition] if weak else (0.85, 1.15)
     meta = _meta(cfg, scheme, prm, ",".join(_fmt(t) for t in levels), T, seed)
-    write_csv(outdir / name, meta, ["tau", "error", "std_error"],
+    write_csv(outdir / ("weak_order.csv" if weak else "strong_order.csv"),
+              meta, ["tau", "error", "std_error"],
               zip(fit.taus, fit.errors, fit.std_errors))
     metrics = {"slope": fit.slope, "intercept": fit.intercept,
-               "r_squared": fit.r_squared, "n_paths": n_paths}
-    r2_min = cfg.num("r2_min", 0.98 if not weak else None)
-    return metrics, _slope_checks(fit, lo, hi, r2_min)
+               "r_squared": fit.r_squared, "n_paths": n_paths,
+               "min_level_snr": float(np.min(fit.errors / fit.std_errors))}
+    checks = [_check("slope_in_window", lo <= fit.slope <= hi,
+                     min(fit.slope - lo, hi - fit.slope))]
+    if not weak:
+        checks.append(_check("r_squared", fit.r_squared > 0.98,
+                             fit.r_squared - 0.98))
+    return metrics, checks
 
 
 def run_strong_order(cfg, outdir):
@@ -257,19 +275,20 @@ def run_long_time_error(cfg: Config, outdir: Path):
     ref = cfg.num("ref_tau", 2.0**-11)
     T = cfg.num("T", 100.0)
     n_paths = cfg.integer("n_paths", 200)
-    initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 0.0))
+    initial = _initial(cfg)
+    n_records = cfg.integer("n_records", 1024)
+    cfg.reject_unread()
     times, errs = experiments.long_time_error(
         scheme, tau, ref, T, prm, n_paths, SeedPolicy(seed), initial=initial,
-        n_records=cfg.integer("n_records", 1024))
+        n_records=n_records)
     write_csv(outdir / "long_time_error.csv",
               _meta(cfg, scheme, prm, tau, T, seed), ["t", "error"],
               zip(times, errs))
     early, late = experiments.window_means(times[1:], errs[1:])
     metrics = {"early_window_mean": early, "late_window_mean": late,
                "ratio": late / early if early > 0 else float("inf")}
-    checks = [_check("late_window_bounded", late <= 2.0 * early,
-                     2.0 * early - late)]
-    return metrics, checks
+    return metrics, [_check("late_window_bounded", late <= 2.0 * early,
+                            2.0 * early - late)]
 
 
 def run_ergodic_average(cfg: Config, outdir: Path):
@@ -278,7 +297,8 @@ def run_ergodic_average(cfg: Config, outdir: Path):
     T = cfg.num("T", 512.0)
     burn = cfg.num("burn_in", 64.0)
     n_seeds = cfg.integer("n_seeds", 100)
-    initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 0.0))
+    initial = _initial(cfg)
+    cfg.reject_unread()
     avgs = experiments.ergodic_averages(
         scheme, prm, tau, T, burn, n_seeds, SeedPolicy(seed), initial,
         {"p2": OBSERVABLES["p2"], "q4": OBSERVABLES["q4"]})
@@ -307,44 +327,64 @@ def run_histogram(cfg: Config, outdir: Path):
     bins = (cfg.integer("bins_p", 40), cfg.integer("bins_q", 40))
     p_range = (cfg.num("p_min", -1.0), cfg.num("p_max", 1.0))
     q_range = (cfg.num("q_min", -1.5), cfg.num("q_max", 1.5))
-    initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 0.0))
+    initial = _initial(cfg)
+    cfg.reject_unread()
     hists = experiments.histogram_snapshots(
         scheme, prm, tau, times, n_paths, SeedPolicy(seed), initial,
         bins, p_range, q_range)
+    metrics = {"n_paths": n_paths}
     distances = []
     for t, h in zip(sorted(times), hists):
-        rows = []
-        mass = h.mass
-        for i in range(bins[0]):
-            for j in range(bins[1]):
-                rows.append((h.p_edges[i], h.p_edges[i + 1],
-                             h.q_edges[j], h.q_edges[j + 1], mass[i, j]))
+        mass, pe, qe = h.mass, h.p_edges, h.q_edges
         write_csv(outdir / f"histogram_t{t:g}.csv",
                   _meta(cfg, scheme, prm, tau, t, seed),
-                  ["p_lo", "p_hi", "q_lo", "q_hi", "mass"], rows)
+                  ["p_lo", "p_hi", "q_lo", "q_hi", "mass"],
+                  ((pe[i], pe[i + 1], qe[j], qe[j + 1], mass[i, j])
+                   for i in range(bins[0]) for j in range(bins[1])))
         distances.append(analysis.distribution_distance(h, prm))
-    metrics = {f"distance_t{t:g}": d for t, d in zip(sorted(times), distances)}
-    # Samples outside the window are dropped from the histogram.
-    metrics.update({f"dropped_t{t:g}": n_paths - h.n_samples
-                    for t, h in zip(sorted(times), hists)})
-    decreasing = all(distances[i] > distances[i + 1]
-                     for i in range(len(distances) - 1))
-    dec_margin = min((distances[i] - distances[i + 1]
-                      for i in range(len(distances) - 1)), default=0.0)
-    # An exact sampler of the same size sets the attainable distance; the
-    # floor assumes that the window holds every sample.
+        # Samples outside the window are dropped from the histogram.
+        metrics.update({f"distance_t{t:g}": distances[-1],
+                        f"dropped_t{t:g}": n_paths - h.n_samples})
+    decreases = [a - b for a, b in zip(distances, distances[1:])]
+    # An exact sampler of the same size sets the attainable distance (mean
+    # + 4 sd); the floor assumes that the window holds every sample.
     final = hists[-1]
     floor = analysis.distance_noise_floor(prm, final.p_edges, final.q_edges,
                                           final.n_samples)
-    threshold = cfg.num("final_distance_max", floor.mean + 4.0 * floor.sd)
+    threshold = floor.mean + 4.0 * floor.sd
     metrics.update({"floor_mean": floor.mean, "floor_sd": floor.sd,
                     "final_distance_threshold": threshold})
-    checks = [_check("distance_decreasing", decreasing, dec_margin),
+    checks = [_check("distance_decreasing", all(d > 0 for d in decreases),
+                     min(decreases, default=0.0)),
               _check("final_distance", distances[-1] < threshold,
                      threshold - distances[-1]),
               _check("final_window_holds_all", final.n_samples == n_paths,
                      final.n_samples - n_paths)]
     return metrics, checks
+
+
+def msd_approach(times, msd, plateau, upsilon, fit_lo=None, fit_hi=None):
+    """Metrics and check of an exponential approach of ``msd`` to ``plateau``.
+
+    ``log(plateau - msd)`` is fitted by a line in ``t`` over [fit_lo,
+    fit_hi] (a bound not given comes from ``analysis.msd_fit_window``) and
+    by a line in ``log(1 + t)``, the shape of an algebraic approach.  The
+    semilog fit must fall, reach r^2 > 0.9 and beat the log-log r^2.
+    """
+    if fit_lo is None or fit_hi is None:
+        auto = analysis.msd_fit_window(times, msd, upsilon)
+        fit_lo = float(times[auto.start]) if fit_lo is None else fit_lo
+        fit_hi = float(times[auto.stop - 1]) if fit_hi is None else fit_hi
+    window = (times >= fit_lo) & (times <= fit_hi) & (msd < plateau)
+    t, log_gap = times[window], np.log(plateau - msd[window])
+    slope, _, r2 = analysis.linear_fit(t, log_gap)
+    _, _, r2_algebraic = analysis.linear_fit(np.log1p(t), log_gap)
+    metrics = {"equilibrium_rate": slope, "fit_r_squared": r2,
+               "algebraic_r_squared": r2_algebraic,
+               "fit_t_min": fit_lo, "fit_t_max": fit_hi}
+    passed = slope < 0 and r2 > 0.9 and r2 > r2_algebraic
+    return metrics, _check("exponential_approach", passed,
+                           min(r2 - 0.9, r2 - r2_algebraic))
 
 
 def run_msd(cfg: Config, outdir: Path):
@@ -353,7 +393,9 @@ def run_msd(cfg: Config, outdir: Path):
     T = cfg.num("T", 512.0)
     n_paths = cfg.integer("n_paths", 1000)
     n_records = cfg.integer("n_records", 2048)
-    initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 0.0))
+    initial = _initial(cfg)
+    fit_lo, fit_hi = cfg.num("fit_t_min"), cfg.num("fit_t_max")
+    cfg.reject_unread()
     times, msd = experiments.msd_experiment(
         scheme, prm, tau, T, n_paths, SeedPolicy(seed), initial)
     stride = max(1, len(times) // n_records)
@@ -365,22 +407,12 @@ def run_msd(cfg: Config, outdir: Path):
     # stationary second moments plus the squared initial offset.
     target = mom.Ep2 + mom.Eq2 + float(initial.p)**2 + float(initial.q)**2
     rel = abs(plateau - target) / target
-    # Each bound not given in the config comes from the derived window.
-    fit_lo, fit_hi = cfg.num("fit_t_min"), cfg.num("fit_t_max")
-    if fit_lo is None or fit_hi is None:
-        auto = analysis.msd_fit_window(times, msd, prm.upsilon)
-        fit_lo = float(times[auto.start]) if fit_lo is None else fit_lo
-        fit_hi = float(times[auto.stop - 1]) if fit_hi is None else fit_hi
-    window = (times >= fit_lo) & (times <= fit_hi) & (msd < plateau)
-    slope, _, r2 = analysis.linear_fit(times[window],
-                                       np.log(plateau - msd[window]))
+    approach, approach_check = msd_approach(times, msd, plateau, prm.upsilon,
+                                            fit_lo, fit_hi)
     metrics = {"plateau": plateau, "target": target, "rel_err": rel,
-               "equilibrium_rate": slope, "fit_r_squared": r2,
-               "fit_t_min": fit_lo, "fit_t_max": fit_hi}
-    checks = [_check("plateau_within_5pct", rel < 0.05, 0.05 - rel),
-              _check("exponential_approach", slope < 0 and r2 > 0.9,
-                     r2 - 0.9)]
-    return metrics, checks
+               **approach}
+    return metrics, [_check("plateau_within_5pct", rel < 0.05, 0.05 - rel),
+                     approach_check]
 
 
 def run_exp_moment(cfg: Config, outdir: Path):
@@ -388,17 +420,18 @@ def run_exp_moment(cfg: Config, outdir: Path):
     tau = cfg.num("tau", 2.0**-10)
     T = cfg.num("T", 1.0)
     n_paths = cfg.integer("n_paths", 10000)
-    initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 0.0))
+    initial = _initial(cfg)
+    cfg.reject_unread()
     rep = analysis.exp_moment_monitor(scheme, prm, tau, T, n_paths,
                                       SeedPolicy(seed), initial=initial)
     write_csv(outdir / "exp_moment.csv", _meta(cfg, scheme, prm, tau, T, seed),
               ["t", "estimate", "max_exponent"],
               zip(rep.times, rep.estimates, rep.max_exponents))
+    headroom = rep.envelope_log - float(np.log(np.max(rep.estimates)))
     metrics = {"envelope_log": rep.envelope_log, "flagged": rep.flagged,
-               "max_estimate": float(np.max(rep.estimates))}
-    return metrics, [_check("exp_moment_bounded", not rep.flagged,
-                            rep.envelope_log
-                            - float(np.log(np.max(rep.estimates))))]
+               "max_estimate": float(np.max(rep.estimates)),
+               "log_headroom": headroom}
+    return metrics, [_check("exp_moment_bounded", not rep.flagged, headroom)]
 
 
 def run_lyapunov(cfg: Config, outdir: Path):
@@ -407,6 +440,7 @@ def run_lyapunov(cfg: Config, outdir: Path):
     n_draws = cfg.integer("n_draws", 100000)
     states = [State(p, q) for p, q in
               cfg.pairs("states", [(0.0, 0.0), (1.0, 1.0), (2.0, -1.0)])]
+    cfg.reject_unread()
     records = analysis.lyapunov_check(scheme, prm, tau, states, n_draws,
                                       seed=seed)
     write_csv(outdir / "lyapunov.csv", _meta(cfg, scheme, prm, tau, tau, seed),
@@ -424,6 +458,7 @@ def run_jacobian(cfg: Config, outdir: Path):
     tau = cfg.num("tau", 1e-4)
     n_states = cfg.integer("n_states", 1000)
     n_draws = cfg.integer("n_draws", 100)
+    cfg.reject_unread()
     rng = np.random.default_rng(seed)
     s = State(rng.uniform(-2, 2, n_states), rng.uniform(-2, 2, n_states))
     target = math.exp(-prm.upsilon * tau)
@@ -435,10 +470,9 @@ def run_jacobian(cfg: Config, outdir: Path):
         worst = np.maximum(worst, np.abs(det / target - 1.0))
     write_csv(outdir / "jacobian.csv", _meta(cfg, scheme, prm, tau, tau, seed),
               ["p", "q", "max_rel_err"], zip(s.p, s.q, worst))
-    tol = cfg.num("rel_tol", 1e-6)
     metrics = {"target_det": target, "max_rel_err": float(worst.max())}
-    return metrics, [_check("conformal_det", worst.max() <= tol,
-                            tol - float(worst.max()))]
+    return metrics, [_check("conformal_det", worst.max() <= 1e-6,
+                            1e-6 - float(worst.max()))]
 
 
 def run_phase_area(cfg: Config, outdir: Path):
@@ -447,6 +481,7 @@ def run_phase_area(cfg: Config, outdir: Path):
     T = cfg.num("T", 1.0)
     n_vertices = cfg.integer("n_vertices", 10000)
     n_records = cfg.integer("n_records", 1024)
+    cfg.reject_unread()
     times, areas = analysis.phase_area(scheme, prm, tau, T, n_vertices, seed)
     stride = max(1, len(times) // n_records)
     write_csv(outdir / "phase_area.csv", _meta(cfg, scheme, prm, tau, T, seed),
@@ -454,18 +489,18 @@ def run_phase_area(cfg: Config, outdir: Path):
     ratio = areas[-1] / math.pi
     target = math.exp(-prm.upsilon * T)
     rel = abs(ratio / target - 1.0)
-    tol = cfg.num("rel_tol", 1e-3)
     metrics = {"final_area": float(areas[-1]), "area_over_pi": float(ratio),
                "target": target, "rel_err": float(rel)}
-    return metrics, [_check("area_contraction", rel <= tol, tol - rel)]
+    return metrics, [_check("area_contraction", rel <= 1e-3, 1e-3 - rel)]
 
 
 def run_dissipation_demo(cfg: Config, outdir: Path):
-    _, prm, seed = _common(cfg)
+    _, prm, seed = _common(cfg, scheme_default=None)
     tau = cfg.num("tau", 2.0**-8)
     T = cfg.num("T", 1.0)
     n_paths = cfg.integer("n_paths", 20000)
-    initial = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", 2.0))
+    initial = _initial(cfg, q=2.0)
+    cfg.reject_unread()
     curves = analysis.h0_dissipation_compare(prm, tau, T, initial, n_paths,
                                              SeedPolicy(seed))
     write_csv(outdir / "dissipation.csv",
@@ -475,11 +510,13 @@ def run_dissipation_demo(cfg: Config, outdir: Path):
               zip(curves.times, curves.naive_mean, curves.naive_se,
                   curves.dissipative_mean, curves.dissipative_se))
     h0_start = float(energy_H0(initial))
+    half = 0.5 * h0_start
     naive_ok = bool(np.all(curves.naive_mean
                            >= h0_start - 3.0 * curves.naive_se))
     idx = int(np.searchsorted(curves.times, 0.2))
-    diss_ok = bool(np.all(curves.dissipative_mean[idx:] < 0.5 * h0_start))
-    metrics = {"h0_initial": h0_start,
+    diss_ok = bool(np.all(curves.dissipative_mean[idx:] < half))
+    metrics = {"h0_initial": h0_start, "h0_half": half,
+               "naive_min": float(curves.naive_mean.min()),
                "naive_final": float(curves.naive_mean[-1]),
                "dissipative_at_0.2": float(curves.dissipative_mean[idx])}
     return metrics, [
@@ -487,7 +524,7 @@ def run_dissipation_demo(cfg: Config, outdir: Path):
                float(np.min(curves.naive_mean + 3.0 * curves.naive_se
                             - h0_start))),
         _check("dissipative_halves_by_0.2", diss_ok,
-               0.5 * h0_start - float(np.max(curves.dissipative_mean[idx:]))),
+               half - float(np.max(curves.dissipative_mean[idx:]))),
     ]
 
 
@@ -505,6 +542,7 @@ RECIPES = {
     "phase-area": run_phase_area,
     "dissipation-demo": run_dissipation_demo,
 }
+EXPERIMENTS = tuple(RECIPES)
 
 
 # ---------------------------------------------------------------------------

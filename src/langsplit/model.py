@@ -31,7 +31,6 @@ __all__ = [
     "GibbsMoments",
     "energy_H0",
     "energy_H",
-    "gibbs_log_density",
     "gibbs_moments",
     "exp_moment_rate_constant",
 ]
@@ -153,13 +152,6 @@ def energy_H(s: State, prm: PhysParams) -> ArrayLike:
     splitting, and the Lyapunov function of the full scheme.
     """
     return energy_H0(s) + 0.5 * prm.upsilon * s.p * s.q
-
-
-def gibbs_log_density(s: State, prm: PhysParams) -> ArrayLike:
-    """Unnormalized log of the invariant density: ``-(2 upsilon / sigma^2) H0``."""
-    if prm.sigma == 0:
-        raise ValueError("the invariant density needs sigma > 0")
-    return -(2.0 * prm.upsilon / prm.sigma**2) * energy_H0(s)
 
 
 def _position_weight_scale(prm: PhysParams) -> float:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .detflow import (MAP_KINDS, SolverSettings, conservative_step,
-                      subsystem_field)
+from .detflow import MAP_KINDS, SolverSettings, conservative_step
 from .errors import NonConvergence, NonIntegralRatio
-from .model import ArrayLike, PhysParams, State
+from .model import PhysParams, State
 from .montecarlo import path_noise, steps_for
 from .stochflow import FineWindow, OUIncrement, ou_substep_coupled
 
@@ -45,14 +44,12 @@ __all__ = [
     "COMPOSITIONS",
     "SchemeSpec",
     "Trajectory",
-    "ConsistencyResiduals",
     "lie_trotter_step",
     "strang_step",
     "scheme_step",
     "simulate",
     "simulate_on_grid",
     "require_finite",
-    "consistency_residuals",
 ]
 
 
@@ -117,13 +114,6 @@ class Trajectory:
 
     def __len__(self):
         return self.times.shape[0]
-
-
-class ConsistencyResiduals(NamedTuple):
-    """Defect of one conservative step against the subsystem vector field."""
-
-    rA: ArrayLike
-    rB: ArrayLike
 
 
 def _apply_noise(s: State, tau: float, prm: PhysParams, noise: Noise,
@@ -338,26 +328,3 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
             first_step)
     times = first_step * tau + np.arange(n_rec + 1) * (tau * record_every)
     return Trajectory(times=times, p=p_out, q=q_out, scheme=spec, seed=None)
-
-
-def consistency_residuals(map_kind: str, s: State, tau: float,
-                          prm: PhysParams,
-                          settings: SolverSettings = SolverSettings()
-                          ) -> ConsistencyResiduals:
-    """Defect of the one-step increments against the subsystem field.
-
-    With ``A = p1 - p`` and ``B = q1 - q``, returns
-
-        rA = |(u/2) p + U'(q) + A / tau|,
-        rB = |p + (u/2) q - B / tau|,
-
-    both of which vanish at rate O(tau) with a state-polynomial prefactor
-    for every shipped map kind.
-    """
-    if tau <= 0:
-        raise ValueError("consistency residuals need tau > 0")
-    out = conservative_step(map_kind, s, tau, prm, settings)
-    f = subsystem_field(s, prm)
-    r_a = np.abs((out.p - s.p) / tau - f.p)
-    r_b = np.abs((out.q - s.q) / tau - f.q)
-    return ConsistencyResiduals(rA=r_a, rB=r_b)

@@ -1,87 +1,157 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
-all).  Paper-scale runs are desk-scaled as specified; master seeds are
-fixed so the whole gate is deterministic.
+The gate is a table of command-line runs.  Each row names a criterion, the
+recipe that measures it, the recipe's config overrides and master seeds,
+and the figures of its ``ACCEPTANCE`` report line (run with ``pytest -s``
+to see them all).  A criterion passes only if every check of every run
+passes, so each bound lives in one place: the recipe's checks in
+``langsplit.cli`` (see the README for what each one compares).  Runs are
+desk-scaled as specified; fixed master seeds make the gate deterministic.
 
-Two sub-checks compare with a bound that the sampling law or the dynamics
-sets, not with a fixed number:
-
-* criterion 8b's final L1 distance is compared with the distance that
-  5000 exact draws from the invariant law reach on the same 40x40 grid
-  (mean + 4 sd, from binomial closed forms; about 0.215 +- 0.0085), since
-  a plug-in histogram distance never reaches 0 at a finite sample size;
-* criterion 11b's semilog fit runs over the window that
-  ``analysis.msd_fit_window`` derives from upsilon and the plateau noise:
-  at upsilon = 15 the momentum equilibrates within t ~ 0.3 while the
-  position mode relaxes at rate ~ 0.05, so the window opens after the
-  fast transient and closes where the gap to the plateau meets the noise.
+Two criteria are more than recipe runs.  Criterion 04 is a property of the
+conservative maps, with no recipe, and is tested on the library.
+Criterion 07 runs ``ergodic-average`` from two initial values: the run from
+the origin must pass its checks, and the other must agree with it within 3
+standard errors.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from langsplit import analysis, experiments
+from langsplit.cli import main
 from langsplit.detflow import conservative_step
-from langsplit.model import PhysParams, State, energy_H, energy_H0, gibbs_moments
-from langsplit.montecarlo import SeedPolicy
-from langsplit.splitting import SchemeSpec, scheme_step
+from langsplit.model import PhysParams, State, energy_H
 
 pytestmark = pytest.mark.acceptance
 
-PRM10 = PhysParams(10.0, 1.0)
-PRM15 = PhysParams(15.0, 1.0)
-
 
 def report(criterion, passed, detail):
-    line = f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})"
-    print(line)
-    return line
+    print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
 
 
-def test_c01_strong_order_one():
-    levels = [2.0**-k for k in range(6, 11)]
-    failures = []
-    for name in ("savf", "sdg", "spavf"):
-        fit = analysis.strong_error(SchemeSpec.from_name(name), levels,
-                                    2.0**-13, 1.0, PRM10, 1000,
-                                    SeedPolicy(2024))
-        ok = 0.85 <= fit.slope <= 1.15 and fit.r_squared > 0.98
-        report(f"01 strong-order[{name}]", ok,
-               f"slope={fit.slope:.4f}, r2={fit.r_squared:.5f}")
-        if not ok:
-            failures.append((name, fit.slope, fit.r_squared))
-    assert not failures, failures
+def run_recipe(tmp_path, recipe, overrides, seed):
+    """Run one recipe through the command line and return its summary."""
+    out = Path(tempfile.mkdtemp(prefix=f"{recipe}-", dir=tmp_path))
+    cfg = out / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in overrides.items()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--experiment", recipe, "--config", str(cfg),
+                     "--seed", str(seed), "--out", str(out)])
+    assert code == 0, (recipe, overrides, seed)
+    return json.loads((out / "summary.json").read_text())
 
 
-def test_c02_weak_order_one():
-    levels = [2.0**-k for k in range(6, 11)]
-    g = lambda p, q: np.sin(p) * np.sin(q)
-    failures = []
-    for name in ("savf", "sdg", "spavf"):
-        fit = analysis.weak_error(SchemeSpec.from_name(name), g, levels,
-                                  2.0**-13, 1.0, PRM10, 5000,
-                                  SeedPolicy(2024))
-        ok = 0.8 <= fit.slope <= 1.2
-        report(f"02 weak-order[{name}]", ok, f"slope={fit.slope:.4f}")
-        if not ok:
-            failures.append((name, fit.slope))
-    assert not failures, failures
+class Row(NamedTuple):
+    criterion: str
+    recipe: str
+    runs: list              # (config overrides, master seed) per run
+    detail: Callable        # metrics of each run -> the report's figures
+    checks: tuple = ()      # the checks the line reports; () means all
 
 
-def test_c03_strang_weak_order_two():
-    g = lambda p, q: np.sin(np.sqrt(p * p + q * q))
-    fit = analysis.weak_error(SchemeSpec.from_name("strang-savf"), g,
-                              [2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8],
-                              2.0**-12, 1.0, PRM10, 10000, SeedPolicy(2024),
-                              initial=State(1.0, 1.0))
-    ok = 1.7 <= fit.slope <= 2.3
-    snr = fit.errors / fit.std_errors
-    report("03 strang-weak-order", ok,
-           f"slope={fit.slope:.4f}, min per-level SNR={snr.min():.1f}")
-    assert ok, fit.slope
+SCHEMES = ("savf", "sdg", "spavf")
+
+GATE = [
+    *(Row(f"01 strong-order[{s}]", "strong-order", [({"scheme": s}, 2024)],
+          lambda m: f"slope={m['slope']:.4f}, r2={m['r_squared']:.5f}")
+      for s in SCHEMES),
+    *(Row(f"02 weak-order[{s}]", "weak-order", [({"scheme": s}, 2024)],
+          lambda m: f"slope={m['slope']:.4f}") for s in SCHEMES),
+    Row("03 strang-weak-order", "weak-order",
+        [({"scheme": "strang-savf", "observable": "sin_norm",
+           "tau_levels": "2^-5,2^-6,2^-7,2^-8", "ref_tau": "2^-12",
+           "n_paths": 10000, "initial_p": 1, "initial_q": 1}, 2024)],
+        lambda m: f"slope={m['slope']:.4f}, "
+                  f"min per-level SNR={m['min_level_snr']:.1f}"),
+    Row("05 lyapunov-contraction", "lyapunov",
+        [({"scheme": scheme, "upsilon": upsilon, "tau": tau}, 505)
+         for scheme in SCHEMES for upsilon in (10, 15)
+         for tau in ("2^-6", "2^-8")],
+        lambda *ms: "worst margin="
+                    f"{min(m['worst_margin'] for m in ms):.3e}"),
+    Row("06a conformal-jacobian", "jacobian", [({}, 606)],
+        lambda m: f"worst rel err={m['max_rel_err']:.2e}"),
+    Row("06b phase-area", "phase-area", [({}, 606)],
+        lambda m: f"area(1)/pi={m['area_over_pi']:.8f}, "
+                  f"target e^-2={m['target']:.8f}"),
+    Row("08a histogram-decreasing", "histogram", [({}, 808)],
+        lambda m: "distances t=0/2/256: " + ", ".join(
+            f"{m[f'distance_t{t}']:.4f}" for t in (0, 2, 256)),
+        ("distance_decreasing",)),
+    Row("08b histogram-final", "histogram", [({}, 808)],
+        lambda m: f"final={m['distance_t256']:.4f} vs threshold "
+                  f"{m['final_distance_threshold']:.4f} = exact-sampler floor "
+                  f"{m['floor_mean']:.4f} + 4*{m['floor_sd']:.4f} at "
+                  f"n={m['n_paths']}; samples in window="
+                  f"{m['n_paths'] - m['dropped_t256']}",
+        ("final_distance", "final_window_holds_all")),
+    Row("09 exponential-moment", "exp-moment",
+        [({}, seed) for seed in range(900, 920)],
+        lambda *ms: f"{len(ms)} master seeds, min log-envelope headroom="
+                    f"{min(m['log_headroom'] for m in ms):.1f}"),
+    Row("10 naive-non-dissipation", "dissipation-demo", [({}, 1010)],
+        lambda m: f"naive min={m['naive_min']:.4f} vs "
+                  f"H0={m['h0_initial']:.1f}; dissipative at t=0.2: "
+                  f"{m['dissipative_at_0.2']:.4f} vs {m['h0_half']:.1f}"),
+    Row("11a msd-plateau", "msd", [({}, 41)],
+        lambda m: f"plateau={m['plateau']:.5f}, oracle={m['target']:.5f}, "
+                  f"rel={m['rel_err']:.3%}",
+        ("plateau_within_5pct",)),
+    Row("11b msd-exponential-approach", "msd", [({}, 41)],
+        lambda m: f"window [{m['fit_t_min']:.3f}, {m['fit_t_max']:.2f}] "
+                  "(from t=10/upsilon to the plateau noise band): "
+                  f"slope={m['equilibrium_rate']:.4f}, "
+                  f"r2={m['fit_r_squared']:.3f}, "
+                  f"log-log r2={m['algebraic_r_squared']:.3f}",
+        ("exponential_approach",)),
+    Row("12 long-time-error", "long-time-error", [({}, 51)],
+        lambda m: f"first-decade mean={m['early_window_mean']:.5f}, "
+                  f"final-decade mean={m['late_window_mean']:.5f}, "
+                  f"ratio={m['ratio']:.3f}"),
+]
+
+
+def gate(tmp_path, number):
+    """Run the rows of criterion ``number``; rows share identical runs."""
+    summaries = {}
+    failed = []
+    for row in (r for r in GATE if r.criterion.startswith(number)):
+        runs = []
+        for overrides, seed in row.runs:
+            key = (row.recipe, tuple(sorted(overrides.items())), seed)
+            if key not in summaries:
+                summaries[key] = run_recipe(tmp_path, row.recipe, overrides,
+                                            seed)
+            runs.append(summaries[key])
+        checks = [c for s in runs for c in s["checks"]]
+        reported = [c for c in checks
+                    if not row.checks or c["name"] in row.checks]
+        report(row.criterion, all(c["pass"] for c in reported),
+               row.detail(*(s["metrics"] for s in runs)))
+        failed += [(row.criterion, c["name"], c["margin"])
+                   for c in checks if not c["pass"]]
+    assert summaries, number
+    assert not failed, failed
+
+
+def test_c01_strong_order_one(tmp_path):
+    gate(tmp_path, "01")
+
+
+def test_c02_weak_order_one(tmp_path):
+    gate(tmp_path, "02")
+
+
+def test_c03_strang_weak_order_two(tmp_path):
+    gate(tmp_path, "03")
 
 
 def test_c04_exact_energy_conservation():
@@ -101,166 +171,50 @@ def test_c04_exact_energy_conservation():
     assert ok, worst
 
 
-def test_c05_one_step_lyapunov():
-    states = [State(0.0, 0.0), State(1.0, 1.0), State(2.0, -1.0)]
-    worst = np.inf
-    ok = True
-    for name in ("savf", "sdg", "spavf"):
-        for upsilon in (10.0, 15.0):
-            prm = PhysParams(upsilon, 1.0)
-            for tau in (2.0**-6, 2.0**-8):
-                recs = analysis.lyapunov_check(SchemeSpec.from_name(name),
-                                               prm, tau, states, 10**5,
-                                               seed=505)
-                worst = min(worst, min(r.margin for r in recs))
-                ok = ok and all(r.passed for r in recs)
-    report("05 lyapunov-contraction", ok, f"worst margin={worst:.3e}")
-    assert ok
+def test_c05_one_step_lyapunov(tmp_path):
+    gate(tmp_path, "05")
 
 
-def test_c06_conformal_symplecticity():
-    prm = PhysParams(2.0, 1.0)
-    spec = SchemeSpec.from_name("sympl-euler")
-    tau = 1e-4
-    target = math.exp(-prm.upsilon * tau)
-    rng = np.random.default_rng(606)
-    s = State(rng.uniform(-2, 2, 1000), rng.uniform(-2, 2, 1000))
-    worst = 0.0
-    for _ in range(100):
-        z = rng.standard_normal()
-        det = analysis.jacobian_det(
-            lambda x, z=z: scheme_step(x, tau, prm, spec, z), s)
-        worst = max(worst, float(np.max(np.abs(det / target - 1.0))))
-    det_ok = worst <= 1e-6
-    report("06a conformal-jacobian", det_ok, f"worst rel err={worst:.2e}")
-
-    _, areas = analysis.phase_area(spec, prm, tau, 1.0, 10**4, seed=606)
-    ratio = areas[-1] / math.pi
-    lo, hi = 0.999 * math.exp(-2.0), 1.001 * math.exp(-2.0)
-    area_ok = lo <= ratio <= hi
-    report("06b phase-area", area_ok,
-           f"area(1)/pi={ratio:.8f}, target e^-2={math.exp(-2.0):.8f}")
-    assert det_ok and area_ok
+def test_c06_conformal_symplecticity(tmp_path):
+    gate(tmp_path, "06")
 
 
-def test_c07_ergodic_limits():
-    obs = {"p2": lambda p, q: p * p, "q4": lambda p, q: q**4}
-    tau, T, burn, n_seeds = 2.0**-8, 512.0, 64.0, 100
-    savf = SchemeSpec.from_name("savf")
-    origin = experiments.ergodic_averages(savf, PRM15, tau, T, burn, n_seeds,
-                                          SeedPolicy(31), State(0.0, 0.0), obs)
-    offset = experiments.ergodic_averages(savf, PRM15, tau, T, burn, n_seeds,
-                                          SeedPolicy(32), State(2.0, 2.0), obs)
-    target = 1.0 / 30.0
-    ok = True
+def test_c07_ergodic_limits(tmp_path):
+    # The run from the origin must meet its checks; the run from (2, 2)
+    # only has to agree with it.
+    origin = run_recipe(tmp_path, "ergodic-average", {}, 31)
+    offset = run_recipe(tmp_path, "ergodic-average",
+                        {"initial_p": 2, "initial_q": 2}, 32)
+    mo, mf = origin["metrics"], offset["metrics"]
+    passed = {c["name"]: c["pass"] for c in origin["checks"]}
+    agree = {}
     for name in ("p2", "q4"):
-        mean = float(origin[name].mean())
-        rel = abs(mean - target) / target
-        within = rel < 0.05
-        se_o = float(origin[name].std(ddof=1) / math.sqrt(n_seeds))
-        se_f = float(offset[name].std(ddof=1) / math.sqrt(n_seeds))
-        gap = abs(mean - float(offset[name].mean()))
-        agree = gap <= 3.0 * math.hypot(se_o, se_f)
-        report(f"07 ergodic[{name}]", within and agree,
-               f"rel err={rel:.3%}, cross-initial gap={gap:.2e} "
-               f"vs 3*SE={3 * math.hypot(se_o, se_f):.2e}")
-        ok = ok and within and agree
-    assert ok
+        gap = abs(mo[f"mean_{name}"] - mf[f"mean_{name}"])
+        bound = 3.0 * math.hypot(mo[f"se_{name}"], mf[f"se_{name}"])
+        agree[name] = gap <= bound
+        within = passed[f"{name}_within_5pct"]
+        report(f"07 ergodic[{name}]", within and agree[name],
+               f"rel err={mo[f'rel_err_{name}']:.3%}, cross-initial "
+               f"gap={gap:.2e} vs 3*SE={bound:.2e}")
+    assert all(passed.values()), origin["checks"]
+    assert all(agree.values()), agree
 
 
-def test_c08_empirical_distribution_convergence():
-    hists = experiments.histogram_snapshots(
-        SchemeSpec.from_name("savf"), PRM15, 2.0**-8, [0.0, 2.0, 256.0],
-        5000, SeedPolicy(808), State(0.0, 0.0), (40, 40), (-1.0, 1.0),
-        (-1.5, 1.5))
-    dists = [analysis.distribution_distance(h, PRM15) for h in hists]
-    final = hists[2]
-    complete = final.n_samples == 5000
-    floor = analysis.distance_noise_floor(PRM15, final.p_edges,
-                                          final.q_edges, 5000)
-    threshold = floor.mean + 4.0 * floor.sd
-    decreasing = dists[0] > dists[1] > dists[2]
-    final_ok = dists[2] < threshold
-    report("08a histogram-decreasing", decreasing,
-           "distances t=0/2/256: " + ", ".join(f"{d:.4f}" for d in dists))
-    report("08b histogram-final", complete and final_ok,
-           f"final={dists[2]:.4f} vs threshold {threshold:.4f} = exact-sampler "
-           f"floor {floor.mean:.4f} + 4*{floor.sd:.4f} at n=5000; "
-           f"samples in window={final.n_samples}")
-    assert decreasing
-    assert complete, final.n_samples
-    assert final_ok, (
-        f"final L1 distance {dists[2]:.4f} >= {threshold:.4f}: the t=256 "
-        "ensemble is further from the Gibbs law than 5000 exact draws get")
+def test_c08_empirical_distribution_convergence(tmp_path):
+    gate(tmp_path, "08")
 
 
-def test_c09_exponential_integrability():
-    flagged_any = False
-    worst_gap = np.inf
-    for master in range(20):
-        rep = analysis.exp_moment_monitor(SchemeSpec.from_name("savf"),
-                                          PRM10, 2.0**-10, 1.0, 10**4,
-                                          SeedPolicy(900 + master))
-        assert np.all(np.isfinite(rep.estimates))
-        with np.errstate(divide="ignore"):
-            gap = rep.envelope_log - float(np.max(np.log(rep.estimates)))
-        worst_gap = min(worst_gap, gap)
-        flagged_any = flagged_any or rep.flagged
-    ok = not flagged_any
-    report("09 exponential-moment", ok,
-           f"20 master seeds, min log-envelope headroom={worst_gap:.1f}")
-    assert ok
+def test_c09_exponential_integrability(tmp_path):
+    gate(tmp_path, "09")
 
 
-def test_c10_naive_splitting_non_dissipation():
-    initial = State(0.0, 2.0)
-    curves = analysis.h0_dissipation_compare(PRM10, 2.0**-8, 1.0, initial,
-                                             n_paths=20000,
-                                             seeds=SeedPolicy(1010))
-    h0 = float(energy_H0(initial))
-    naive_ok = bool(np.all(curves.naive_mean >= h0 - 3.0 * curves.naive_se))
-    idx = int(np.searchsorted(curves.times, 0.2))
-    diss_ok = bool(np.all(curves.dissipative_mean[idx:] < 0.5 * h0))
-    report("10 naive-non-dissipation", naive_ok and diss_ok,
-           f"naive min={curves.naive_mean.min():.4f} vs H0={h0:.1f}; "
-           f"dissipative at t=0.2: {curves.dissipative_mean[idx]:.4f} "
-           f"vs {0.5 * h0:.1f}")
-    assert naive_ok and diss_ok
+def test_c10_naive_splitting_non_dissipation(tmp_path):
+    gate(tmp_path, "10")
 
 
-def test_c11_msd_equilibrium():
-    times, msd = experiments.msd_experiment(SchemeSpec.from_name("savf"),
-                                            PRM15, 2.0**-8, 512.0, 1000,
-                                            SeedPolicy(41), State(0.0, 0.0))
-    mom = gibbs_moments(PRM15)
-    target = mom.Ep2 + mom.Eq2
-    plateau = analysis.msd_plateau(times, msd)
-    rel = abs(plateau - target) / target
-    plateau_ok = rel < 0.05
-    report("11a msd-plateau", plateau_ok,
-           f"plateau={plateau:.5f}, oracle={target:.5f}, rel={rel:.3%}")
-
-    window = analysis.msd_fit_window(times, msd, PRM15.upsilon)
-    slope, _, r2 = analysis.linear_fit(times[window],
-                                       np.log(plateau - msd[window]))
-    fit_ok = slope < 0.0 and r2 > 0.9
-    span = f"[{times[window.start]:.3f}, {times[window.stop - 1]:.2f}]"
-    report("11b msd-exponential-approach", fit_ok,
-           f"window {span} (from t=10/upsilon to the plateau noise band): "
-           f"slope={slope:.4f}, r2={r2:.3f}")
-    assert plateau_ok, rel
-    assert fit_ok, (
-        f"slope={slope:.4f}, r2={r2:.3f} over t in {span}: the approach to "
-        "the plateau is not a single exponential")
+def test_c11_msd_equilibrium(tmp_path):
+    gate(tmp_path, "11")
 
 
-def test_c12_long_time_error_stability():
-    times, errs = experiments.long_time_error(SchemeSpec.from_name("savf"),
-                                              2.0**-8, 2.0**-11, 100.0,
-                                              PRM10, 200, SeedPolicy(51))
-    early, late = experiments.window_means(times[1:], errs[1:])
-    ok = late <= 2.0 * early
-    report("12 long-time-error", ok,
-           f"first-decade mean={early:.5f}, final-decade mean={late:.5f}, "
-           f"ratio={late / early:.3f}")
-    assert ok, late / early
+def test_c12_long_time_error_stability(tmp_path):
+    gate(tmp_path, "12")

@@ -6,12 +6,10 @@ from scipy import integrate, stats
 
 from langsplit import analysis
 from langsplit.analysis import (distance_noise_floor, distribution_distance,
-                                empirical_distribution, exp_moment_monitor,
-                                fit_order, gibbs_bin_masses,
-                                h0_dissipation_compare, jacobian_det,
-                                linear_fit, lyapunov_check, msd_curve,
-                                msd_fit_window, msd_plateau, phase_area,
-                                time_average)
+                                exp_moment_monitor, fit_order,
+                                gibbs_bin_masses, h0_dissipation_compare,
+                                jacobian_det, linear_fit, lyapunov_check,
+                                msd_fit_window, msd_plateau, phase_area)
 from langsplit.detflow import SolverSettings
 from langsplit.errors import (DegenerateRange, EmptyWindow, NonConvergence,
                               NonIntegralGrid, NonIntegralRatio,
@@ -25,7 +23,8 @@ from langsplit.splitting import (SchemeSpec, scheme_step, simulate,
                                  simulate_on_grid)
 from langsplit.stochflow import OUIncrement
 
-from helpers import coupled_terminal_stats_whole, long_time_error_whole
+from helpers import (coupled_terminal_stats_whole, empirical_distribution,
+                     long_time_error_whole, msd_curve, time_average)
 
 PRM10 = PhysParams(10.0, 1.0)
 PRM15 = PhysParams(15.0, 1.0)

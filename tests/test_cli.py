@@ -6,10 +6,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import langsplit
-from langsplit.cli import main, parse_config_file, _parse_number
+from langsplit import analysis
+from langsplit.cli import (RECIPES, main, msd_approach, parse_config_file,
+                           _parse_number)
 
 
 def run_cli(tmp_path, name, config_text, seed=None, extra=()):
@@ -124,8 +127,7 @@ def test_strong_order_recipe(tmp_path):
 def test_weak_order_recipe_smoke(tmp_path):
     code, out = run_cli(
         tmp_path, "weak-order",
-        "tau_levels = 2^-5,2^-6,2^-7\nref_tau = 2^-9\nn_paths = 60\n"
-        "slope_min = 0\nslope_max = 3\n", seed=7)
+        "tau_levels = 2^-5,2^-6,2^-7\nref_tau = 2^-9\nn_paths = 60\n", seed=7)
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert "slope" in summary["metrics"]
@@ -145,8 +147,7 @@ def test_lyapunov_recipe(tmp_path):
 
 def test_phase_area_recipe_small(tmp_path):
     code, out = run_cli(tmp_path, "phase-area",
-                        "tau = 1e-3\nT = 0.125\nn_vertices = 2000\n"
-                        "rel_tol = 5e-3\n", seed=2)
+                        "tau = 1e-3\nT = 0.125\nn_vertices = 2000\n", seed=2)
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     target = math.exp(-2.0 * 0.125)
@@ -185,7 +186,7 @@ def test_histogram_recipe_small(tmp_path):
     code, out = run_cli(
         tmp_path, "histogram",
         "times = 0,0.25\nn_paths = 400\ntau = 2^-6\nbins_p = 10\n"
-        "bins_q = 10\nfinal_distance_max = 2\n", seed=8)
+        "bins_q = 10\n", seed=8)
     assert code == 0
     assert (out / "histogram_t0.csv").exists()
     assert (out / "histogram_t0.25.csv").exists()
@@ -218,11 +219,33 @@ def test_histogram_recipe_reports_dropped_samples(tmp_path):
 def test_msd_recipe_small(tmp_path):
     code, out = run_cli(
         tmp_path, "msd",
-        "tau = 2^-6\nT = 24\nn_paths = 60\nburn_in = 4\nfit_t_max = 1.5\n",
+        "tau = 2^-6\nT = 24\nn_paths = 60\nfit_t_max = 1.5\n",
         seed=9)
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert "plateau" in summary["metrics"]
+
+
+def test_msd_approach_rejects_an_algebraic_approach():
+    # The gate's grid and plateau (0.158), with white noise at the gate's
+    # plateau noise level.  On its own derived window an algebraic approach
+    # 1/(1+t) reaches a semilog r^2 near 0.9, so slope < 0 and r^2 > 0.9
+    # alone accept some of these curves; the log-log fit then fits better.
+    # An exponential approach at the gate's rate passes on every seed.
+    times = np.arange(512 * 256 + 1) * 2.0**-8
+    semilog_alone = 0
+    for seed in range(20):
+        noise = np.random.default_rng(seed).normal(0.0, 3e-3, times.size)
+        for curve, exponential in ((1.0 / (1.0 + times), False),
+                                   (np.exp(-0.05 * times), True)):
+            msd = 0.158 * (1.0 - curve) + noise
+            metrics, check = msd_approach(
+                times, msd, analysis.msd_plateau(times, msd), 15.0)
+            assert check["pass"] is exponential, (seed, metrics)
+            if not exponential:
+                semilog_alone += (metrics["equilibrium_rate"] < 0
+                                  and metrics["fit_r_squared"] > 0.9)
+    assert semilog_alone > 0
 
 
 def test_ergodic_recipe_small(tmp_path):
@@ -278,6 +301,9 @@ def test_workers_flag_is_rejected(tmp_path):
     ("dissipation-demo", "n_paths = 0\n"),
     ("exp-moment", "n_paths = -1\n"),
     ("simulate", "seed = -1\n"),
+    ("simulate", "n_step = 3\n"),
+    ("ergodic-average", "observable = bogus\n"),
+    ("strong-order", "slope_min = 0\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
@@ -288,6 +314,17 @@ def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     # A bad value is named by its key, not blamed on the numerics.
     key = config_text.split("=")[0].strip()
     assert repr(key) in record["error"]["message"]
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_unknown_key_is_rejected_before_any_work(tmp_path, capsys, name):
+    # At the defaults every recipe would run for seconds to minutes; the
+    # key check comes first, so no output of any kind is written.
+    code, out = run_cli(tmp_path, name, "bogus_key = 1\n")
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert "'bogus_key'" in record["error"]["message"]
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_seed_zero_is_accepted(tmp_path):

@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from langsplit.model import (EnergyConstants, PhysParams, QuarticPotential,
-                             State, energy_H, energy_H0, gibbs_log_density,
-                             gibbs_moments, position_marginal_normalizer)
+                             State, energy_H, energy_H0, gibbs_moments,
+                             position_marginal_normalizer)
+
+from helpers import gibbs_log_density
 
 
 def test_grad_U_values():

@@ -7,10 +7,11 @@ from langsplit.detflow import SolverSettings, avf_step
 from langsplit.errors import GridMismatch, NonConvergence, NonIntegralRatio
 from langsplit.model import PhysParams, State, energy_H
 from langsplit.montecarlo import SeedPolicy, increment_matrix
-from langsplit.splitting import (SchemeSpec, consistency_residuals,
-                                 lie_trotter_step, scheme_step, simulate,
-                                 simulate_on_grid, strang_step)
+from langsplit.splitting import (SchemeSpec, lie_trotter_step, scheme_step,
+                                 simulate, simulate_on_grid, strang_step)
 from langsplit.stochflow import FineWindow, OUIncrement
+
+from helpers import consistency_residuals
 
 PRM10 = PhysParams(10.0, 1.0)
 SAVF = SchemeSpec.from_name("savf")
