@@ -72,10 +72,6 @@ class OrderFit:
     r_squared: float
     std_errors: Optional[np.ndarray] = None
 
-    @property
-    def levels(self) -> List[Tuple[float, float]]:
-        return list(zip(self.taus.tolist(), self.errors.tolist()))
-
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
     """Ordinary least squares ``y ~ slope * x + intercept`` with r^2."""
@@ -171,8 +167,7 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
                            reference_tau_f: float, T: float, prm: PhysParams,
                            n_paths: int, seeds: SeedPolicy,
                            initial: State = State(0.0, 0.0),
-                           g: Optional[Observable] = None,
-                           chunk: int = 1024):
+                           g: Optional[Observable] = None):
     """Per-level terminal statistics on one shared Wiener path per sample.
 
     The reference is the same scheme run at ``reference_tau_f``; every level
@@ -202,7 +197,7 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
     n_levels = len(tau_levels)
     sums = np.zeros(n_levels)
     sumsq = np.zeros(n_levels)
-    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+    for first, path_seeds in path_chunks(n_paths, seeds):
         ref, *levels = _coupled_runs(
             scheme, [reference_tau_f, *tau_levels], reference_tau_f, n_fine,
             prm, initial, path_seeds, first)
@@ -227,18 +222,18 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
 def strong_error(scheme: SchemeSpec, tau_levels: Sequence[float],
                  reference_tau_f: float, T: float, prm: PhysParams,
                  n_paths: int, seeds: SeedPolicy,
-                 initial: State = State(0.0, 0.0), chunk: int = 1024) -> OrderFit:
+                 initial: State = State(0.0, 0.0)) -> OrderFit:
     """Root-mean-square terminal error per level and its log-log order fit."""
     errors, se = coupled_terminal_stats(
         scheme, tau_levels, reference_tau_f, T, prm, n_paths, seeds,
-        initial=initial, g=None, chunk=chunk)
+        initial=initial, g=None)
     return fit_order(list(zip(tau_levels, errors)), std_errors=se)
 
 
 def weak_error(scheme: SchemeSpec, g: Observable, tau_levels: Sequence[float],
                reference_tau_f: float, T: float, prm: PhysParams,
                n_paths: int, seeds: SeedPolicy,
-               initial: State = State(0.0, 0.0), chunk: int = 1024) -> OrderFit:
+               initial: State = State(0.0, 0.0)) -> OrderFit:
     """Coupled-difference weak error per level and its log-log order fit.
 
     Coupling is used purely to cut the variance of the difference
@@ -246,7 +241,7 @@ def weak_error(scheme: SchemeSpec, g: Observable, tau_levels: Sequence[float],
     """
     errors, se = coupled_terminal_stats(
         scheme, tau_levels, reference_tau_f, T, prm, n_paths, seeds,
-        initial=initial, g=g, chunk=chunk)
+        initial=initial, g=g)
     return fit_order(list(zip(tau_levels, errors)), std_errors=se)
 
 
@@ -438,8 +433,7 @@ class ExpMomentReport:
 
 def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
                        T: float, n_paths: int, seeds: SeedPolicy,
-                       initial: State = State(0.0, 0.0),
-                       chunk: int = 2048) -> ExpMomentReport:
+                       initial: State = State(0.0, 0.0)) -> ExpMomentReport:
     """Monitor the exponential moment of the numerical solution, streamed."""
     c_e = EnergyConstants.from_params(prm).c_e
     n_steps = steps_for(T, tau)
@@ -456,7 +450,7 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
             sum_exp[n] += np.exp(expo).sum()
         max_expo[n] = np.maximum(max_expo[n], expo.max())
 
-    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+    for first, path_seeds in path_chunks(n_paths, seeds):
         _evolve(initial, (len(path_seeds),), tau, prm, scheme,
                 path_noise(path_seeds, n_steps), visit, first)
 
@@ -532,8 +526,8 @@ class DissipationCurves:
 
 def h0_dissipation_compare(prm: PhysParams, tau: float, T: float,
                            initial: State, n_paths: int,
-                           seeds: SeedPolicy = SeedPolicy(0),
-                           chunk: int = 20000) -> DissipationCurves:
+                           seeds: SeedPolicy = SeedPolicy(0)
+                           ) -> DissipationCurves:
     """Evolve ``E[H0]`` under the naive and the dissipative stochastic sub-flows.
 
     Both ensembles start from ``initial`` and share draws path-by-path.
@@ -554,7 +548,7 @@ def h0_dissipation_compare(prm: PhysParams, tau: float, T: float,
             stats[row, n] += h0.sum()
             stats[row + 1, n] += (h0 * h0).sum()
 
-    for _, path_seeds in path_chunks(n_paths, chunk, seeds):
+    for _, path_seeds in path_chunks(n_paths, seeds):
         nv = State(np.full(len(path_seeds), float(initial.p)),
                    np.full(len(path_seeds), float(initial.q)))
         dv = State(nv.p.copy(), nv.q.copy())

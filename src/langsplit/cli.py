@@ -11,8 +11,8 @@ bounds; no config key sets one.
 
 Exit codes: 0 success, 2 configuration errors (bad config file, unknown
 experiment, a key the experiment does not read, a value of the wrong type,
-a count below 1 or a negative seed, an unknown choice), 1 numerical
-failures.
+a count below 1 or a negative seed, an unknown choice or scheme, a
+non-positive ``upsilon`` or a negative ``sigma``), 1 numerical failures.
 """
 
 from __future__ import annotations
@@ -198,10 +198,18 @@ def _check(name, passed, margin):
 
 def _common(cfg, scheme_default="savf", upsilon=10.0):
     """Scheme (``None`` without a default), parameters and master seed."""
-    scheme = (SchemeSpec.from_name(cfg.text("scheme", scheme_default))
-              if scheme_default else None)
-    prm = PhysParams(upsilon=cfg.num("upsilon", upsilon),
-                     sigma=cfg.num("sigma", 1.0))
+    scheme = None
+    if scheme_default:
+        try:
+            scheme = SchemeSpec.from_name(cfg.text("scheme", scheme_default))
+        except ValueError as exc:
+            raise ConfigError(f"config key 'scheme': {exc}")
+    upsilon, sigma = cfg.num("upsilon", upsilon), cfg.num("sigma", 1.0)
+    try:
+        prm = PhysParams(upsilon=upsilon, sigma=sigma)
+    except ValueError as exc:
+        key = "sigma" if upsilon > 0 else "upsilon"
+        raise ConfigError(f"config key {key!r}: {exc}")
     seed = cfg.integer("seed", 12345, minimum=0)
     return scheme, prm, seed
 

@@ -55,14 +55,12 @@ class SolverSettings:
     """Newton solver tolerances and budgets, read by the ``dg`` map only.
 
     ``max_iter`` below 1 exhausts the budget immediately and is only useful
-    for exercising the failure path.  ``fallback`` enables a damped
-    fixed-point retry when Newton stalls.
+    for exercising the failure path.
     """
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_iter: int = 50
-    fallback: bool = True
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
@@ -117,8 +115,8 @@ def newton_solve_2d(
         Initial iterate; also sets the relative-tolerance scale.
     settings : SolverSettings
     return_info : bool
-        If true, also return a dict with iteration count, final residual
-        norm, and whether the fixed-point fallback ran.
+        If true, also return a dict with iteration count and final residual
+        norm.  Its ``fallback_used`` entry is always false.
 
     Returns
     -------
@@ -146,7 +144,6 @@ def newton_solve_2d(
     x = State(p, q)
     norm, (f1, f2) = res_norm(x)
     iterations = 0
-    fallback_used = False
     converged = bool((norm <= tol).all())
     while iterations < settings.max_iter and not converged:
         j11, j12, j21, j22 = jacobian(x)
@@ -172,22 +169,6 @@ def newton_solve_2d(
         iterations += 1
         converged = bool((norm <= tol).all())
 
-    if not converged and settings.fallback and settings.max_iter > 0:
-        # Damped fixed-point retry: contraction for the small steps the
-        # schemes are used with, slower but insensitive to a bad predictor.
-        fallback_used = True
-        p = np.asarray(guess.p, dtype=float)
-        q = np.asarray(guess.q, dtype=float)
-        for _ in range(8 * settings.max_iter):
-            f1, f2 = residual(State(p, q))
-            norm = np.maximum(np.abs(f1), np.abs(f2))
-            if np.all(norm <= tol):
-                converged = True
-                break
-            active = norm > tol
-            p = np.where(active, p - 0.5 * f1, p)
-            q = np.where(active, q - 0.5 * f2, q)
-
     if not converged:
         worst = float(np.max(norm))
         lane = None
@@ -197,16 +178,14 @@ def newton_solve_2d(
             lane = int(where[-1])
         raise NonConvergence(
             f"implicit step did not converge (max |residual| = {worst:.3e} "
-            f"after {settings.max_iter} Newton iterations"
-            + (", fixed-point fallback tried" if fallback_used else "")
-            + ")",
+            f"after {settings.max_iter} Newton iterations)",
             iterations=settings.max_iter, residual=worst, path_index=lane)
 
     out = _float_state(p, q)
     if return_info:
         return out, {"iterations": iterations,
                      "residual_norm": float(np.max(norm)),
-                     "fallback_used": fallback_used}
+                     "fallback_used": False}
     return out
 
 

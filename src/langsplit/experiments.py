@@ -73,8 +73,8 @@ def ergodic_averages(scheme: SchemeSpec, prm: PhysParams, tau: float,
 
 
 def msd_experiment(scheme: SchemeSpec, prm: PhysParams, tau: float, T: float,
-                   n_paths: int, seeds: SeedPolicy, initial: State,
-                   chunk: int = 1024) -> Tuple[np.ndarray, np.ndarray]:
+                   n_paths: int, seeds: SeedPolicy, initial: State
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Ensemble mean square displacement from ``initial``, streamed.
 
     Returns ``(times, msd)`` over the full step grid.
@@ -87,7 +87,7 @@ def msd_experiment(scheme: SchemeSpec, prm: PhysParams, tau: float, T: float,
         d = (st.p - p0) ** 2 + (st.q - q0) ** 2
         acc[n] += d.sum()
 
-    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+    for first, path_seeds in path_chunks(n_paths, seeds):
         stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
                      first)
     times = np.arange(n_steps + 1) * tau
@@ -99,8 +99,7 @@ def histogram_snapshots(scheme: SchemeSpec, prm: PhysParams, tau: float,
                         seeds: SeedPolicy, initial: State,
                         bins: Tuple[int, int],
                         p_range: Tuple[float, float],
-                        q_range: Tuple[float, float],
-                        chunk: int = 2048):
+                        q_range: Tuple[float, float]):
     """Empirical distributions of the ensemble at selected times, streamed.
 
     Returns one :class:`Histogram2D` per snapshot time (same bin layout).
@@ -129,7 +128,7 @@ def histogram_snapshots(scheme: SchemeSpec, prm: PhysParams, tau: float,
             counts[n] += c
             edges[n] = (pe, qe)
 
-    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+    for first, path_seeds in path_chunks(n_paths, seeds):
         stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
                      first)
 
@@ -145,24 +144,17 @@ def histogram_snapshots(scheme: SchemeSpec, prm: PhysParams, tau: float,
     return out
 
 
-# Paths whose squared errors ``long_time_error`` sums together.  The group
-# sums are added in path order, so the result is the same for every chunk.
-_SUM_GROUP = 32
-
-
 def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
                     T: float, prm: PhysParams, n_paths: int,
                     seeds: SeedPolicy, initial: State = State(0.0, 0.0),
-                    n_records: int = 1024, chunk: int = 1024
+                    n_records: int = 1024
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Root-mean-square pathwise error on a time grid over a long horizon.
 
     The numerical run at ``tau`` and the reference at ``reference_tau_f``
     share each path's fine Wiener grid, which is drawn one time block at a
     time.  Returns ``(times, rms_error)`` on about ``n_records`` record
-    times.  ``chunk`` is rounded down to a multiple of 32 paths (at least
-    32), and the squared errors are summed in groups of 32 paths, so every
-    chunking gives the same bits.
+    times.
     """
     ratio = steps_for(tau, reference_tau_f, NonIntegralRatio, minimum=1)
     n_fine = steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
@@ -182,12 +174,9 @@ def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
         err = ((num.p[skip:] - ref.p[skip:]) ** 2
                + (num.q[skip:] - ref.q[skip:]) ** 2)
         first_rec = start // fine_stride + skip
-        rows = acc[first_rec:first_rec + len(err)]
-        for g in range(0, err.shape[1], _SUM_GROUP):
-            rows += err[:, g:g + _SUM_GROUP].sum(axis=1)
+        acc[first_rec:first_rec + len(err)] += err.sum(axis=1)
 
-    chunk = max(_SUM_GROUP, chunk - chunk % _SUM_GROUP)
-    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+    for first, path_seeds in path_chunks(n_paths, seeds):
         _coupled_runs(scheme, [reference_tau_f, tau], reference_tau_f, n_fine,
                       prm, initial, path_seeds, first,
                       record_every=[fine_stride, stride], visit=add_block)

@@ -51,17 +51,13 @@ class State(NamedTuple):
 class QuarticPotential:
     """The potential ``U(q) = q^4 / 4``.
 
-    Any even-order polynomial well could implement this interface (value,
-    gradient, segment-averaged gradient plus the derivatives the implicit
-    solvers need); the quartic instance is the only one shipped.
+    Any even-order polynomial well could implement this interface (gradient,
+    segment-averaged gradient plus the derivatives the implicit solvers
+    need); the quartic instance is the only one shipped.
     """
 
     # Integer powers are written as products: numpy sends ``q**3`` and
     # ``q**4`` through ``pow``, many times slower than multiplying.
-
-    def value(self, q: ArrayLike) -> ArrayLike:
-        q2 = q * q
-        return 0.25 * q2 * q2
 
     def grad(self, q: ArrayLike) -> ArrayLike:
         return q * q * q

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NonIntegralGrid
 
 __all__ = [
+    "PATH_CHUNK",
     "SeedPolicy",
     "steps_for",
     "path_chunks",
@@ -39,6 +40,12 @@ _NOISE_BLOCK = 1024
 # (2-core x86_64, numpy 2.4).  Transposing a whole block instead would add
 # a second block-sized buffer.
 _NOISE_TILE = 64
+
+# Paths every ensemble driver advances together.  It is the one chunking of
+# every run, and so the grain of every sum over paths: a result depends on
+# config and seed alone.  A sampled chunk's noise block is 16 MiB; 1024-path
+# chunks ran a 4096-path histogram ~20% slower (2-core x86_64, numpy 2.4).
+PATH_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -74,17 +81,16 @@ def steps_for(T: float, tau: float, error: type = ValueError,
     return n
 
 
-def path_chunks(n_paths: int, chunk: int,
+def path_chunks(n_paths: int,
                 seeds: SeedPolicy) -> Iterator[Tuple[int, np.ndarray]]:
-    """Consecutive batches of at most ``chunk`` paths, as ``(first, seeds)``.
+    """The ensemble in batches of at most ``PATH_CHUNK`` paths.
 
-    ``first`` is the ensemble index of the batch's first path; every path
-    keeps the seed of its index, whatever the chunk size.
+    Yields ``(first, seeds)``, where ``first`` is the ensemble index of the
+    batch's first path; every path keeps the seed of its index.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
-    for first in range(0, n_paths, chunk):
-        yield first, seeds.path_seeds(min(chunk, n_paths - first), start=first)
+    for first in range(0, n_paths, PATH_CHUNK):
+        yield first, seeds.path_seeds(min(PATH_CHUNK, n_paths - first),
+                                      start=first)
 
 
 def path_noise(seed, n_steps: int) -> Iterator:

@@ -87,10 +87,8 @@ class SchemeSpec:
 
     @property
     def name(self) -> str:
-        for key, val in _SCHEME_NAMES.items():
-            if val == (self.map_kind, self.composition):
-                return key
-        return f"{self.composition}:{self.map_kind}"
+        return next(key for key, val in _SCHEME_NAMES.items()
+                    if val == (self.map_kind, self.composition))
 
 
 @dataclass
@@ -105,8 +103,6 @@ class Trajectory:
     times: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    scheme: SchemeSpec
-    seed: object = None
 
     @property
     def states(self) -> State:
@@ -264,7 +260,7 @@ def simulate(initial: State, T: float, tau: float, prm: PhysParams,
     _evolve(initial, batch_shape, tau, prm, spec, path_noise(seed, n_steps),
             record)
     times = np.arange(n_steps + 1) * tau
-    return Trajectory(times=times, p=p_out, q=q_out, scheme=spec, seed=seed)
+    return Trajectory(times=times, p=p_out, q=q_out)
 
 
 def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
@@ -327,4 +323,4 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
     _evolve(initial, batch_shape, tau, prm, spec, windows, record, first_path,
             first_step)
     times = first_step * tau + np.arange(n_rec + 1) * (tau * record_every)
-    return Trajectory(times=times, p=p_out, q=q_out, scheme=spec, seed=None)
+    return Trajectory(times=times, p=p_out, q=q_out)

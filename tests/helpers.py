@@ -146,12 +146,11 @@ def consistency_residuals(map_kind: str, s: State, tau: float,
 
 
 def coupled_terminal_stats_whole(scheme, tau_levels, tau_f, T, prm, n_paths,
-                                 seeds, initial=State(0.0, 0.0), g=None,
-                                 chunk=1024):
+                                 seeds, initial=State(0.0, 0.0), g=None):
     """``analysis.coupled_terminal_stats`` with each chunk's whole fine grid."""
     sums = np.zeros(len(tau_levels))
     sumsq = np.zeros(len(tau_levels))
-    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+    for first, path_seeds in path_chunks(n_paths, seeds):
         fine = increment_matrix(T, tau_f, path_seeds)
         ref = simulate_on_grid(initial, tau_f, prm, scheme, fine, tau_f,
                                keep="last", first_path=first)
@@ -175,9 +174,8 @@ def coupled_terminal_stats_whole(scheme, tau_levels, tau_f, T, prm, n_paths,
 
 
 def long_time_error_whole(scheme, tau, tau_f, T, prm, n_paths, seeds,
-                          initial=State(0.0, 0.0), n_records=1024, chunk=32):
-    """``experiments.long_time_error`` with each chunk's whole fine grid;
-    at ``chunk=32`` it adds the same 32-path sums in the same order."""
+                          initial=State(0.0, 0.0), n_records=1024):
+    """``experiments.long_time_error`` with each chunk's whole fine grid."""
     ratio = steps_for(tau, tau_f, NonIntegralRatio, minimum=1)
     steps_for(T, tau_f, NonIntegralGrid, minimum=1)
     n_steps = steps_for(T, tau, NonIntegralRatio)
@@ -186,7 +184,7 @@ def long_time_error_whole(scheme, tau, tau_f, T, prm, n_paths, seeds,
         stride -= 1
     n_rec = n_steps // stride
     acc = np.zeros(n_rec + 1)
-    for first, path_seeds in path_chunks(n_paths, chunk, seeds):
+    for first, path_seeds in path_chunks(n_paths, seeds):
         fine = increment_matrix(T, tau_f, path_seeds)
         ref = simulate_on_grid(initial, tau_f, prm, scheme, fine, tau_f,
                                record_every=stride * ratio, first_path=first)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from langsplit import analysis
+from langsplit import analysis, montecarlo
 from langsplit.analysis import (distance_noise_floor, distribution_distance,
                                 exp_moment_monitor, fit_order,
                                 gibbs_bin_masses, h0_dissipation_compare,
@@ -71,46 +71,45 @@ class TestCoupledStats:
                 SAVF, [1.5 * 2.0**-8], 2.0**-8, 0.25, PRM10, 8, SeedPolicy(4))
 
 
-def _strong(form, chunk):
+def _strong(form):
     return form(SAVF, [2.0**-4, 2.0**-5, 2.0**-7], 2.0**-7, 0.6875, PRM10,
-                  70, SeedPolicy(6), chunk=chunk)
+                70, SeedPolicy(6))
 
 
-def _weak(form, chunk):
+def _weak(form):
     return form(SchemeSpec.from_name("strang-sdg"), [2.0**-4, 2.0**-6],
-                  2.0**-7, 0.6875, PRM10, 70, SeedPolicy(6),
-                  g=lambda p, q: np.sin(p) * np.sin(q), chunk=chunk)
+                2.0**-7, 0.6875, PRM10, 70, SeedPolicy(6),
+                g=lambda p, q: np.sin(p) * np.sin(q))
 
 
-def _long_time(form, chunk):
+def _long_time(form):
     return form(SAVF, 2.0**-5, 2.0**-7, 1.0, PRM10, 70, SeedPolicy(6),
-                  n_records=8, chunk=chunk)
+                n_records=8)
 
 
 # Each path-coupled estimator against its whole-horizon form, in two chunks of
 # 64 and 6 paths, with short blocks.  T = 0.6875 is 88 fine steps of 2^-7:
 # blocks of 12 round up to the largest ratio, 8, and give five blocks of 16
 # and one of 8.  The long-time run has 128 fine steps and a record every 16:
-# blocks of 40 round up to 48 and give 48, 48 and 32.  The whole-horizon
-# long-time form sums chunks of 32 paths.
-# name: (run, block constant, blocked form, whole form, its chunk, blocks)
+# blocks of 40 round up to 48 and give 48, 48 and 32.
+# name: (run, block constant, blocked form, whole form, blocks)
 BLOCKED_RUNS = {
     "coupled_terminal_stats_strong": (
         _strong, 12, analysis.coupled_terminal_stats,
-        coupled_terminal_stats_whole, 64, [16] * 5 + [8]),
+        coupled_terminal_stats_whole, [16] * 5 + [8]),
     "coupled_terminal_stats_weak": (
         _weak, 12, analysis.coupled_terminal_stats,
-        coupled_terminal_stats_whole, 64, [16] * 5 + [8]),
+        coupled_terminal_stats_whole, [16] * 5 + [8]),
     "long_time_error": (
-        _long_time, 40, long_time_error, long_time_error_whole, 32,
-        [48, 48, 32]),
+        _long_time, 40, long_time_error, long_time_error_whole, [48, 48, 32]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BLOCKED_RUNS))
 def test_blocked_runs_equal_whole_horizon(name, monkeypatch):
-    run, block, blocked, whole, whole_chunk, blocks = BLOCKED_RUNS[name]
-    expected = run(whole, whole_chunk)
+    run, block, blocked, whole, blocks = BLOCKED_RUNS[name]
+    monkeypatch.setattr(montecarlo, "PATH_CHUNK", 64)
+    expected = run(whole)
     drawn = []
     original = analysis.increment_matrix
 
@@ -121,7 +120,7 @@ def test_blocked_runs_equal_whole_horizon(name, monkeypatch):
 
     monkeypatch.setattr(analysis, "increment_matrix", recorded)
     monkeypatch.setattr(analysis, "_FINE_BLOCK", block)
-    got = run(blocked, 64)
+    got = run(blocked)
     assert drawn == [(n, 64) for n in blocks] + [(n, 6) for n in blocks]
     for a, b in zip(expected, got):
         assert np.array_equal(a, b)
@@ -539,24 +538,26 @@ class TestStreamingDrivers:
                                     (10, 10), (-1, 1), (-1, 1))
         assert (hists[0].mass > 0).sum() == 1
 
-    def test_histogram_diverged_path_raises(self):
+    def test_histogram_diverged_path_raises(self, monkeypatch):
         # The explicit map far beyond its stability limit sends path 149 to
         # infinity at step 49; it must not drop out of the histogram.
         for chunk in (64, 200):
+            monkeypatch.setattr(montecarlo, "PATH_CHUNK", chunk)
             with pytest.raises(NonConvergence) as info, \
                     np.errstate(over="ignore", invalid="ignore"):
                 histogram_snapshots(SchemeSpec.from_name("sympl-euler"),
                                     PhysParams(1.0, 1.0), 2.0, [0.0, 100.0],
                                     200, SeedPolicy(1), State(0.0, 0.0),
-                                    (10, 10), (-2, 2), (-2, 2), chunk=chunk)
+                                    (10, 10), (-2, 2), (-2, 2))
             assert (info.value.step_index, info.value.path_index) == (49, 149)
 
-    def test_histogram_chunking_invariant(self):
-        kwargs = dict(snapshot_times=[0.25], n_paths=300,
-                      seeds=SeedPolicy(5), initial=State(0.0, 0.0),
-                      bins=(12, 12), p_range=(-2, 2), q_range=(-2, 2))
-        a = histogram_snapshots(SAVF, PRM15, 2.0**-6, chunk=64, **kwargs)
-        b = histogram_snapshots(SAVF, PRM15, 2.0**-6, chunk=300, **kwargs)
+    def test_histogram_chunking_invariant(self, monkeypatch):
+        args = (SAVF, PRM15, 2.0**-6, [0.25], 300, SeedPolicy(5),
+                State(0.0, 0.0), (12, 12), (-2, 2), (-2, 2))
+        monkeypatch.setattr(montecarlo, "PATH_CHUNK", 64)
+        a = histogram_snapshots(*args)
+        monkeypatch.setattr(montecarlo, "PATH_CHUNK", 300)
+        b = histogram_snapshots(*args)
         assert np.array_equal(a[0].counts, b[0].counts)
 
     def test_long_time_error_zero_against_itself(self):
@@ -584,39 +585,39 @@ class TestStreamingDrivers:
 # coupled grid of SeedPolicy(3) (fine step 2, every run at that step) path
 # 46 goes first, at step 85.  With a Newton budget of two iterations, dg on
 # the coupled grid of SeedPolicy(2) first fails at step 222 in path 36.  The
-# coupled runs take blocks of 8 fine steps and chunks of 16 or 32 paths, so
-# these lie in later blocks and chunks.
+# runs take chunks of 16, 32 or 64 paths and the coupled runs blocks of 8 fine
+# steps, so these lie in later blocks and chunks.
 SE = SchemeSpec.from_name("sympl-euler")
 PRM1 = PhysParams(1.0, 1.0)
 ORIGIN = State(0.0, 0.0)
-DG2 = SchemeSpec("dg", solver=SolverSettings(max_iter=2, fallback=False))
+DG2 = SchemeSpec("dg", solver=SolverSettings(max_iter=2))
 COUPLED_SE = (SE, [2.0], 2.0, 200.0, PRM1, 200, SeedPolicy(3))
 COUPLED_DG = (DG2, [2.0**-5], 2.0**-5, 8.0, PhysParams(10.0, 2.0), 100,
               SeedPolicy(2))
 
-# name: (run, (step, path))
+# name: (run, path chunk, (step, path)); simulate and ergodic_averages run
+# their paths in one batch.
 DIVERGING_RUNS = {
     "simulate": (lambda: simulate(
         State(np.zeros(200), np.zeros(200)), 100.0, 2.0, PRM1, SE,
-        seed=SeedPolicy(1).path_seeds(200)), (49, 149)),
+        seed=SeedPolicy(1).path_seeds(200)), None, (49, 149)),
     "ergodic_averages": (lambda: ergodic_averages(
         SE, PRM1, 2.0, 100.0, 0.0, 200, SeedPolicy(1), ORIGIN,
-        {"p2": lambda p, q: p * p}), (49, 149)),
+        {"p2": lambda p, q: p * p}), None, (49, 149)),
     "msd_experiment": (lambda: msd_experiment(
-        SE, PRM1, 2.0, 100.0, 200, SeedPolicy(1), ORIGIN, chunk=64),
-        (49, 149)),
+        SE, PRM1, 2.0, 100.0, 200, SeedPolicy(1), ORIGIN), 64, (49, 149)),
     "exp_moment_monitor": (lambda: exp_moment_monitor(
-        SE, PRM1, 2.0, 100.0, 200, SeedPolicy(1), chunk=64), (49, 149)),
+        SE, PRM1, 2.0, 100.0, 200, SeedPolicy(1)), 64, (49, 149)),
     "coupled_terminal_stats": (lambda: analysis.coupled_terminal_stats(
-        *COUPLED_SE, chunk=16), (85, 46)),
+        *COUPLED_SE), 16, (85, 46)),
     "coupled_terminal_stats_whole": (lambda: coupled_terminal_stats_whole(
-        *COUPLED_SE, chunk=16), (85, 46)),
+        *COUPLED_SE), 16, (85, 46)),
     "long_time_error": (lambda: long_time_error(
-        SE, 2.0, 2.0, 200.0, PRM1, 200, SeedPolicy(3), chunk=32), (85, 46)),
+        SE, 2.0, 2.0, 200.0, PRM1, 200, SeedPolicy(3)), 32, (85, 46)),
     "coupled_terminal_stats_dg": (lambda: analysis.coupled_terminal_stats(
-        *COUPLED_DG, chunk=32), (222, 36)),
+        *COUPLED_DG), 32, (222, 36)),
     "coupled_terminal_stats_dg_whole": (lambda: coupled_terminal_stats_whole(
-        *COUPLED_DG, chunk=32), (222, 36)),
+        *COUPLED_DG), 32, (222, 36)),
 }
 
 
@@ -624,7 +625,9 @@ DIVERGING_RUNS = {
 def test_non_finite_state_names_step_and_path(name, monkeypatch):
     # The whole-horizon forms run each chunk's grid in one piece and fail
     # at the same step and path.
-    run, expected = DIVERGING_RUNS[name]
+    run, chunk, expected = DIVERGING_RUNS[name]
+    if chunk is not None:
+        monkeypatch.setattr(montecarlo, "PATH_CHUNK", chunk)
     monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
     with pytest.raises(NonConvergence) as info, \
             np.errstate(over="ignore", invalid="ignore"):
@@ -682,52 +685,47 @@ def test_off_grid_horizon_is_rejected(name):
 
 
 def _coupled(g):
-    return lambda chunk: analysis.coupled_terminal_stats(
+    return lambda: analysis.coupled_terminal_stats(
         SAVF, [2.0**-4, 2.0**-5], 2.0**-7, 0.5, PRM10, 300, SeedPolicy(5),
-        g=g, chunk=chunk)
+        g=g)
 
 
-def _exp_moment(chunk):
-    rep = exp_moment_monitor(SAVF, PRM10, 2.0**-6, 0.5, 300, SeedPolicy(5),
-                             chunk=chunk)
+def _exp_moment():
+    rep = exp_moment_monitor(SAVF, PRM10, 2.0**-6, 0.5, 300, SeedPolicy(5))
     return rep.estimates, rep.max_exponents
 
 
-def _dissipation(chunk):
+def _dissipation():
     c = h0_dissipation_compare(PRM10, 2.0**-6, 0.5, State(0.0, 2.0), 300,
-                               SeedPolicy(5), chunk=chunk)
+                               SeedPolicy(5))
     return c.naive_mean, c.naive_se, c.dissipative_mean, c.dissipative_se
 
 
-# Every chunked experiment as a function of its chunk size, 300 paths each.
+# Every chunked experiment, 300 paths each.
 CHUNKED_RUNS = {
-    "msd_experiment": lambda chunk: msd_experiment(
-        SAVF, PRM10, 2.0**-6, 0.5, 300, SeedPolicy(5), ORIGIN, chunk=chunk),
+    "msd_experiment": lambda: msd_experiment(
+        SAVF, PRM10, 2.0**-6, 0.5, 300, SeedPolicy(5), ORIGIN),
     "exp_moment_monitor": _exp_moment,
     "coupled_terminal_stats_strong": _coupled(None),
     "coupled_terminal_stats_weak": _coupled(lambda p, q: np.sin(p) * np.sin(q)),
-    "long_time_error": lambda chunk: long_time_error(
-        SAVF, 2.0**-5, 2.0**-7, 1.0, PRM10, 300, SeedPolicy(5), n_records=8,
-        chunk=chunk),
+    "long_time_error": lambda: long_time_error(
+        SAVF, 2.0**-5, 2.0**-7, 1.0, PRM10, 300, SeedPolicy(5), n_records=8),
     "h0_dissipation_compare": _dissipation,
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHUNKED_RUNS))
-def test_chunking_changes_only_rounding(name):
+def test_chunking_changes_only_rounding(name, monkeypatch):
     # Each path keeps its seed whatever the chunk size, so the chunkings
     # differ only in how the float sums over paths are grouped.  Standard
     # errors subtract the squared mean from the mean square, which lifts
     # that rounding to ~1e-11 relative; a path with a wrong seed would move
-    # the results by ~1e-2.  long_time_error sums fixed groups of 32 paths
-    # in path order, so its chunkings agree bit for bit, also at a chunk of
-    # 100 (rounded down to 96: four chunks).
-    run = CHUNKED_RUNS[name]
+    # the results by ~1e-2.
+    def run(chunk):
+        monkeypatch.setattr(montecarlo, "PATH_CHUNK", chunk)
+        return CHUNKED_RUNS[name]()
+
     whole, chunked = run(300), run(64)
     assert all(np.array_equal(a, b) for a, b in zip(whole, run(300)))
-    if name == "long_time_error":
-        for other in (run(32), chunked, run(100)):
-            assert all(np.array_equal(a, b) for a, b in zip(whole, other))
-        return
     for a, b in zip(whole, chunked):
         np.testing.assert_allclose(b, a, rtol=1e-9, atol=0)

@@ -304,6 +304,9 @@ def test_workers_flag_is_rejected(tmp_path):
     ("simulate", "n_step = 3\n"),
     ("ergodic-average", "observable = bogus\n"),
     ("strong-order", "slope_min = 0\n"),
+    ("simulate", "scheme = bogus\n"),
+    ("simulate", "upsilon = -3\n"),
+    ("simulate", "sigma = -1\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)

@@ -179,7 +179,7 @@ class TestSimulate:
 
     def test_nonconvergence_carries_step_index(self):
         # dg is the only map that still runs the Newton solver
-        settings = SolverSettings(max_iter=1, fallback=False)
+        settings = SolverSettings(max_iter=1)
         spec = SchemeSpec("dg", solver=settings)
         with pytest.raises(NonConvergence) as err:
             simulate(State(60.0, 60.0), 0.38, 0.19, PRM10, spec, seed=1)
