@@ -14,8 +14,8 @@ law, conformal phase-volume contraction, and the strong/weak convergence
 orders.
 """
 
-from .detflow import (SolverSettings, avf_step, dg_step, newton_solve_2d,
-                      pavf_step, sympl_euler_step)
+from .detflow import (avf_step, dg_step, newton_solve_2d, pavf_step,
+                      sympl_euler_step)
 from .errors import (DegenerateRange, EmptyWindow, GridMismatch,
                      LangsplitError, NonConvergence, NonIntegralGrid,
                      NonIntegralRatio, NonPositiveError, SingularJacobian)

@@ -70,7 +70,7 @@ class OrderFit:
     slope: float
     intercept: float
     r_squared: float
-    std_errors: Optional[np.ndarray] = None
+    std_errors: np.ndarray
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
@@ -85,7 +85,7 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def fit_order(levels, std_errors=None) -> OrderFit:
+def fit_order(levels, std_errors) -> OrderFit:
     """Fit ``log(error)`` against ``log(tau)`` over >= 3 levels.
 
     Raises
@@ -105,9 +105,7 @@ def fit_order(levels, std_errors=None) -> OrderFit:
             "error <= 0 at some level; below the Monte Carlo noise floor")
     slope, intercept, r2 = linear_fit(np.log(taus), np.log(errors))
     return OrderFit(taus=taus, errors=errors, slope=slope, intercept=intercept,
-                    r_squared=r2,
-                    std_errors=None if std_errors is None
-                    else np.asarray(std_errors, dtype=float))
+                    r_squared=r2, std_errors=np.asarray(std_errors, float))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +161,35 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
     return states
 
 
+class _ChunkMoments:
+    """Means and standard errors of cells whose samples arrive in chunks.
+
+    ``add(i, x)`` adds the 1-D samples ``x`` to cell ``i``: their squared
+    deviations from their own mean merge by Chan's pairwise update, where
+    ``sumsq / n - mean^2`` would cancel digits for a mean large against the
+    spread.  A mean is the plain sum of a cell's samples over their count.
+    """
+
+    def __init__(self, shape):
+        self.count = np.zeros(shape)
+        self.sums = np.zeros(shape)
+        self.m2 = np.zeros(shape)
+
+    def add(self, i, x: np.ndarray) -> None:
+        n_a, n_b, s_b = self.count[i], len(x), x.sum()
+        dev = x - s_b / n_b
+        delta = s_b / n_b - self.sums[i] / max(n_a, 1)
+        weight = n_a * n_b / (n_a + n_b)
+        self.m2[i] += (dev * dev).sum() + delta * delta * weight
+        self.sums[i] += s_b
+        self.count[i] += n_b
+
+    def mean_se(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-cell mean and standard error of the mean (n - 1 variance)."""
+        var = self.m2 / np.maximum(self.count - 1, 1)
+        return self.sums / self.count, np.sqrt(var / self.count)
+
+
 def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
                            reference_tau_f: float, T: float, prm: PhysParams,
                            n_paths: int, seeds: SeedPolicy,
@@ -194,9 +221,7 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
     n_fine = steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
     for tau in tau_levels:
         steps_for(T, tau, NonIntegralRatio)
-    n_levels = len(tau_levels)
-    sums = np.zeros(n_levels)
-    sumsq = np.zeros(n_levels)
+    moments = _ChunkMoments(len(tau_levels))
     for first, path_seeds in path_chunks(n_paths, seeds):
         ref, *levels = _coupled_runs(
             scheme, [reference_tau_f, *tau_levels], reference_tau_f, n_fine,
@@ -206,12 +231,9 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
                 val = (num.p - ref.p) ** 2 + (num.q - ref.q) ** 2
             else:
                 val = g(num.p, num.q) - g(ref.p, ref.q)
-            sums[i] += val.sum()
-            sumsq[i] += (val * val).sum()
+            moments.add(i, val)
 
-    mean = sums / n_paths
-    var = np.maximum(sumsq / n_paths - mean**2, 0.0) * n_paths / max(n_paths - 1, 1)
-    se_mean = np.sqrt(var / n_paths)
+    mean, se_mean = moments.mean_se()
     if g is None:
         rms = np.sqrt(np.maximum(mean, 0.0))
         se = np.where(rms > 0, se_mean / np.maximum(2.0 * rms, 1e-300), 0.0)
@@ -261,11 +283,6 @@ class Histogram2D:
     @property
     def mass(self) -> np.ndarray:
         return self.counts / self.n_samples
-
-    @property
-    def bin_area(self) -> float:
-        return float((self.p_edges[1] - self.p_edges[0])
-                     * (self.q_edges[1] - self.q_edges[0]))
 
 
 # Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1].
@@ -364,18 +381,14 @@ def distance_noise_floor(prm: PhysParams, p_edges: np.ndarray,
 # mean square displacement
 
 
-_PLATEAU_FRACTION = 0.1
+def _plateau_samples(times: np.ndarray, msd: np.ndarray) -> np.ndarray:
+    # The plateau window: the final tenth of the horizon.
+    return np.asarray(msd)[np.asarray(times) >= times[-1] * 0.9]
 
 
-def _plateau_samples(times: np.ndarray, msd: np.ndarray,
-                     fraction: float) -> np.ndarray:
-    return np.asarray(msd)[np.asarray(times) >= times[-1] * (1.0 - fraction)]
-
-
-def msd_plateau(times: np.ndarray, msd: np.ndarray,
-                fraction: float = _PLATEAU_FRACTION) -> float:
-    """Equilibrium estimate: the mean over the final ``fraction`` of the horizon."""
-    return float(_plateau_samples(times, msd, fraction).mean())
+def msd_plateau(times: np.ndarray, msd: np.ndarray) -> float:
+    """Equilibrium estimate: the mean over the final tenth of the horizon."""
+    return float(_plateau_samples(times, msd).mean())
 
 
 def msd_fit_window(times: np.ndarray, msd: np.ndarray,
@@ -386,9 +399,9 @@ def msd_fit_window(times: np.ndarray, msd: np.ndarray,
     rate ``upsilon`` and the position mode far more slowly.  The window
     opens at ``t = 10 / upsilon``, ten momentum-relaxation times, and closes
     at the first later step where ``plateau - msd`` falls to three standard
-    deviations of ``msd`` over the default plateau window of
-    :func:`msd_plateau`, where the gap drowns in sampling noise.  Every
-    point inside has ``msd < plateau``.
+    deviations of ``msd`` over the plateau window of :func:`msd_plateau`,
+    where the gap drowns in sampling noise.  Every point inside has
+    ``msd < plateau``.
 
     Raises
     ------
@@ -396,7 +409,7 @@ def msd_fit_window(times: np.ndarray, msd: np.ndarray,
         If the window holds fewer than 3 points (the curve reaches its
         plateau before the momentum transient is over).
     """
-    tail = _plateau_samples(times, msd, _PLATEAU_FRACTION)
+    tail = _plateau_samples(times, msd)
     gap = float(tail.mean()) - np.asarray(msd, dtype=float)
     start = int(np.searchsorted(times, 10.0 / upsilon))
     resolved = gap[start:] > 3.0 * float(tail.std())
@@ -469,18 +482,16 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
 # structure diagnostics
 
 
-def jacobian_det(step: Callable[[State], State], s: State,
-                 h: Optional[float] = None) -> ArrayLike:
+def jacobian_det(step: Callable[[State], State], s: State) -> ArrayLike:
     """Central-difference Jacobian determinant of a one-step map.
 
     The closure must hold its noise fixed so all perturbed evaluations see
-    the same realization.  Default scale ``h = 1e-5 * (1 + |s|)`` balances
+    the same realization.  The scale ``h = 1e-5 * (1 + |s|)`` balances
     truncation and rounding for double precision.
     """
     p = np.asarray(s.p, dtype=float)
     q = np.asarray(s.q, dtype=float)
-    if h is None:
-        h = 1e-5 * (1.0 + np.maximum(np.abs(p), np.abs(q)))
+    h = 1e-5 * (1.0 + np.maximum(np.abs(p), np.abs(q)))
     pp = step(State(p + h, q))
     pm = step(State(p - h, q))
     qp = step(State(p, q + h))
@@ -537,16 +548,14 @@ def h0_dissipation_compare(prm: PhysParams, tau: float, T: float,
     """
     n_steps = steps_for(T, tau)
     times = np.arange(n_steps + 1) * tau
-    stats = np.zeros((4, n_steps + 1))  # sums and square-sums per flow
+    moments = _ChunkMoments((2, n_steps + 1))  # naive, dissipative
 
     dec_n, std_n = naive_increment(prm, tau)
     inc_d = OUIncrement.from_params(prm, tau)
 
     def tally(n, *flows):
-        for row, st in zip((0, 2), flows):
-            h0 = energy_H0(st)
-            stats[row, n] += h0.sum()
-            stats[row + 1, n] += (h0 * h0).sum()
+        for row, st in enumerate(flows):
+            moments.add((row, n), energy_H0(st))
 
     for _, path_seeds in path_chunks(n_paths, seeds):
         nv = State(np.full(len(path_seeds), float(initial.p)),
@@ -558,14 +567,7 @@ def h0_dissipation_compare(prm: PhysParams, tau: float, T: float,
             dv = inc_d.apply(dv, z)
             tally(n, nv, dv)
 
-    def mean_se(row):
-        mean = stats[row] / n_paths
-        var = np.maximum(stats[row + 1] / n_paths - mean**2, 0.0)
-        var *= n_paths / max(n_paths - 1, 1)
-        return mean, np.sqrt(var / n_paths)
-
-    naive_mean, naive_se = mean_se(0)
-    diss_mean, diss_se = mean_se(2)
+    (naive_mean, diss_mean), (naive_se, diss_se) = moments.mean_se()
     return DissipationCurves(times=times, naive_mean=naive_mean,
                              naive_se=naive_se, dissipative_mean=diss_mean,
                              dissipative_se=diss_se)

@@ -12,7 +12,8 @@ bounds; no config key sets one.
 Exit codes: 0 success, 2 configuration errors (bad config file, unknown
 experiment, a key the experiment does not read, a value of the wrong type,
 a count below 1 or a negative seed, an unknown choice or scheme, a
-non-positive ``upsilon`` or a negative ``sigma``), 1 numerical failures.
+non-positive ``upsilon`` or a negative ``sigma``, a bad step or an untiled
+horizon), 1 numerical failures.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import analysis, experiments
 from .errors import LangsplitError
 from .model import PhysParams, State, energy_H0, gibbs_moments
-from .montecarlo import SeedPolicy
+from .montecarlo import SeedPolicy, steps_for
 from .splitting import SchemeSpec, scheme_step, simulate
 
 OBSERVABLES = {
@@ -196,20 +197,23 @@ def _check(name, passed, margin):
 # experiment recipes: read every key, ``cfg.reject_unread()``, then run
 
 
+def _valid(keys, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, whose ValueError names the config keys."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config key {', '.join(map(repr, keys))}: {exc}")
+
+
 def _common(cfg, scheme_default="savf", upsilon=10.0):
     """Scheme (``None`` without a default), parameters and master seed."""
     scheme = None
     if scheme_default:
-        try:
-            scheme = SchemeSpec.from_name(cfg.text("scheme", scheme_default))
-        except ValueError as exc:
-            raise ConfigError(f"config key 'scheme': {exc}")
+        scheme = _valid(("scheme",), SchemeSpec.from_name,
+                        cfg.text("scheme", scheme_default))
     upsilon, sigma = cfg.num("upsilon", upsilon), cfg.num("sigma", 1.0)
-    try:
-        prm = PhysParams(upsilon=upsilon, sigma=sigma)
-    except ValueError as exc:
-        key = "sigma" if upsilon > 0 else "upsilon"
-        raise ConfigError(f"config key {key!r}: {exc}")
+    prm = _valid(("sigma" if upsilon > 0 else "upsilon",), PhysParams,
+                 upsilon, sigma)
     seed = cfg.integer("seed", 12345, minimum=0)
     return scheme, prm, seed
 
@@ -218,10 +222,21 @@ def _initial(cfg, q=0.0):
     return State(cfg.num("initial_p", 0.0), cfg.num("initial_q", q))
 
 
+def _step(key, tau, scheme, prm):
+    """``tau``, once one step of ``scheme`` from the origin has run the
+    maps' own step checks (on the half step of a symmetric composition)."""
+    if not tau > 0:
+        raise ConfigError(f"config key {key!r}: step must be positive, "
+                          f"got {tau:g}")
+    _valid((key,), scheme_step, State(0.0, 0.0), tau, prm, scheme, 0.0)
+    return tau
+
+
 def run_simulate(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
-    tau = cfg.num("tau", 2.0**-8)
+    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     T = cfg.num("T", 1.0)
+    _valid(("T", "tau"), steps_for, T, tau)
     initial = _initial(cfg)
     cfg.reject_unread()
     traj = simulate(initial, T, tau, prm, scheme, seed)
@@ -241,7 +256,11 @@ def _order_recipe(cfg, outdir, weak):
     scheme, prm, seed = _common(cfg)
     T = cfg.num("T", 1.0)
     levels = cfg.numbers("tau_levels", [2.0**-k for k in range(6, 11)])
-    ref = cfg.num("ref_tau", 2.0**-13)
+    ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-13), scheme, prm)
+    for tau in levels:
+        _step("tau_levels", tau, scheme, prm)
+        _valid(("tau_levels", "ref_tau"), steps_for, tau, ref, minimum=1)
+        _valid(("T", "tau_levels"), steps_for, T, tau, minimum=1)
     n_paths = cfg.integer("n_paths", 5000 if weak else 1000)
     initial = _initial(cfg)
     g = cfg.choice("observable", OBSERVABLES, "sinsin") if weak else None
@@ -279,9 +298,11 @@ def run_weak_order(cfg, outdir):
 
 def run_long_time_error(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
-    tau = cfg.num("tau", 2.0**-8)
-    ref = cfg.num("ref_tau", 2.0**-11)
+    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
+    ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-11), scheme, prm)
+    _valid(("tau", "ref_tau"), steps_for, tau, ref, minimum=1)
     T = cfg.num("T", 100.0)
+    _valid(("T", "tau"), steps_for, T, tau, minimum=1)
     n_paths = cfg.integer("n_paths", 200)
     initial = _initial(cfg)
     n_records = cfg.integer("n_records", 1024)
@@ -301,9 +322,11 @@ def run_long_time_error(cfg: Config, outdir: Path):
 
 def run_ergodic_average(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
-    tau = cfg.num("tau", 2.0**-8)
+    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     T = cfg.num("T", 512.0)
     burn = cfg.num("burn_in", 64.0)
+    _valid(("T", "tau"), steps_for, T, tau)
+    _valid(("burn_in", "tau"), steps_for, burn, tau)
     n_seeds = cfg.integer("n_seeds", 100)
     initial = _initial(cfg)
     cfg.reject_unread()
@@ -329,8 +352,10 @@ def run_ergodic_average(cfg: Config, outdir: Path):
 
 def run_histogram(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
-    tau = cfg.num("tau", 2.0**-8)
+    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     times = cfg.numbers("times", [0.0, 2.0, 256.0])
+    for t in times:
+        _valid(("times", "tau"), steps_for, t, tau)
     n_paths = cfg.integer("n_paths", 5000)
     bins = (cfg.integer("bins_p", 40), cfg.integer("bins_q", 40))
     p_range = (cfg.num("p_min", -1.0), cfg.num("p_max", 1.0))
@@ -397,8 +422,9 @@ def msd_approach(times, msd, plateau, upsilon, fit_lo=None, fit_hi=None):
 
 def run_msd(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
-    tau = cfg.num("tau", 2.0**-8)
+    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     T = cfg.num("T", 512.0)
+    _valid(("T", "tau"), steps_for, T, tau)
     n_paths = cfg.integer("n_paths", 1000)
     n_records = cfg.integer("n_records", 2048)
     initial = _initial(cfg)
@@ -425,8 +451,9 @@ def run_msd(cfg: Config, outdir: Path):
 
 def run_exp_moment(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
-    tau = cfg.num("tau", 2.0**-10)
+    tau = _step("tau", cfg.num("tau", 2.0**-10), scheme, prm)
     T = cfg.num("T", 1.0)
+    _valid(("T", "tau"), steps_for, T, tau)
     n_paths = cfg.integer("n_paths", 10000)
     initial = _initial(cfg)
     cfg.reject_unread()
@@ -444,7 +471,7 @@ def run_exp_moment(cfg: Config, outdir: Path):
 
 def run_lyapunov(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
-    tau = cfg.num("tau", 2.0**-8)
+    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     n_draws = cfg.integer("n_draws", 100000)
     states = [State(p, q) for p, q in
               cfg.pairs("states", [(0.0, 0.0), (1.0, 1.0), (2.0, -1.0)])]
@@ -463,7 +490,7 @@ def run_lyapunov(cfg: Config, outdir: Path):
 
 def run_jacobian(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, scheme_default="sympl-euler", upsilon=2.0)
-    tau = cfg.num("tau", 1e-4)
+    tau = _step("tau", cfg.num("tau", 1e-4), scheme, prm)
     n_states = cfg.integer("n_states", 1000)
     n_draws = cfg.integer("n_draws", 100)
     cfg.reject_unread()
@@ -485,8 +512,9 @@ def run_jacobian(cfg: Config, outdir: Path):
 
 def run_phase_area(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, scheme_default="sympl-euler", upsilon=2.0)
-    tau = cfg.num("tau", 1e-4)
+    tau = _step("tau", cfg.num("tau", 1e-4), scheme, prm)
     T = cfg.num("T", 1.0)
+    _valid(("T", "tau"), steps_for, T, tau)
     n_vertices = cfg.integer("n_vertices", 10000)
     n_records = cfg.integer("n_records", 1024)
     cfg.reject_unread()
@@ -506,6 +534,7 @@ def run_dissipation_demo(cfg: Config, outdir: Path):
     _, prm, seed = _common(cfg, scheme_default=None)
     tau = cfg.num("tau", 2.0**-8)
     T = cfg.num("T", 1.0)
+    _valid(("T", "tau"), steps_for, T, tau)
     n_paths = cfg.integer("n_paths", 20000)
     initial = _initial(cfg, q=2.0)
     cfg.reject_unread()

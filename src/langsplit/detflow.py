@@ -23,7 +23,6 @@ once per iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -34,7 +33,9 @@ from .model import ArrayLike, PhysParams, State
 __all__ = [
     "CONSERVATIVE_KINDS",
     "MAP_KINDS",
-    "SolverSettings",
+    "NEWTON_REL_TOL",
+    "NEWTON_ABS_TOL",
+    "NEWTON_MAX_ITER",
     "newton_solve_2d",
     "avf_step",
     "dg_step",
@@ -49,24 +50,11 @@ __all__ = [
 CONSERVATIVE_KINDS = ("avf", "dg", "pavf")
 MAP_KINDS = CONSERVATIVE_KINDS + ("sympl_euler",)
 
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Newton solver tolerances and budgets, read by the ``dg`` map only.
-
-    ``max_iter`` below 1 exhausts the budget immediately and is only useful
-    for exercising the failure path.
-    """
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+# Newton tolerances and budget of the dg map, read at each solve: a root has
+# max |residual| <= NEWTON_ABS_TOL + NEWTON_REL_TOL * |guess| in every lane.
+NEWTON_REL_TOL = 1e-12
+NEWTON_ABS_TOL = 1e-14
+NEWTON_MAX_ITER = 50
 
 
 def subsystem_field(s: State, prm: PhysParams) -> State:
@@ -96,7 +84,6 @@ def newton_solve_2d(
     residual: Callable[[State], Tuple[ArrayLike, ArrayLike]],
     jacobian: Callable[[State], Tuple[ArrayLike, ArrayLike, ArrayLike, ArrayLike]],
     guess: State,
-    settings: SolverSettings = SolverSettings(),
     return_info: bool = False,
 ):
     """Solve ``residual(x) == 0`` by plain 2-D Newton iteration.
@@ -113,7 +100,6 @@ def newton_solve_2d(
         computed.
     guess : State
         Initial iterate; also sets the relative-tolerance scale.
-    settings : SolverSettings
     return_info : bool
         If true, also return a dict with iteration count and final residual
         norm.  Its ``fallback_used`` entry is always false.
@@ -121,13 +107,14 @@ def newton_solve_2d(
     Returns
     -------
     State
-        Root with ``max(|f_p|, |f_q|) <= abs_tol + rel_tol * |guess|``
-        elementwise.
+        Root with ``max(|f_p|, |f_q|) <= NEWTON_ABS_TOL + NEWTON_REL_TOL *
+        |guess|`` elementwise.
 
     Raises
     ------
     NonConvergence
-        Budget exhausted (including ``max_iter == 0`` with a non-root guess).
+        ``NEWTON_MAX_ITER`` iterations did not converge (with a budget of 0,
+        a guess that is not a root).
         For a batch, ``path_index`` is its first unconverged lane.
     SingularJacobian
         A Jacobian determinant vanished during the iteration.
@@ -135,7 +122,7 @@ def newton_solve_2d(
     p = np.asarray(guess.p, dtype=float)
     q = np.asarray(guess.q, dtype=float)
     scale = np.maximum(np.abs(p), np.abs(q))
-    tol = settings.abs_tol + settings.rel_tol * scale
+    tol = NEWTON_ABS_TOL + NEWTON_REL_TOL * scale
 
     def res_norm(x):
         f1, f2 = residual(x)
@@ -145,7 +132,7 @@ def newton_solve_2d(
     norm, (f1, f2) = res_norm(x)
     iterations = 0
     converged = bool((norm <= tol).all())
-    while iterations < settings.max_iter and not converged:
+    while iterations < NEWTON_MAX_ITER and not converged:
         j11, j12, j21, j22 = jacobian(x)
         det = j11 * j22 - j12 * j21
         active = norm > tol
@@ -178,8 +165,8 @@ def newton_solve_2d(
             lane = int(where[-1])
         raise NonConvergence(
             f"implicit step did not converge (max |residual| = {worst:.3e} "
-            f"after {settings.max_iter} Newton iterations)",
-            iterations=settings.max_iter, residual=worst, path_index=lane)
+            f"after {NEWTON_MAX_ITER} Newton iterations)",
+            iterations=NEWTON_MAX_ITER, residual=worst, path_index=lane)
 
     out = _float_state(p, q)
     if return_info:
@@ -273,8 +260,7 @@ def _cubic_map(p0: np.ndarray, q0: np.ndarray, tau: float, prm: PhysParams,
     return _float_state(p1, q1)
 
 
-def avf_step(s: State, tau: float, prm: PhysParams,
-             settings: SolverSettings = None) -> State:
+def avf_step(s: State, tau: float, prm: PhysParams) -> State:
     """Average-vector-field map: implicit, conserves ``H`` exactly.
 
     Solves
@@ -285,8 +271,7 @@ def avf_step(s: State, tau: float, prm: PhysParams,
     ``k = 8(1 - a^2)/tau^2`` and
     ``c0 = 4q^3 - (8/tau) p - 16 a (1 + a) q / tau^2``, and ``p1`` follows
     from the momentum equation (recovering it from the position equation
-    divides by tau and loses the energy to rounding).  ``settings`` is
-    accepted for signature uniformity and ignored.
+    divides by tau and loses the energy to rounding).
     """
     _check_tau(tau, prm)
     p0 = np.asarray(s.p, dtype=float)
@@ -299,8 +284,7 @@ def avf_step(s: State, tau: float, prm: PhysParams,
                       keep=1.0 - a4, scale=1.0 + a4)
 
 
-def dg_step(s: State, tau: float, prm: PhysParams,
-            settings: SolverSettings = SolverSettings()) -> State:
+def dg_step(s: State, tau: float, prm: PhysParams) -> State:
     """Midpoint discrete-gradient map: implicit, conserves ``H`` exactly.
 
     The discrete gradient is the midpoint gradient plus the rank-one
@@ -363,11 +347,10 @@ def dg_step(s: State, tau: float, prm: PhysParams,
         j22 = 1.0 - tau * (0.25 * u + dc_dq1 * dp)
         return j11, j12, j21, j22
 
-    return newton_solve_2d(residual, jacobian, _predictor(s, tau, prm), settings)
+    return newton_solve_2d(residual, jacobian, _predictor(s, tau, prm))
 
 
-def pavf_step(s: State, tau: float, prm: PhysParams,
-              settings: SolverSettings = None) -> State:
+def pavf_step(s: State, tau: float, prm: PhysParams) -> State:
     """Partitioned average-vector-field map: implicit, conserves ``H`` exactly.
 
     Solves
@@ -379,8 +362,7 @@ def pavf_step(s: State, tau: float, prm: PhysParams,
     :func:`avf_step` the increment ``d = q1 - q`` is the real root of a
     cubic, here with ``a = tau*u/2``, ``k = 8(1 + a)/tau^2`` and
     ``c0 = 4q^3 - 4(2 + a) p / tau - 8 a (1 + a) q / tau^2``, and ``p1``
-    follows from the momentum equation.  ``settings`` is accepted for
-    signature uniformity and ignored.
+    follows from the momentum equation.
     """
     _check_tau(tau, prm)
     p0 = np.asarray(s.p, dtype=float)
@@ -394,15 +376,13 @@ def pavf_step(s: State, tau: float, prm: PhysParams,
                       keep=1.0, scale=1.0 + a2)
 
 
-def sympl_euler_step(s: State, tau: float, prm: PhysParams,
-                     settings: SolverSettings = None) -> State:
+def sympl_euler_step(s: State, tau: float, prm: PhysParams) -> State:
     """Symplectic Euler map: explicit closed form, unit Jacobian determinant.
 
         p1 = (p - tau * U'(q)) / (1 + tau*u/2),
         q1 = q + tau * (p1 + (u/2) q).
 
-    Does not conserve ``H`` (the defect is O(tau^2) per step); ``settings``
-    is accepted for signature uniformity and ignored.
+    Does not conserve ``H`` (the defect is O(tau^2) per step).
     """
     if tau < 0:
         raise ValueError(f"step size must be nonnegative, got {tau}")
@@ -420,12 +400,12 @@ _STEP_FUNCS = {
 }
 
 
-def conservative_step(kind: str, s: State, tau: float, prm: PhysParams,
-                      settings: SolverSettings = SolverSettings()) -> State:
+def conservative_step(kind: str, s: State, tau: float,
+                      prm: PhysParams) -> State:
     """Dispatch one deterministic sub-step by map kind."""
     try:
         func = _STEP_FUNCS[kind]
     except KeyError:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-    return func(s, tau, prm, settings)
+    return func(s, tau, prm)
 

@@ -53,23 +53,25 @@ def ergodic_averages(scheme: SchemeSpec, prm: PhysParams, tau: float,
 
     Each seed drives an independent path from ``initial``; the average is
     the left-endpoint Riemann mean over ``burn_in <= t_n < T``.  Returns
-    one array of ``n_seeds`` averages per observable.
+    one array of ``n_seeds`` averages per observable; a chunk of paths adds
+    into its own slice of the per-seed sums.
     """
     n_steps = steps_for(T, tau)
     n_burn = steps_for(burn_in, tau)
     if n_burn >= n_steps:
         raise ValueError("burn-in must leave a nonempty window before T")
-    count = n_steps - n_burn
-    sums = {name: np.zeros(n_seeds) for name in observables}
+    sums = np.zeros((len(observables), n_seeds))
+    for first, path_seeds in path_chunks(n_seeds, seeds):
+        part = sums[:, first:first + len(path_seeds)]
 
-    def visit(n, st):
-        if n_burn <= n < n_steps:
-            for name, g in observables.items():
-                sums[name] += g(st.p, st.q)
+        def visit(n, st):
+            if n_burn <= n < n_steps:
+                for row, g in zip(part, observables.values()):
+                    row += g(st.p, st.q)
 
-    stream_paths(scheme, prm, tau, n_steps, initial,
-                 seeds.path_seeds(n_seeds), visit)
-    return {name: total / count for name, total in sums.items()}
+        stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
+                     first)
+    return dict(zip(observables, sums / (n_steps - n_burn)))
 
 
 def msd_experiment(scheme: SchemeSpec, prm: PhysParams, tau: float, T: float,
@@ -185,10 +187,10 @@ def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
     return times, np.sqrt(acc / n_paths)
 
 
-def window_means(times: np.ndarray, values: np.ndarray,
-                 fraction: float = 0.1) -> Tuple[float, float]:
-    """Mean of ``values`` over the first and last ``fraction`` of the horizon."""
+def window_means(times: np.ndarray,
+                 values: np.ndarray) -> Tuple[float, float]:
+    """Mean of ``values`` over the first and last tenth of the horizon."""
     horizon = times[-1]
-    early = times <= horizon * fraction
-    late = times >= horizon * (1.0 - fraction)
+    early = times <= horizon * 0.1
+    late = times >= horizon * 0.9
     return float(values[early].mean()), float(values[late].mean())

@@ -16,7 +16,7 @@ deterministic half of the dissipative splitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -77,13 +77,10 @@ class QuarticPotential:
         """Derivative of :meth:`avg_grad` with respect to its endpoint ``b``."""
         return 0.25 * (a * a + 2.0 * a * b + 3.0 * b * b)
 
-    def __repr__(self):
-        return "QuarticPotential()"
-
 
 @dataclass(frozen=True)
 class PhysParams:
-    """Friction, noise amplitude, and the potential.
+    """Friction and noise amplitude; the potential is the quartic well.
 
     Parameters
     ----------
@@ -93,13 +90,13 @@ class PhysParams:
         Noise amplitude.  The model of interest has ``sigma > 0``;
         ``sigma = 0`` is accepted as the deterministic limit so the
         noise-free identities of the sub-flows can be checked directly.
-    potential : QuarticPotential
-        Potential descriptor; only the quartic instance ships.
     """
 
     upsilon: float
     sigma: float
-    potential: QuarticPotential = field(default_factory=QuarticPotential)
+    # A class attribute, not a field: one potential ships, and every
+    # instance shares it.
+    potential = QuarticPotential()
 
     def __post_init__(self):
         if not self.upsilon > 0:

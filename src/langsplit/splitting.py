@@ -13,12 +13,12 @@ caller-controlled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .detflow import MAP_KINDS, SolverSettings, conservative_step
+from .detflow import MAP_KINDS, conservative_step
 from .errors import NonConvergence, NonIntegralRatio
 from .model import PhysParams, State
 from .montecarlo import path_noise, steps_for
@@ -55,15 +55,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Composition recipe: which conservative map, and how it is composed.
-
-    ``solver`` holds the Newton settings of the ``dg`` map; the other maps
-    are explicit or closed form and ignore it.
-    """
+    """Composition recipe: which conservative map, and how it is composed."""
 
     map_kind: str
     composition: str = "lie_trotter"
-    solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
         if self.map_kind not in MAP_KINDS:
@@ -75,15 +70,13 @@ class SchemeSpec:
                 f"expected one of {COMPOSITIONS}")
 
     @classmethod
-    def from_name(cls, name: str, solver: SolverSettings = None) -> "SchemeSpec":
+    def from_name(cls, name: str) -> "SchemeSpec":
         """Build a spec from a recipe name like ``"savf"`` or ``"strang-savf"``."""
         key = name.lower().replace("_", "-")
         if key not in _SCHEME_NAMES:
             raise ValueError(
                 f"unknown scheme {name!r}; expected one of {sorted(_SCHEME_NAMES)}")
-        kind, comp = _SCHEME_NAMES[key]
-        return cls(map_kind=kind, composition=comp,
-                   solver=solver if solver is not None else SolverSettings())
+        return cls(*_SCHEME_NAMES[key])
 
     @property
     def name(self) -> str:
@@ -96,17 +89,13 @@ class Trajectory:
     """A simulated path (or batch of paths sharing the time grid).
 
     ``p`` and ``q`` have the time axis first: shape ``(n_steps + 1,)`` for a
-    scalar run, ``(n_steps + 1, *batch)`` otherwise.  ``states[0]`` is the
-    supplied initial value.
+    scalar run, ``(n_steps + 1, *batch)`` otherwise.  ``p[0]`` and ``q[0]``
+    are the supplied initial value.
     """
 
     times: np.ndarray
     p: np.ndarray
     q: np.ndarray
-
-    @property
-    def states(self) -> State:
-        return State(self.p, self.q)
 
     def __len__(self):
         return self.times.shape[0]
@@ -130,7 +119,7 @@ def lie_trotter_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
     """
     if tau == 0:
         return s
-    mid = conservative_step(spec.map_kind, s, tau, prm, spec.solver)
+    mid = conservative_step(spec.map_kind, s, tau, prm)
     return _apply_noise(mid, tau, prm, noise, ou)
 
 
@@ -139,9 +128,9 @@ def strang_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
     """One symmetric step: half map, full stochastic flow, half map."""
     if tau == 0:
         return s
-    half = conservative_step(spec.map_kind, s, 0.5 * tau, prm, spec.solver)
+    half = conservative_step(spec.map_kind, s, 0.5 * tau, prm)
     mid = _apply_noise(half, tau, prm, noise, ou)
-    return conservative_step(spec.map_kind, mid, 0.5 * tau, prm, spec.solver)
+    return conservative_step(spec.map_kind, mid, 0.5 * tau, prm)
 
 
 def scheme_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,

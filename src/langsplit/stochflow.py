@@ -50,7 +50,6 @@ class OUIncrement:
 
     decay: float
     noise_std: float
-    tau: float
 
     @classmethod
     def from_params(cls, prm: PhysParams, tau: float) -> "OUIncrement":
@@ -58,7 +57,7 @@ class OUIncrement:
             raise ValueError(f"step size must be positive, got {tau}")
         decay = math.exp(-0.5 * prm.upsilon * tau)
         noise_std = prm.sigma * math.sqrt((1.0 - decay * decay) / prm.upsilon)
-        return cls(decay=decay, noise_std=noise_std, tau=tau)
+        return cls(decay=decay, noise_std=noise_std)
 
     def apply(self, s: State, z: ArrayLike) -> State:
         return State(self.decay * s.p + self.noise_std * z, self.decay * s.q)

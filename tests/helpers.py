@@ -6,9 +6,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from langsplit.analysis import Histogram2D, Observable
-from langsplit.detflow import (SolverSettings, conservative_step,
-                               subsystem_field)
+from langsplit.analysis import Histogram2D, Observable, _ChunkMoments
+from langsplit.detflow import conservative_step, subsystem_field
 from langsplit.errors import (DegenerateRange, EmptyWindow, NonIntegralGrid,
                               NonIntegralRatio)
 from langsplit.model import ArrayLike, PhysParams, State, energy_H, energy_H0
@@ -17,14 +16,14 @@ from langsplit.splitting import Trajectory, require_finite, simulate_on_grid
 from langsplit.stochflow import naive_increment
 
 
-def energy_residual(kind: str, s: State, tau: float, prm: PhysParams,
-                    settings: SolverSettings = SolverSettings()) -> ArrayLike:
+def energy_residual(kind: str, s: State, tau: float,
+                    prm: PhysParams) -> ArrayLike:
     """``H(map(s)) - H(s)`` for one deterministic sub-step.
 
     Near machine zero for the conservative kinds; O(tau^2) and generally
     nonzero for ``sympl_euler``.
     """
-    out = conservative_step(kind, s, tau, prm, settings)
+    out = conservative_step(kind, s, tau, prm)
     return energy_H(out, prm) - energy_H(s, prm)
 
 
@@ -118,9 +117,7 @@ class ConsistencyResiduals(NamedTuple):
 
 
 def consistency_residuals(map_kind: str, s: State, tau: float,
-                          prm: PhysParams,
-                          settings: SolverSettings = SolverSettings()
-                          ) -> ConsistencyResiduals:
+                          prm: PhysParams) -> ConsistencyResiduals:
     """Defect of the one-step increments against the subsystem field.
 
     With ``A = p1 - p`` and ``B = q1 - q``, returns
@@ -133,7 +130,7 @@ def consistency_residuals(map_kind: str, s: State, tau: float,
     """
     if tau <= 0:
         raise ValueError("consistency residuals need tau > 0")
-    out = conservative_step(map_kind, s, tau, prm, settings)
+    out = conservative_step(map_kind, s, tau, prm)
     f = subsystem_field(s, prm)
     r_a = np.abs((out.p - s.p) / tau - f.p)
     r_b = np.abs((out.q - s.q) / tau - f.q)
@@ -148,8 +145,7 @@ def consistency_residuals(map_kind: str, s: State, tau: float,
 def coupled_terminal_stats_whole(scheme, tau_levels, tau_f, T, prm, n_paths,
                                  seeds, initial=State(0.0, 0.0), g=None):
     """``analysis.coupled_terminal_stats`` with each chunk's whole fine grid."""
-    sums = np.zeros(len(tau_levels))
-    sumsq = np.zeros(len(tau_levels))
+    moments = _ChunkMoments(len(tau_levels))
     for first, path_seeds in path_chunks(n_paths, seeds):
         fine = increment_matrix(T, tau_f, path_seeds)
         ref = simulate_on_grid(initial, tau_f, prm, scheme, fine, tau_f,
@@ -161,11 +157,8 @@ def coupled_terminal_stats_whole(scheme, tau_levels, tau_f, T, prm, n_paths,
                 val = (num.p - ref.p) ** 2 + (num.q - ref.q) ** 2
             else:
                 val = g(num.p, num.q) - g(ref.p, ref.q)
-            sums[i] += val.sum()
-            sumsq[i] += (val * val).sum()
-    mean = sums / n_paths
-    var = np.maximum(sumsq / n_paths - mean**2, 0.0) * n_paths / max(n_paths - 1, 1)
-    se_mean = np.sqrt(var / n_paths)
+            moments.add(i, val)
+    mean, se_mean = moments.mean_se()
     if g is None:
         rms = np.sqrt(np.maximum(mean, 0.0))
         se = np.where(rms > 0, se_mean / np.maximum(2.0 * rms, 1e-300), 0.0)

@@ -70,12 +70,15 @@ def test_missing_experiment(tmp_path, capsys):
 
 
 def test_numerical_failure_is_exit_one(tmp_path, capsys):
-    # step size beyond the conditioning bound for upsilon = 10
-    code, _ = run_cli(tmp_path, "simulate",
-                      "upsilon = 10\ntau = 0.5\nT = 1\n")
+    # A valid config whose first step overflows: U'(1e120) is not finite.
+    with np.errstate(over="ignore"):
+        code, _ = run_cli(tmp_path, "simulate",
+                          "scheme = sympl-euler\ninitial_q = 1e120\n"
+                          "tau = 2^-6\nT = 2^-5\n")
     assert code == 1
     record = json.loads(capsys.readouterr().err)
-    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["type"] == "NonConvergence"
+    assert record["error"]["step_index"] == 1
 
 
 def test_simulate_zero_steps(tmp_path):
@@ -307,6 +310,12 @@ def test_workers_flag_is_rejected(tmp_path):
     ("simulate", "scheme = bogus\n"),
     ("simulate", "upsilon = -3\n"),
     ("simulate", "sigma = -1\n"),
+    ("simulate", "tau = 0.5\n"),
+    ("simulate", "T = 0.3\ntau = 2^-6\n"),
+    ("strong-order", "tau_levels = 2^-6,0.003\n"),
+    ("long-time-error", "T = 0.3\n"),
+    ("lyapunov", "tau = 0\n"),
+    ("jacobian", "tau = -1e-4\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from langsplit import detflow
 from langsplit.analysis import jacobian_det
-from langsplit.detflow import (SolverSettings, avf_step, conservative_step,
-                               dg_step, newton_solve_2d, pavf_step,
+from langsplit.detflow import (avf_step, conservative_step, dg_step, newton_solve_2d, pavf_step,
                                subsystem_field, sympl_euler_step)
 from langsplit.errors import NonConvergence
 from langsplit.model import PhysParams, QuarticPotential, State, energy_H
@@ -94,11 +93,6 @@ class TestImplicitMapsCommon:
         assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
 
 
-# Tighter than the solver's defaults, so that the oracle's own error stays
-# well below the 1e-12 the closed forms are compared at.
-ORACLE_SOLVER = SolverSettings(rel_tol=1e-14, abs_tol=1e-14)
-
-
 def newton_oracle(kind, s, tau, prm):
     """The average-vector-field equations solved by 2-D Newton iteration."""
     pot, u = prm.potential, prm.upsilon
@@ -124,7 +118,11 @@ def newton_oracle(kind, s, tau, prm):
             return (1.0 + a, tau * pot.avg_grad_db(q0, x.q), -0.5 * tau, 1.0)
     f = subsystem_field(s, prm)
     guess = State(p0 + tau * f.p, q0 + tau * f.q)
-    return newton_solve_2d(residual, jacobian, guess, ORACLE_SOLVER)
+    # Tighter than the solver's relative tolerance, so that the oracle's own
+    # error stays well below the 1e-12 the closed forms are compared at.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detflow, "NEWTON_REL_TOL", 1e-14)
+        return newton_solve_2d(residual, jacobian, guess)
 
 
 closed_form_cases = dict(
@@ -285,7 +283,7 @@ class TestNewton:
         out, info = newton_solve_2d(
             lambda x: (x.p - target.p, x.q - target.q),
             lambda x: (1.0, 0.0, 0.0, 1.0),
-            State(0.0, 0.0), SolverSettings(), return_info=True)
+            State(0.0, 0.0), return_info=True)
         assert info["iterations"] == 1
         assert out.p == pytest.approx(target.p) and out.q == pytest.approx(target.q)
 
@@ -304,46 +302,38 @@ class TestNewton:
 
         f = subsystem_field(s, prm)
         guess = State(s.p + tau * f.p, s.q + tau * f.q)
-        _, info = newton_solve_2d(residual, jac, guess, SolverSettings(),
-                                  return_info=True)
+        _, info = newton_solve_2d(residual, jac, guess, return_info=True)
         assert info["iterations"] <= 6
         assert not info["fallback_used"]
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(detflow, "NEWTON_MAX_ITER", 0)
         with pytest.raises(NonConvergence):
             newton_solve_2d(lambda x: (x.p - 1.0, x.q),
-                            lambda x: (1.0, 0.0, 0.0, 1.0),
-                            State(0.0, 0.0), SolverSettings(max_iter=0))
+                            lambda x: (1.0, 0.0, 0.0, 1.0), State(0.0, 0.0))
 
-    def test_exhausted_budget_names_first_unconverged_lane(self):
+    def test_exhausted_budget_names_first_unconverged_lane(self, monkeypatch):
+        monkeypatch.setattr(detflow, "NEWTON_MAX_ITER", 0)
         target = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         guess = target.copy()
         guess[[2, 4]] += 1.0
         with pytest.raises(NonConvergence) as err:
             newton_solve_2d(lambda x: (x.p - target, x.q),
                             lambda x: (1.0, 0.0, 0.0, 1.0),
-                            State(guess, np.zeros(5)),
-                            SolverSettings(max_iter=0))
+                            State(guess, np.zeros(5)))
         assert err.value.path_index == 2
         with pytest.raises(NonConvergence) as err:
             newton_solve_2d(lambda x: (x.p - 1.0, x.q),
-                            lambda x: (1.0, 0.0, 0.0, 1.0),
-                            State(0.0, 0.0), SolverSettings(max_iter=0))
+                            lambda x: (1.0, 0.0, 0.0, 1.0), State(0.0, 0.0))
         assert err.value.path_index is None
 
-    def test_stalled_newton_raises(self):
+    def test_stalled_newton_raises(self, monkeypatch):
         # Badly scaled Jacobian entries stall Newton within its budget.
+        monkeypatch.setattr(detflow, "NEWTON_MAX_ITER", 10)
         residual = lambda x: (x.p - 2.0, x.q + 1.0)
         bad_jac = lambda x: (100.0, 0.0, 0.0, 100.0)
         with pytest.raises(NonConvergence):
-            newton_solve_2d(residual, bad_jac, State(10.0, 10.0),
-                            SolverSettings(max_iter=10))
-
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            SolverSettings(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverSettings(max_iter=-1)
+            newton_solve_2d(residual, bad_jac, State(10.0, 10.0))
 
 
 class TestEnergyResidual:
@@ -394,7 +384,7 @@ def test_first_order_consistency_with_subsystem_flow(kind):
     assert np.all(ratio > 3.0) and np.all(ratio < 5.0)
 
 
-def dg_reference(s, tau, prm, settings=SolverSettings()):
+def dg_reference(s, tau, prm):
     """dg_step with every shared term recomputed in each callable and every
     lane masked, as the map is written out in its docstring."""
     u, pot = prm.upsilon, prm.potential
@@ -431,7 +421,7 @@ def dg_reference(s, tau, prm, settings=SolverSettings()):
 
     f = subsystem_field(s, prm)
     guess = State(s.p + tau * f.p, s.q + tau * f.q)
-    return detflow.newton_solve_2d(residual, jacobian, guess, settings)
+    return detflow.newton_solve_2d(residual, jacobian, guess)
 
 
 def mixed_batch(n, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,17 @@ def test_params_validation():
         PhysParams(1.0, -0.5)
     with pytest.raises(ValueError):
         gibbs_log_density(State(0.0, 0.0), PhysParams(1.0, 0.0))
+
+
+def test_params_are_values():
+    # Two fields; the quartic potential is one shared class attribute, so
+    # equal parameters compare and hash equal.
+    assert PhysParams(10, 1) == PhysParams(10, 1)
+    assert hash(PhysParams(10, 1)) == hash(PhysParams(10.0, 1.0))
+    assert PhysParams(10, 1) != PhysParams(10, 2)
+    assert [f.name for f in dataclasses.fields(PhysParams)] == ["upsilon",
+                                                                 "sigma"]
+    assert PhysParams(10, 1).potential is PhysParams(2, 3).potential
 
 
 class TestGibbsMoments:

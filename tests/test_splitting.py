@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from langsplit.detflow import SolverSettings, avf_step
+from langsplit import detflow
+from langsplit.detflow import avf_step
 from langsplit.errors import GridMismatch, NonConvergence, NonIntegralRatio
 from langsplit.model import PhysParams, State, energy_H
 from langsplit.montecarlo import SeedPolicy, increment_matrix
@@ -23,6 +25,11 @@ class TestSchemeSpec:
         assert SchemeSpec.from_name("strang-savf").composition == "strang"
         assert SchemeSpec.from_name("SPAVF").map_kind == "pavf"
         assert SchemeSpec.from_name("sympl-euler").map_kind == "sympl_euler"
+
+    def test_two_fields(self):
+        # A scheme is a map and a composition; solver budgets are constants.
+        assert [f.name for f in dataclasses.fields(SchemeSpec)] == [
+            "map_kind", "composition"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,7 +160,7 @@ class TestSimulate:
     def test_noise_free_per_step_contraction(self):
         prm = PhysParams(10.0, 0.0)
         tr = simulate(State(1.0, 1.0), 0.5, 2.0**-7, prm, SAVF, seed=0)
-        h = energy_H(tr.states, prm)
+        h = energy_H(State(tr.p, tr.q), prm)
         decay = math.exp(-10 * 2.0**-7)
         assert np.all(h[1:] <= decay * h[:-1] + 1e-10 * (1 + np.abs(h[:-1])))
 
@@ -177,12 +184,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(State(0.0, 0.0), 0.3, 2.0**-6, PRM10, SAVF, seed=1)
 
-    def test_nonconvergence_carries_step_index(self):
+    def test_nonconvergence_carries_step_index(self, monkeypatch):
         # dg is the only map that still runs the Newton solver
-        settings = SolverSettings(max_iter=1)
-        spec = SchemeSpec("dg", solver=settings)
+        monkeypatch.setattr(detflow, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NonConvergence) as err:
-            simulate(State(60.0, 60.0), 0.38, 0.19, PRM10, spec, seed=1)
+            simulate(State(60.0, 60.0), 0.38, 0.19, PRM10, SchemeSpec("dg"),
+                     seed=1)
         assert err.value.step_index == 0
 
     def test_finite_state_with_overflowing_product_passes(self):
