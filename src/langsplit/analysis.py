@@ -22,12 +22,12 @@ from .errors import (EmptyWindow, NonIntegralGrid, NonIntegralRatio,
 from .model import (ArrayLike, EnergyConstants, PhysParams, State, energy_H,
                     energy_H0, exp_moment_rate_constant,
                     position_marginal_normalizer)
-from .montecarlo import (SeedPolicy, increment_matrix, path_chunks, path_noise,
+from .montecarlo import (SeedPolicy, increment_matrix, map_chunks, path_noise,
                          steps_for)
 # ``require_finite`` stays importable here: the benchmark traces it as
 # ``analysis.require_finite``.
-from .splitting import (SchemeSpec, _evolve, require_finite,  # noqa: F401
-                        scheme_step, simulate_on_grid)
+from .splitting import (SchemeSpec, _evolve, _fine_windows,
+                        require_finite, scheme_step)  # noqa: F401
 from .stochflow import OUIncrement, naive_increment
 
 Observable = Callable[[ArrayLike, ArrayLike], ArrayLike]
@@ -112,9 +112,9 @@ def fit_order(levels, std_errors) -> OrderFit:
 # coupled convergence studies
 
 # Fine steps drawn at a time in a path-coupled run.  A chunk then holds one
-# (block, width) matrix of fine increments whatever the horizon, 2 MiB at
-# width 256.  The block rounds up to a multiple of every run's step ratio
-# and record stride, so that each run's steps and records tile it.
+# (block, width) matrix of fine increments whatever the horizon and the
+# record stride, 16 MiB at width 2048.  The block rounds up to a multiple of
+# every run's step ratio, so that each run's steps tile it.
 _FINE_BLOCK = 1024
 
 
@@ -122,7 +122,7 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
                   n_fine: int, prm: PhysParams, initial: State,
                   path_seeds: Sequence[int], first_path: int,
                   record_every: Optional[Sequence[int]] = None,
-                  visit: Optional[Callable[[int, list], None]] = None
+                  visit: Optional[Callable[[int, List[State]], None]] = None
                   ) -> List[State]:
     """Run the scheme at each step of ``taus`` on shared fine Wiener paths.
 
@@ -131,16 +131,18 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
     ``n_fine`` steps.  They are drawn one block at a time, and every run
     crosses a block before the next one is drawn.  With ``record_every``
     (one stride per run), ``visit(start, runs)`` is called after each block
-    starting at fine step ``start``, with each run's :class:`Trajectory`
-    over the block; its first record is the state the block started from.
-    Returns the final state of each run.
+    starting at fine step ``start``, with each run's records in the block:
+    its states at the steps that are multiples of its stride, as one
+    :class:`State` of ``(records, width)`` arrays.  A block holds the
+    records after its first step, and the first block also step 0, so a
+    record can fall in any block and is visited once.  Returns the final
+    state of each run.
     """
     ratios = [steps_for(tau, tau_f, NonIntegralRatio, minimum=1)
               for tau in taus]
-    strides = record_every or [1] * len(taus)
-    grain = math.lcm(*(r * k for r, k in zip(ratios, strides)))
+    grain = math.lcm(*ratios)
     block = -(-_FINE_BLOCK // grain) * grain
-    keep = "last" if record_every is None else "all"
+    width = len(path_seeds)
     rngs = [np.random.default_rng(seed) for seed in path_seeds]
     states = [initial] * len(taus)
     for start in range(0, n_fine, block):
@@ -148,14 +150,25 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
         fine = increment_matrix(min(block, n_fine - start) * tau_f, tau_f,
                                 rngs)
         runs = []
-        for i, (tau, ratio, every) in enumerate(zip(taus, ratios, strides)):
-            run = simulate_on_grid(states[i], tau, prm, scheme, fine, tau_f,
-                                   keep=keep, record_every=every,
-                                   first_path=first_path,
-                                   first_step=start // ratio)
-            states[i] = run if keep == "last" else State(run.p[-1],
-                                                         run.q[-1])
-            runs.append(run)
+        for i, (tau, ratio) in enumerate(zip(taus, ratios)):
+            step0 = start // ratio
+            kept = []
+            if record_every is None:
+                def keep(n, s):
+                    pass
+            else:
+                # The step count runs on across blocks; a block's first
+                # state is the previous block's last.
+                def keep(n, s, every=record_every[i]):
+                    if (step0 + n) % every == 0 and (n > 0 or step0 == 0):
+                        kept.append(s)
+            states[i] = _evolve(states[i], (width,), tau, prm, scheme,
+                                _fine_windows(fine, ratio, tau_f), keep,
+                                first_path, step0)
+            if record_every is not None:
+                runs.append(State(
+                    np.array([s.p for s in kept]).reshape(len(kept), width),
+                    np.array([s.q for s in kept]).reshape(len(kept), width)))
         if visit is not None:
             visit(start, runs)
     return states
@@ -164,10 +177,12 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
 class _ChunkMoments:
     """Means and standard errors of cells whose samples arrive in chunks.
 
-    ``add(i, x)`` adds the 1-D samples ``x`` to cell ``i``: their squared
-    deviations from their own mean merge by Chan's pairwise update, where
-    ``sumsq / n - mean^2`` would cancel digits for a mean large against the
-    spread.  A mean is the plain sum of a cell's samples over their count.
+    A chunk's ``summarise(i, x)`` keeps the count, the sum and the sum of
+    squared deviations from their own mean of the 1-D samples ``x`` of cell
+    ``i``.  ``merge(part)`` adds a chunk's summaries by Chan's pairwise
+    update, where ``sumsq / n - mean^2`` would cancel digits for a mean
+    large against the spread.  A mean is the plain sum of a cell's samples
+    over their count.
     """
 
     def __init__(self, shape):
@@ -175,14 +190,18 @@ class _ChunkMoments:
         self.sums = np.zeros(shape)
         self.m2 = np.zeros(shape)
 
-    def add(self, i, x: np.ndarray) -> None:
-        n_a, n_b, s_b = self.count[i], len(x), x.sum()
-        dev = x - s_b / n_b
-        delta = s_b / n_b - self.sums[i] / max(n_a, 1)
+    def summarise(self, i, x: np.ndarray) -> None:
+        n, total = len(x), x.sum()
+        dev = x - total / n
+        self.count[i], self.sums[i], self.m2[i] = n, total, (dev * dev).sum()
+
+    def merge(self, part: "_ChunkMoments") -> None:
+        n_a, n_b = self.count, part.count
+        delta = part.sums / n_b - self.sums / np.maximum(n_a, 1)
         weight = n_a * n_b / (n_a + n_b)
-        self.m2[i] += (dev * dev).sum() + delta * delta * weight
-        self.sums[i] += s_b
-        self.count[i] += n_b
+        self.m2 += part.m2 + delta * delta * weight
+        self.sums += part.sums
+        self.count += n_b
 
     def mean_se(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-cell mean and standard error of the mean (n - 1 variance)."""
@@ -221,17 +240,22 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
     n_fine = steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
     for tau in tau_levels:
         steps_for(T, tau, NonIntegralRatio)
-    moments = _ChunkMoments(len(tau_levels))
-    for first, path_seeds in path_chunks(n_paths, seeds):
+    def work(first, path_seeds):
         ref, *levels = _coupled_runs(
             scheme, [reference_tau_f, *tau_levels], reference_tau_f, n_fine,
             prm, initial, path_seeds, first)
+        part = _ChunkMoments(len(tau_levels))
         for i, num in enumerate(levels):
             if g is None:
                 val = (num.p - ref.p) ** 2 + (num.q - ref.q) ** 2
             else:
                 val = g(num.p, num.q) - g(ref.p, ref.q)
-            moments.add(i, val)
+            part.summarise(i, val)
+        return part
+
+    moments = _ChunkMoments(len(tau_levels))
+    for part in map_chunks(work, n_paths, seeds):
+        moments.merge(part)
 
     mean, se_mean = moments.mean_se()
     if g is None:
@@ -453,19 +477,26 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
     times = np.arange(n_steps + 1) * tau
     scale = np.exp(prm.sigma**2 * times)
 
-    sum_exp = np.zeros(n_steps + 1)
-    max_expo = np.full(n_steps + 1, -np.inf)
+    def work(first, path_seeds):
+        sums = np.zeros(n_steps + 1)
+        maxima = np.full(n_steps + 1, -np.inf)
 
-    def visit(n, st):
-        q2 = st.q * st.q
-        expo = c_e * (st.p * st.p + q2 * q2) / scale[n]
-        with np.errstate(over="ignore"):
-            sum_exp[n] += np.exp(expo).sum()
-        max_expo[n] = np.maximum(max_expo[n], expo.max())
+        def visit(n, st):
+            q2 = st.q * st.q
+            expo = c_e * (st.p * st.p + q2 * q2) / scale[n]
+            with np.errstate(over="ignore"):
+                sums[n] = np.exp(expo).sum()
+            maxima[n] = expo.max()
 
-    for first, path_seeds in path_chunks(n_paths, seeds):
         _evolve(initial, (len(path_seeds),), tau, prm, scheme,
                 path_noise(path_seeds, n_steps), visit, first)
+        return sums, maxima
+
+    sum_exp = np.zeros(n_steps + 1)
+    max_expo = np.full(n_steps + 1, -np.inf)
+    for sums, maxima in map_chunks(work, n_paths, seeds):
+        sum_exp += sums
+        np.maximum(max_expo, maxima, out=max_expo)
 
     estimates = sum_exp / n_paths
     envelope_log = (exp_moment_rate_constant(prm) * (T + 1.0)
@@ -548,16 +579,16 @@ def h0_dissipation_compare(prm: PhysParams, tau: float, T: float,
     """
     n_steps = steps_for(T, tau)
     times = np.arange(n_steps + 1) * tau
-    moments = _ChunkMoments((2, n_steps + 1))  # naive, dissipative
-
     dec_n, std_n = naive_increment(prm, tau)
     inc_d = OUIncrement.from_params(prm, tau)
 
-    def tally(n, *flows):
-        for row, st in enumerate(flows):
-            moments.add((row, n), energy_H0(st))
+    def work(first, path_seeds):
+        part = _ChunkMoments((2, n_steps + 1))  # naive, dissipative
 
-    for _, path_seeds in path_chunks(n_paths, seeds):
+        def tally(n, *flows):
+            for row, st in enumerate(flows):
+                part.summarise((row, n), energy_H0(st))
+
         nv = State(np.full(len(path_seeds), float(initial.p)),
                    np.full(len(path_seeds), float(initial.q)))
         dv = State(nv.p.copy(), nv.q.copy())
@@ -566,6 +597,11 @@ def h0_dissipation_compare(prm: PhysParams, tau: float, T: float,
             nv = State(dec_n * nv.p + std_n * z, nv.q)
             dv = inc_d.apply(dv, z)
             tally(n, nv, dv)
+        return part
+
+    moments = _ChunkMoments((2, n_steps + 1))
+    for part in map_chunks(work, n_paths, seeds):
+        moments.merge(part)
 
     (naive_mean, diss_mean), (naive_se, diss_se) = moments.mean_se()
     return DissipationCurves(times=times, naive_mean=naive_mean,

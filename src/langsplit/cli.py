@@ -13,7 +13,13 @@ Exit codes: 0 success, 2 configuration errors (bad config file, unknown
 experiment, a key the experiment does not read, a value of the wrong type,
 a count below 1 or a negative seed, an unknown choice or scheme, a
 non-positive ``upsilon`` or a negative ``sigma``, a bad step or an untiled
-horizon), 1 numerical failures.
+horizon, fewer than 3 ``tau_levels`` or a ``burn_in`` that leaves no
+window before ``T``), 1 numerical failures.
+
+A recipe over many paths runs them in chunks of ``montecarlo.PATH_CHUNK``
+on up to ``montecarlo.WORKERS`` processes; its ``workers`` and ``n_chunks``
+metrics record that plan, and its other figures have the same bits for any
+number of workers.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from . import analysis, experiments
 from .errors import LangsplitError
 from .model import PhysParams, State, energy_H0, gibbs_moments
-from .montecarlo import SeedPolicy, steps_for
+from .montecarlo import SeedPolicy, chunk_plan, steps_for
 from .splitting import SchemeSpec, scheme_step, simulate
 
 OBSERVABLES = {
@@ -193,6 +199,12 @@ def _check(name, passed, margin):
     return {"name": name, "pass": bool(passed), "margin": float(margin)}
 
 
+def _plan(n_paths):
+    """The worker processes and path chunks of a run of ``n_paths``."""
+    workers, n_chunks = chunk_plan(n_paths)
+    return {"workers": workers, "n_chunks": n_chunks}
+
+
 # ---------------------------------------------------------------------------
 # experiment recipes: read every key, ``cfg.reject_unread()``, then run
 
@@ -256,6 +268,9 @@ def _order_recipe(cfg, outdir, weak):
     scheme, prm, seed = _common(cfg)
     T = cfg.num("T", 1.0)
     levels = cfg.numbers("tau_levels", [2.0**-k for k in range(6, 11)])
+    if len(levels) < 3:
+        raise ConfigError(f"config key 'tau_levels': an order fit needs at "
+                          f"least 3 levels, got {len(levels)}")
     ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-13), scheme, prm)
     for tau in levels:
         _step("tau_levels", tau, scheme, prm)
@@ -279,7 +294,8 @@ def _order_recipe(cfg, outdir, weak):
               zip(fit.taus, fit.errors, fit.std_errors))
     metrics = {"slope": fit.slope, "intercept": fit.intercept,
                "r_squared": fit.r_squared, "n_paths": n_paths,
-               "min_level_snr": float(np.min(fit.errors / fit.std_errors))}
+               "min_level_snr": float(np.min(fit.errors / fit.std_errors)),
+               **_plan(n_paths)}
     checks = [_check("slope_in_window", lo <= fit.slope <= hi,
                      min(fit.slope - lo, hi - fit.slope))]
     if not weak:
@@ -315,7 +331,8 @@ def run_long_time_error(cfg: Config, outdir: Path):
               zip(times, errs))
     early, late = experiments.window_means(times[1:], errs[1:])
     metrics = {"early_window_mean": early, "late_window_mean": late,
-               "ratio": late / early if early > 0 else float("inf")}
+               "ratio": late / early if early > 0 else float("inf"),
+               **_plan(n_paths)}
     return metrics, [_check("late_window_bounded", late <= 2.0 * early,
                             2.0 * early - late)]
 
@@ -325,8 +342,10 @@ def run_ergodic_average(cfg: Config, outdir: Path):
     tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     T = cfg.num("T", 512.0)
     burn = cfg.num("burn_in", 64.0)
-    _valid(("T", "tau"), steps_for, T, tau)
-    _valid(("burn_in", "tau"), steps_for, burn, tau)
+    n_steps = _valid(("T", "tau"), steps_for, T, tau)
+    if _valid(("burn_in", "tau"), steps_for, burn, tau) >= n_steps:
+        raise ConfigError(f"config key 'burn_in': {burn:g} leaves no window "
+                          f"before T = {T:g}")
     n_seeds = cfg.integer("n_seeds", 100)
     initial = _initial(cfg)
     cfg.reject_unread()
@@ -347,6 +366,7 @@ def run_ergodic_average(cfg: Config, outdir: Path):
         metrics.update({f"mean_{name}": mean, f"se_{name}": se,
                         f"target_{name}": target, f"rel_err_{name}": rel})
         checks.append(_check(f"{name}_within_5pct", rel < 0.05, 0.05 - rel))
+    metrics.update(_plan(n_seeds))
     return metrics, checks
 
 
@@ -365,7 +385,7 @@ def run_histogram(cfg: Config, outdir: Path):
     hists = experiments.histogram_snapshots(
         scheme, prm, tau, times, n_paths, SeedPolicy(seed), initial,
         bins, p_range, q_range)
-    metrics = {"n_paths": n_paths}
+    metrics = {"n_paths": n_paths, **_plan(n_paths)}
     distances = []
     for t, h in zip(sorted(times), hists):
         mass, pe, qe = h.mass, h.p_edges, h.q_edges
@@ -444,7 +464,7 @@ def run_msd(cfg: Config, outdir: Path):
     approach, approach_check = msd_approach(times, msd, plateau, prm.upsilon,
                                             fit_lo, fit_hi)
     metrics = {"plateau": plateau, "target": target, "rel_err": rel,
-               **approach}
+               **approach, **_plan(n_paths)}
     return metrics, [_check("plateau_within_5pct", rel < 0.05, 0.05 - rel),
                      approach_check]
 
@@ -465,7 +485,7 @@ def run_exp_moment(cfg: Config, outdir: Path):
     headroom = rep.envelope_log - float(np.log(np.max(rep.estimates)))
     metrics = {"envelope_log": rep.envelope_log, "flagged": rep.flagged,
                "max_estimate": float(np.max(rep.estimates)),
-               "log_headroom": headroom}
+               "log_headroom": headroom, **_plan(n_paths)}
     return metrics, [_check("exp_moment_bounded", not rep.flagged, headroom)]
 
 
@@ -555,7 +575,8 @@ def run_dissipation_demo(cfg: Config, outdir: Path):
     metrics = {"h0_initial": h0_start, "h0_half": half,
                "naive_min": float(curves.naive_mean.min()),
                "naive_final": float(curves.naive_mean[-1]),
-               "dissipative_at_0.2": float(curves.dissipative_mean[idx])}
+               "dissipative_at_0.2": float(curves.dissipative_mean[idx]),
+               **_plan(n_paths)}
     return metrics, [
         _check("naive_never_dissipates", naive_ok,
                float(np.min(curves.naive_mean + 3.0 * curves.naive_se

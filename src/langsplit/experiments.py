@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import Histogram2D, Observable, _coupled_runs
 from .errors import DegenerateRange, NonIntegralGrid, NonIntegralRatio
 from .model import PhysParams, State
-from .montecarlo import SeedPolicy, path_chunks, path_noise, steps_for
+from .montecarlo import SeedPolicy, map_chunks, path_noise, steps_for
 from .splitting import SchemeSpec, _evolve
 
 __all__ = [
@@ -53,16 +53,16 @@ def ergodic_averages(scheme: SchemeSpec, prm: PhysParams, tau: float,
 
     Each seed drives an independent path from ``initial``; the average is
     the left-endpoint Riemann mean over ``burn_in <= t_n < T``.  Returns
-    one array of ``n_seeds`` averages per observable; a chunk of paths adds
-    into its own slice of the per-seed sums.
+    one array of ``n_seeds`` averages per observable; each chunk of paths
+    returns its own slice of the per-seed sums.
     """
     n_steps = steps_for(T, tau)
     n_burn = steps_for(burn_in, tau)
     if n_burn >= n_steps:
         raise ValueError("burn-in must leave a nonempty window before T")
-    sums = np.zeros((len(observables), n_seeds))
-    for first, path_seeds in path_chunks(n_seeds, seeds):
-        part = sums[:, first:first + len(path_seeds)]
+
+    def work(first, path_seeds):
+        part = np.zeros((len(observables), len(path_seeds)))
 
         def visit(n, st):
             if n_burn <= n < n_steps:
@@ -71,6 +71,9 @@ def ergodic_averages(scheme: SchemeSpec, prm: PhysParams, tau: float,
 
         stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
                      first)
+        return part
+
+    sums = np.concatenate(map_chunks(work, n_seeds, seeds), axis=1)
     return dict(zip(observables, sums / (n_steps - n_burn)))
 
 
@@ -82,16 +85,22 @@ def msd_experiment(scheme: SchemeSpec, prm: PhysParams, tau: float, T: float,
     Returns ``(times, msd)`` over the full step grid.
     """
     n_steps = steps_for(T, tau)
-    acc = np.zeros(n_steps + 1)
     p0, q0 = float(initial.p), float(initial.q)
 
-    def visit(n, st):
-        d = (st.p - p0) ** 2 + (st.q - q0) ** 2
-        acc[n] += d.sum()
+    def work(first, path_seeds):
+        part = np.zeros(n_steps + 1)
 
-    for first, path_seeds in path_chunks(n_paths, seeds):
+        def visit(n, st):
+            d = (st.p - p0) ** 2 + (st.q - q0) ** 2
+            part[n] += d.sum()
+
         stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
                      first)
+        return part
+
+    acc = np.zeros(n_steps + 1)
+    for part in map_chunks(work, n_paths, seeds):
+        acc += part
     times = np.arange(n_steps + 1) * tau
     return times, acc / n_paths
 
@@ -120,19 +129,24 @@ def histogram_snapshots(scheme: SchemeSpec, prm: PhysParams, tau: float,
     snap_steps = {steps_for(t, tau): t for t in snapshot_times}
     n_steps = max(snap_steps) if snap_steps else 0
 
-    counts = {n: np.zeros((n_p, n_q)) for n in snap_steps}
-    edges = {}
+    def work(first, path_seeds):
+        part, edges = {}, {}
 
-    def visit(n, st):
-        if n in counts:
-            c, pe, qe = np.histogram2d(st.p, st.q, bins=[n_p, n_q],
-                                       range=[p_range, q_range])
-            counts[n] += c
-            edges[n] = (pe, qe)
+        def visit(n, st):
+            if n in snap_steps:
+                c, pe, qe = np.histogram2d(st.p, st.q, bins=[n_p, n_q],
+                                           range=[p_range, q_range])
+                part[n] = c
+                edges[n] = (pe, qe)
 
-    for first, path_seeds in path_chunks(n_paths, seeds):
         stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
                      first)
+        return part, edges
+
+    counts = {n: np.zeros((n_p, n_q)) for n in snap_steps}
+    for part, edges in map_chunks(work, n_paths, seeds):
+        for n, c in part.items():
+            counts[n] += c
 
     out = []
     for n in sorted(snap_steps):
@@ -167,21 +181,24 @@ def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
     n_rec = n_steps // stride
     fine_stride = stride * ratio
 
-    acc = np.zeros(n_rec + 1)
+    def work(first, path_seeds):
+        part = np.zeros(n_rec + 1)
 
-    def add_block(start, runs):
-        # A block's first record repeats the previous block's last one.
-        ref, num = runs
-        skip = 0 if start == 0 else 1
-        err = ((num.p[skip:] - ref.p[skip:]) ** 2
-               + (num.q[skip:] - ref.q[skip:]) ** 2)
-        first_rec = start // fine_stride + skip
-        acc[first_rec:first_rec + len(err)] += err.sum(axis=1)
+        def add_block(start, runs):
+            # A block after the first holds the records after its first step.
+            ref, num = runs
+            err = (num.p - ref.p) ** 2 + (num.q - ref.q) ** 2
+            first_rec = 0 if start == 0 else start // fine_stride + 1
+            part[first_rec:first_rec + len(err)] += err.sum(axis=1)
 
-    for first, path_seeds in path_chunks(n_paths, seeds):
         _coupled_runs(scheme, [reference_tau_f, tau], reference_tau_f, n_fine,
                       prm, initial, path_seeds, first,
                       record_every=[fine_stride, stride], visit=add_block)
+        return part
+
+    acc = np.zeros(n_rec + 1)
+    for part in map_chunks(work, n_paths, seeds):
+        acc += part
 
     times = np.arange(n_rec + 1) * (stride * tau)
     return times, np.sqrt(acc / n_paths)

@@ -252,6 +252,13 @@ def simulate(initial: State, T: float, tau: float, prm: PhysParams,
     return Trajectory(times=times, p=p_out, q=q_out)
 
 
+def _fine_windows(increments: np.ndarray, ratio: int,
+                  tau_f: float) -> Iterable[FineWindow]:
+    """The windows of ``ratio`` fine increments that each coarse step takes."""
+    return (FineWindow(increments[n:n + ratio], tau_f)
+            for n in range(0, increments.shape[0], ratio))
+
+
 def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
                      spec: SchemeSpec, increments: np.ndarray, tau_f: float,
                      keep: str = "all", record_every: int = 1,
@@ -291,8 +298,7 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
     increments = np.asarray(increments, dtype=float)
     ratio = steps_for(tau, tau_f, NonIntegralRatio, minimum=1)
     n_steps = steps_for(increments.shape[0], ratio, NonIntegralRatio)
-    windows = (FineWindow(increments[n * ratio:(n + 1) * ratio], tau_f)
-               for n in range(n_steps))
+    windows = _fine_windows(increments, ratio, tau_f)
     batch_shape = increments.shape[1:]
     if keep != "all":
         return _evolve(initial, batch_shape, tau, prm, spec, windows,

@@ -11,7 +11,7 @@ from langsplit.detflow import conservative_step, subsystem_field
 from langsplit.errors import (DegenerateRange, EmptyWindow, NonIntegralGrid,
                               NonIntegralRatio)
 from langsplit.model import ArrayLike, PhysParams, State, energy_H, energy_H0
-from langsplit.montecarlo import increment_matrix, path_chunks, steps_for
+from langsplit.montecarlo import increment_matrix, map_chunks, steps_for
 from langsplit.splitting import Trajectory, require_finite, simulate_on_grid
 from langsplit.stochflow import naive_increment
 
@@ -145,11 +145,11 @@ def consistency_residuals(map_kind: str, s: State, tau: float,
 def coupled_terminal_stats_whole(scheme, tau_levels, tau_f, T, prm, n_paths,
                                  seeds, initial=State(0.0, 0.0), g=None):
     """``analysis.coupled_terminal_stats`` with each chunk's whole fine grid."""
-    moments = _ChunkMoments(len(tau_levels))
-    for first, path_seeds in path_chunks(n_paths, seeds):
+    def work(first, path_seeds):
         fine = increment_matrix(T, tau_f, path_seeds)
         ref = simulate_on_grid(initial, tau_f, prm, scheme, fine, tau_f,
                                keep="last", first_path=first)
+        part = _ChunkMoments(len(tau_levels))
         for i, tau in enumerate(tau_levels):
             num = simulate_on_grid(initial, tau, prm, scheme, fine, tau_f,
                                    keep="last", first_path=first)
@@ -157,7 +157,12 @@ def coupled_terminal_stats_whole(scheme, tau_levels, tau_f, T, prm, n_paths,
                 val = (num.p - ref.p) ** 2 + (num.q - ref.q) ** 2
             else:
                 val = g(num.p, num.q) - g(ref.p, ref.q)
-            moments.add(i, val)
+            part.summarise(i, val)
+        return part
+
+    moments = _ChunkMoments(len(tau_levels))
+    for part in map_chunks(work, n_paths, seeds):
+        moments.merge(part)
     mean, se_mean = moments.mean_se()
     if g is None:
         rms = np.sqrt(np.maximum(mean, 0.0))
@@ -176,13 +181,17 @@ def long_time_error_whole(scheme, tau, tau_f, T, prm, n_paths, seeds,
     while n_steps % stride != 0:
         stride -= 1
     n_rec = n_steps // stride
-    acc = np.zeros(n_rec + 1)
-    for first, path_seeds in path_chunks(n_paths, seeds):
+
+    def work(first, path_seeds):
         fine = increment_matrix(T, tau_f, path_seeds)
         ref = simulate_on_grid(initial, tau_f, prm, scheme, fine, tau_f,
                                record_every=stride * ratio, first_path=first)
         num = simulate_on_grid(initial, tau, prm, scheme, fine, tau_f,
                                record_every=stride, first_path=first)
-        acc += ((num.p - ref.p) ** 2 + (num.q - ref.q) ** 2).sum(axis=1)
+        return ((num.p - ref.p) ** 2 + (num.q - ref.q) ** 2).sum(axis=1)
+
+    acc = np.zeros(n_rec + 1)
+    for part in map_chunks(work, n_paths, seeds):
+        acc += part
     times = np.arange(n_rec + 1) * (stride * tau)
     return times, np.sqrt(acc / n_paths)

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -77,7 +78,9 @@ def test_chunk_moments_centre_each_chunk():
     moments = analysis._ChunkMoments(1)
     sums = 0.0
     for start in range(0, len(x), 2048):
-        moments.add(0, x[start:start + 2048])
+        part = analysis._ChunkMoments(1)
+        part.summarise(0, x[start:start + 2048])
+        moments.merge(part)
         sums += x[start:start + 2048].sum()
     mean, se = moments.mean_se()
     assert mean[0] == sums / len(x)
@@ -104,11 +107,19 @@ def _long_time(form):
                 n_records=8)
 
 
+def _long_horizon(form):
+    return form(SAVF, 2.0**-5, 2.0**-7, 8.0, PRM10, 70, SeedPolicy(7),
+                n_records=3)
+
+
 # Each path-coupled estimator against its whole-horizon form, in two chunks of
 # 64 and 6 paths, with short blocks.  T = 0.6875 is 88 fine steps of 2^-7:
 # blocks of 12 round up to the largest ratio, 8, and give five blocks of 16
 # and one of 8.  The long-time run has 128 fine steps and a record every 16:
-# blocks of 40 round up to 48 and give 48, 48 and 32.
+# blocks of 40 are a multiple of its ratio, 4, and give 40, 40, 40 and 8,
+# so records fall inside blocks.  The long horizon has 1024 fine steps and a
+# record every 256 (n_records = 3 gives a stride of 64 coarse steps): its
+# blocks of 40 hold no record or one, never at a block's first step.
 # name: (run, block constant, blocked form, whole form, blocks)
 BLOCKED_RUNS = {
     "coupled_terminal_stats_strong": (
@@ -118,7 +129,11 @@ BLOCKED_RUNS = {
         _weak, 12, analysis.coupled_terminal_stats,
         coupled_terminal_stats_whole, [16] * 5 + [8]),
     "long_time_error": (
-        _long_time, 40, long_time_error, long_time_error_whole, [48, 48, 32]),
+        _long_time, 40, long_time_error, long_time_error_whole,
+        [40, 40, 40, 8]),
+    "long_time_error_long_horizon": (
+        _long_horizon, 40, long_time_error, long_time_error_whole,
+        [40] * 25 + [24]),
 }
 
 
@@ -126,6 +141,8 @@ BLOCKED_RUNS = {
 def test_blocked_runs_equal_whole_horizon(name, monkeypatch):
     run, block, blocked, whole, blocks = BLOCKED_RUNS[name]
     monkeypatch.setattr(montecarlo, "PATH_CHUNK", 64)
+    # The draws are recorded in this process, so the chunks run here too.
+    monkeypatch.setattr(montecarlo, "WORKERS", 1)
     expected = run(whole)
     drawn = []
     original = analysis.increment_matrix
@@ -763,3 +780,59 @@ def test_chunking_changes_only_rounding(name, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(whole, run(300)))
     for a, b in zip(whole, chunked):
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+
+
+def _histogram():
+    hists = histogram_snapshots(SAVF, PRM15, 2.0**-6, [0.0, 0.25], 300,
+                                SeedPolicy(5), ORIGIN, (12, 12), (-2, 2),
+                                (-2, 2))
+    return [h.counts for h in hists] + [hists[-1].p_edges, hists[-1].q_edges]
+
+
+def _ergodic():
+    avgs = ergodic_averages(SAVF, PRM10, 2.0**-6, 0.5, 0.125, 300,
+                            SeedPolicy(5), ORIGIN,
+                            {"p2": lambda p, q: p * p,
+                             "q4": lambda p, q: q**4})
+    return list(avgs.values())
+
+
+# Every driver that runs its paths in chunks.
+POOLED_RUNS = {**CHUNKED_RUNS, "histogram_snapshots": _histogram,
+               "ergodic_averages": _ergodic}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED_RUNS))
+def test_worker_count_keeps_the_bits(name, monkeypatch):
+    # Five chunks: workers return each chunk's partial result and the
+    # parent folds them in chunk order, as one process does.
+    monkeypatch.setattr(montecarlo, "PATH_CHUNK", 64)
+
+    def run(workers):
+        monkeypatch.setattr(montecarlo, "WORKERS", workers)
+        return POOLED_RUNS[name]()
+
+    serial = run(1)
+    for workers in (2, 3):
+        pooled = run(workers)
+        assert len(pooled) == len(serial)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (_, chunk, _) in DIVERGING_RUNS.items() if chunk))
+def test_pool_names_the_failure_of_the_serial_run(name, monkeypatch):
+    # The failing path lies in a later chunk; the pool raises the exception
+    # of the first chunk that fails, and no worker is left behind.
+    run, chunk, expected = DIVERGING_RUNS[name]
+    monkeypatch.setattr(montecarlo, "PATH_CHUNK", chunk)
+    monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
+    monkeypatch.setattr(detflow, "NEWTON_MAX_ITER", 2)
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "WORKERS", workers)
+        with pytest.raises(NonConvergence) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            run()
+        assert (info.value.step_index, info.value.path_index) == expected
+        assert multiprocessing.active_children() == []

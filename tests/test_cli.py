@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import langsplit
-from langsplit import analysis
+from langsplit import analysis, montecarlo
 from langsplit.cli import (RECIPES, main, msd_approach, parse_config_file,
                            _parse_number)
 
@@ -316,6 +317,10 @@ def test_workers_flag_is_rejected(tmp_path):
     ("long-time-error", "T = 0.3\n"),
     ("lyapunov", "tau = 0\n"),
     ("jacobian", "tau = -1e-4\n"),
+    ("strong-order", "tau_levels = 2^-6,2^-7\n"),
+    ("weak-order", "tau_levels = 2^-6\n"),
+    ("ergodic-average", "burn_in = 512\n"),
+    ("ergodic-average", "burn_in = 8\nT = 4\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
@@ -353,8 +358,13 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
         return sorted(m for m in sys.modules
                       if m == "scipy" or m.startswith("scipy."))
 
+    def pool_modules():
+        return sorted(m for m in sys.modules
+                      if m.split(".")[0] in ("multiprocessing", "concurrent"))
+
     import langsplit, langsplit.cli
     assert not scipy_modules(), scipy_modules()[:3]
+    assert not pool_modules(), pool_modules()[:3]
     out = Path(sys.argv[1])
     recipes = {
         "histogram": "times = 0,0.25\\nn_paths = 200\\ntau = 2^-6\\n"
@@ -370,15 +380,51 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
                                    "--seed", "3", "--out", str(out / name)])
         assert code == 0, name
     assert not scipy_modules(), scipy_modules()[:3]
+    # Every run above is one path chunk, which starts no pool.
+    assert not pool_modules(), pool_modules()[:3]
 """)
 
 
 def test_no_scipy_at_run_time(tmp_path):
     # The Gibbs oracles are closed forms: importing the package and running
-    # the recipes that use them must not load scipy.
+    # the recipes that use them must not load scipy.  Nor do they load the
+    # process pool's modules, which only a run of several chunks imports.
     src = str(Path(langsplit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
                            str(tmp_path)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_failure_in_a_pooled_chunk_exits_one(tmp_path, capsys, monkeypatch):
+    # Path 149 of seed 1 diverges at step 49 (see test_analysis); in chunks
+    # of 64 it lies in the third chunk, which a worker runs.
+    monkeypatch.setattr(montecarlo, "PATH_CHUNK", 64)
+    monkeypatch.setattr(montecarlo, "WORKERS", 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(
+            tmp_path, "histogram",
+            "scheme = sympl-euler\nupsilon = 1\ntau = 2\ntimes = 0,100\n"
+            "n_paths = 200\nbins_p = 10\nbins_q = 10\n", seed=1)
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert record["type"] == "NonConvergence"
+    assert (record["step_index"], record["path_index"]) == (49, 149)
+    assert not (out / "summary.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_summary_records_the_chunk_plan(tmp_path, monkeypatch):
+    monkeypatch.setattr(montecarlo, "PATH_CHUNK", 64)
+    cfg = ("times = 0,0.25\nn_paths = 300\ntau = 2^-6\nbins_p = 10\n"
+           "bins_q = 10\n")
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "WORKERS", workers)
+        code, out = run_cli(tmp_path / str(workers), "histogram", cfg, seed=8)
+        assert code == 0
+        metrics = json.loads((out / "summary.json").read_text())["metrics"]
+        assert (metrics.pop("workers"), metrics.pop("n_chunks")) == (workers, 5)
+        runs[workers] = (metrics, csv_body(out / "histogram_t0.25.csv"))
+    assert runs[1] == runs[2]

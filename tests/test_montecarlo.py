@@ -1,3 +1,7 @@
+import concurrent.futures
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,37 @@ class TestSeedPolicy:
         pol = SeedPolicy(5)
         assert np.array_equal(pol.path_seeds(3, start=10),
                               pol.path_seeds(13)[10:])
+
+
+class TestMapChunks:
+    def test_chunks_in_order_with_their_seeds(self, monkeypatch):
+        # A lambda cannot be pickled: workers inherit it through the fork.
+        monkeypatch.setattr(montecarlo, "PATH_CHUNK", 64)
+        seeds = SeedPolicy(4)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "WORKERS", workers)
+            got = montecarlo.map_chunks(
+                lambda first, s: (first, s, os.getpid()), 300, seeds)
+            assert [first for first, _, _ in got] == [0, 64, 128, 192, 256]
+            assert np.array_equal(np.concatenate([s for _, s, _ in got]),
+                                  seeds.path_seeds(300))
+            pids = {pid for _, _, pid in got}
+            assert (pids == {os.getpid()}) == (workers == 1)
+            assert len(pids) <= workers
+        assert multiprocessing.active_children() == []
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo, "WORKERS", 2)
+        n = montecarlo.PATH_CHUNK
+        assert montecarlo.chunk_plan(n) == (1, 1)
+        assert montecarlo.map_chunks(lambda first, s: len(s), n,
+                                     SeedPolicy(1)) == [n]
+        assert montecarlo.chunk_plan(n + 1) == (2, 2)
+        assert montecarlo.chunk_plan(5 * n) == (2, 5)
 
 
 class TestGenerateGrid:
