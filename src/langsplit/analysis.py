@@ -17,11 +17,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .detflow import CONSERVATIVE_KINDS
-from .errors import (EmptyWindow, NonIntegralGrid, NonIntegralRatio,
-                     NonPositiveError)
-from .model import (ArrayLike, EnergyConstants, PhysParams, State, energy_H,
-                    energy_H0, exp_moment_rate_constant,
-                    position_marginal_normalizer)
+from .errors import EmptyWindow, NonConvergence, NonPositiveError
+from .model import (ArrayLike, EnergyConstants, PhysParams, State,
+                    _position_weight_scale, energy_H, energy_H0,
+                    exp_moment_rate_constant, position_marginal_normalizer)
 from .montecarlo import (SeedPolicy, increment_matrix, map_chunks, path_noise,
                          steps_for)
 # ``require_finite`` stays importable here: the benchmark traces it as
@@ -120,7 +119,7 @@ _FINE_BLOCK = 1024
 
 def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
                   n_fine: int, prm: PhysParams, initial: State,
-                  path_seeds: Sequence[int], first_path: int,
+                  path_seeds: Sequence[int],
                   record_every: Optional[Sequence[int]] = None,
                   visit: Optional[Callable[[int, List[State]], None]] = None
                   ) -> List[State]:
@@ -136,10 +135,10 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
     :class:`State` of ``(records, width)`` arrays.  A block holds the
     records after its first step, and the first block also step 0, so a
     record can fall in any block and is visited once.  Returns the final
-    state of each run.
+    state of each run.  A :class:`NonConvergence` leaves its block with the
+    step index of the whole run.
     """
-    ratios = [steps_for(tau, tau_f, NonIntegralRatio, minimum=1)
-              for tau in taus]
+    ratios = [steps_for(tau, tau_f, minimum=1) for tau in taus]
     grain = math.lcm(*ratios)
     block = -(-_FINE_BLOCK // grain) * grain
     width = len(path_seeds)
@@ -162,9 +161,12 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
                 def keep(n, s, every=record_every[i]):
                     if (step0 + n) % every == 0 and (n > 0 or step0 == 0):
                         kept.append(s)
-            states[i] = _evolve(states[i], (width,), tau, prm, scheme,
-                                _fine_windows(fine, ratio, tau_f), keep,
-                                first_path, step0)
+            try:
+                states[i] = _evolve(states[i], (width,), tau, prm, scheme,
+                                    _fine_windows(fine, ratio, tau_f), keep)
+            except NonConvergence as exc:
+                exc.step_index += step0
+                raise
             if record_every is not None:
                 runs.append(State(
                     np.array([s.p for s in kept]).reshape(len(kept), width),
@@ -230,20 +232,18 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
 
     Raises
     ------
-    ValueError
-        If a level is not an integer multiple of ``reference_tau_f``.
-    NonIntegralGrid, NonIntegralRatio
-        If ``T`` is not a multiple of ``reference_tau_f`` or of a level.
+    NonIntegralGrid
+        If ``T`` is not a multiple of ``reference_tau_f`` or of a level, or
+        a level is not a multiple of ``reference_tau_f``.
     """
+    n_fine = steps_for(T, reference_tau_f, minimum=1)
     for tau in tau_levels:
-        steps_for(tau, reference_tau_f, minimum=1)
-    n_fine = steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
-    for tau in tau_levels:
-        steps_for(T, tau, NonIntegralRatio)
-    def work(first, path_seeds):
+        steps_for(T, tau)
+
+    def work(path_seeds):
         ref, *levels = _coupled_runs(
             scheme, [reference_tau_f, *tau_levels], reference_tau_f, n_fine,
-            prm, initial, path_seeds, first)
+            prm, initial, path_seeds)
         part = _ChunkMoments(len(tau_levels))
         for i, num in enumerate(levels):
             if g is None:
@@ -325,12 +325,12 @@ def gibbs_bin_masses(prm: PhysParams, p_edges: np.ndarray,
     1e-19, and split into equal panels no wider than ``c^(-1/4) / 2``, on
     which the integrand is smooth enough for the rule to reach rounding.
     """
+    c = _position_weight_scale(prm)
     sd = prm.sigma / math.sqrt(2.0 * prm.upsilon)
     p_cdf = np.array([0.5 * (1.0 + math.erf(e / (sd * math.sqrt(2.0))))
                       for e in p_edges])
     p_mass = np.diff(p_cdf)
 
-    c = prm.upsilon / (2.0 * prm.sigma**2)
     q_cut = (45.0 / c) ** 0.25
     q_edges = np.asarray(q_edges, dtype=float)
     lo = np.clip(q_edges[:-1], -q_cut, q_cut)
@@ -477,7 +477,7 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
     times = np.arange(n_steps + 1) * tau
     scale = np.exp(prm.sigma**2 * times)
 
-    def work(first, path_seeds):
+    def work(path_seeds):
         sums = np.zeros(n_steps + 1)
         maxima = np.full(n_steps + 1, -np.inf)
 
@@ -489,7 +489,7 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
             maxima[n] = expo.max()
 
         _evolve(initial, (len(path_seeds),), tau, prm, scheme,
-                path_noise(path_seeds, n_steps), visit, first)
+                path_noise(path_seeds, n_steps), visit)
         return sums, maxima
 
     sum_exp = np.zeros(n_steps + 1)
@@ -582,7 +582,7 @@ def h0_dissipation_compare(prm: PhysParams, tau: float, T: float,
     dec_n, std_n = naive_increment(prm, tau)
     inc_d = OUIncrement.from_params(prm, tau)
 
-    def work(first, path_seeds):
+    def work(path_seeds):
         part = _ChunkMoments((2, n_steps + 1))  # naive, dissipative
 
         def tally(n, *flows):

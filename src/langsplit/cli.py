@@ -12,9 +12,11 @@ bounds; no config key sets one.
 Exit codes: 0 success, 2 configuration errors (bad config file, unknown
 experiment, a key the experiment does not read, a value of the wrong type,
 a count below 1 or a negative seed, an unknown choice or scheme, a
-non-positive ``upsilon`` or a negative ``sigma``, a bad step or an untiled
-horizon, fewer than 3 ``tau_levels`` or a ``burn_in`` that leaves no
-window before ``T``), 1 numerical failures.
+non-finite or non-positive ``upsilon``, a non-finite or negative ``sigma``
+(or a zero one where the Gibbs law is the oracle), a bad step or an
+untiled horizon, fewer than 3 ``tau_levels``, 10 error records or 2
+distinct ``times``, an empty histogram window or a ``burn_in`` that leaves
+no window before ``T``), 1 numerical failures.
 
 A recipe over many paths runs them in chunks of ``montecarlo.PATH_CHUNK``
 on up to ``montecarlo.WORKERS`` processes; its ``workers`` and ``n_chunks``
@@ -223,9 +225,8 @@ def _common(cfg, scheme_default="savf", upsilon=10.0):
     if scheme_default:
         scheme = _valid(("scheme",), SchemeSpec.from_name,
                         cfg.text("scheme", scheme_default))
-    upsilon, sigma = cfg.num("upsilon", upsilon), cfg.num("sigma", 1.0)
-    prm = _valid(("sigma" if upsilon > 0 else "upsilon",), PhysParams,
-                 upsilon, sigma)
+    prm = _valid(("upsilon", "sigma"), PhysParams, cfg.num("upsilon", upsilon),
+                 cfg.num("sigma", 1.0))
     seed = cfg.integer("seed", 12345, minimum=0)
     return scheme, prm, seed
 
@@ -318,10 +319,15 @@ def run_long_time_error(cfg: Config, outdir: Path):
     ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-11), scheme, prm)
     _valid(("tau", "ref_tau"), steps_for, tau, ref, minimum=1)
     T = cfg.num("T", 100.0)
-    _valid(("T", "tau"), steps_for, T, tau, minimum=1)
+    n_steps = _valid(("T", "tau"), steps_for, T, tau, minimum=1)
     n_paths = cfg.integer("n_paths", 200)
     initial = _initial(cfg)
     n_records = cfg.integer("n_records", 1024)
+    # The first tenth of the horizon must hold a record after t = 0.
+    n_rec = n_steps // experiments.record_stride(n_steps, n_records)
+    if n_rec < 10:
+        raise ConfigError(f"config keys 'T', 'tau', 'n_records': {n_rec} "
+                          "records after t = 0, need at least 10")
     cfg.reject_unread()
     times, errs = experiments.long_time_error(
         scheme, tau, ref, T, prm, n_paths, SeedPolicy(seed), initial=initial,
@@ -348,6 +354,7 @@ def run_ergodic_average(cfg: Config, outdir: Path):
                           f"before T = {T:g}")
     n_seeds = cfg.integer("n_seeds", 100)
     initial = _initial(cfg)
+    oracle = _valid(("sigma",), gibbs_moments, prm)
     cfg.reject_unread()
     avgs = experiments.ergodic_averages(
         scheme, prm, tau, T, burn, n_seeds, SeedPolicy(seed), initial,
@@ -356,7 +363,6 @@ def run_ergodic_average(cfg: Config, outdir: Path):
               _meta(cfg, scheme, prm, tau, T, seed),
               ["seed_index", "avg_p2", "avg_q4"],
               ((i, avgs["p2"][i], avgs["q4"][i]) for i in range(n_seeds)))
-    oracle = gibbs_moments(prm)
     metrics = {}
     checks = []
     for name, target in (("p2", oracle.Ep2), ("q4", oracle.Eq4)):
@@ -374,13 +380,20 @@ def run_histogram(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
     tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     times = cfg.numbers("times", [0.0, 2.0, 256.0])
-    for t in times:
-        _valid(("times", "tau"), steps_for, t, tau)
+    steps = {_valid(("times", "tau"), steps_for, t, tau) for t in times}
+    if not len(times) == len(steps) >= 2:
+        raise ConfigError("config key 'times': need at least two distinct "
+                          f"times, got {cfg.text('times')!r}")
     n_paths = cfg.integer("n_paths", 5000)
     bins = (cfg.integer("bins_p", 40), cfg.integer("bins_q", 40))
     p_range = (cfg.num("p_min", -1.0), cfg.num("p_max", 1.0))
     q_range = (cfg.num("q_min", -1.5), cfg.num("q_max", 1.5))
+    for axis, (lo, hi) in zip("pq", (p_range, q_range)):
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(f"config keys '{axis}_min', '{axis}_max': "
+                              f"[{lo:g}, {hi:g}] is not a finite window")
     initial = _initial(cfg)
+    _valid(("sigma",), gibbs_moments, prm)
     cfg.reject_unread()
     hists = experiments.histogram_snapshots(
         scheme, prm, tau, times, n_paths, SeedPolicy(seed), initial,
@@ -449,6 +462,7 @@ def run_msd(cfg: Config, outdir: Path):
     n_records = cfg.integer("n_records", 2048)
     initial = _initial(cfg)
     fit_lo, fit_hi = cfg.num("fit_t_min"), cfg.num("fit_t_max")
+    mom = _valid(("sigma",), gibbs_moments, prm)
     cfg.reject_unread()
     times, msd = experiments.msd_experiment(
         scheme, prm, tau, T, n_paths, SeedPolicy(seed), initial)
@@ -456,7 +470,6 @@ def run_msd(cfg: Config, outdir: Path):
     write_csv(outdir / "msd.csv", _meta(cfg, scheme, prm, tau, T, seed),
               ["t", "msd"], zip(times[::stride], msd[::stride]))
     plateau = analysis.msd_plateau(times, msd)
-    mom = gibbs_moments(prm)
     # The stationary law has zero mean, so the displacement plateau is the
     # stationary second moments plus the squared initial offset.
     target = mom.Ep2 + mom.Eq2 + float(initial.p)**2 + float(initial.q)**2
@@ -643,11 +656,6 @@ def main(argv=None) -> int:
         cfg = Config(entries)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(_error_record("config", exc), file=sys.stderr)
-        return 2
-
-    try:
         metrics, checks = RECIPES[experiment](cfg, outdir)
     except ConfigError as exc:
         print(_error_record("config", exc), file=sys.stderr)

@@ -6,10 +6,10 @@ class LangsplitError(Exception):
 
 
 class NonConvergence(LangsplitError):
-    """An implicit solve exhausted its iteration budget.
-
-    Usually means the step size is too large for the current state, or the
-    state has left the well-conditioned region.
+    """An implicit solve exhausted its iteration budget, or a state is not
+    finite: the step is too large for the state, or the state has left the
+    well-conditioned region.  The message names ``step_index`` and
+    ``path_index`` as they stand when it is read.
     """
 
     def __init__(self, message, iterations=None, residual=None, step_index=None,
@@ -19,6 +19,11 @@ class NonConvergence(LangsplitError):
         self.residual = residual
         self.step_index = step_index
         self.path_index = path_index
+
+    def __str__(self):
+        at = "" if self.step_index is None else f" at step {self.step_index}"
+        on = "" if self.path_index is None else f" in path {self.path_index}"
+        return super().__str__() + at + on
 
 
 class SingularJacobian(LangsplitError):
@@ -30,12 +35,8 @@ class GridMismatch(LangsplitError):
     """A fine-increment window does not tile the requested coarse step."""
 
 
-class NonIntegralGrid(LangsplitError):
-    """Horizon is not an integer multiple of the grid spacing."""
-
-
-class NonIntegralRatio(LangsplitError):
-    """Coarse step is not an integer multiple of the fine spacing."""
+class NonIntegralGrid(LangsplitError, ValueError):
+    """A horizon, time or coarse step is not a whole number of steps."""
 
 
 class EmptyWindow(LangsplitError):

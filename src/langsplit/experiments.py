@@ -14,7 +14,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .analysis import Histogram2D, Observable, _coupled_runs
-from .errors import DegenerateRange, NonIntegralGrid, NonIntegralRatio
+from .errors import DegenerateRange, EmptyWindow
 from .model import PhysParams, State
 from .montecarlo import SeedPolicy, map_chunks, path_noise, steps_for
 from .splitting import SchemeSpec, _evolve
@@ -25,23 +25,23 @@ __all__ = [
     "msd_experiment",
     "histogram_snapshots",
     "long_time_error",
+    "record_stride",
     "window_means",
 ]
 
 
 def stream_paths(scheme: SchemeSpec, prm: PhysParams, tau: float,
                  n_steps: int, initial: State, path_seeds: Sequence[int],
-                 visit: Callable[[int, State], None],
-                 first_path: int = 0) -> None:
+                 visit: Callable[[int, State], None]) -> None:
     """Evolve a batch of paths, calling ``visit(n, state)`` at every step.
 
     ``visit`` is called with n = 0 (the initial state) through n_steps; the
     state's fields are arrays of width ``len(path_seeds)``.  A non-finite
     state raises :class:`~langsplit.errors.NonConvergence` naming its step
-    and its path, counted from ``first_path``.
+    and its lane in the batch.
     """
     _evolve(initial, (len(path_seeds),), tau, prm, scheme,
-            path_noise(path_seeds, n_steps), visit, first_path)
+            path_noise(path_seeds, n_steps), visit)
 
 
 def ergodic_averages(scheme: SchemeSpec, prm: PhysParams, tau: float,
@@ -61,7 +61,7 @@ def ergodic_averages(scheme: SchemeSpec, prm: PhysParams, tau: float,
     if n_burn >= n_steps:
         raise ValueError("burn-in must leave a nonempty window before T")
 
-    def work(first, path_seeds):
+    def work(path_seeds):
         part = np.zeros((len(observables), len(path_seeds)))
 
         def visit(n, st):
@@ -69,8 +69,7 @@ def ergodic_averages(scheme: SchemeSpec, prm: PhysParams, tau: float,
                 for row, g in zip(part, observables.values()):
                     row += g(st.p, st.q)
 
-        stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
-                     first)
+        stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit)
         return part
 
     sums = np.concatenate(map_chunks(work, n_seeds, seeds), axis=1)
@@ -87,15 +86,14 @@ def msd_experiment(scheme: SchemeSpec, prm: PhysParams, tau: float, T: float,
     n_steps = steps_for(T, tau)
     p0, q0 = float(initial.p), float(initial.q)
 
-    def work(first, path_seeds):
+    def work(path_seeds):
         part = np.zeros(n_steps + 1)
 
         def visit(n, st):
             d = (st.p - p0) ** 2 + (st.q - q0) ** 2
             part[n] += d.sum()
 
-        stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
-                     first)
+        stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit)
         return part
 
     acc = np.zeros(n_steps + 1)
@@ -113,39 +111,37 @@ def histogram_snapshots(scheme: SchemeSpec, prm: PhysParams, tau: float,
                         q_range: Tuple[float, float]):
     """Empirical distributions of the ensemble at selected times, streamed.
 
-    Returns one :class:`Histogram2D` per snapshot time (same bin layout).
+    Returns one :class:`Histogram2D` per distinct snapshot step, in time
+    order (same bin layout).
 
     Raises
     ------
     NonConvergence
         At the first non-finite state, naming its step and path, instead of
         dropping the path from the histogram.
-    ValueError
+    NonIntegralGrid
         If a snapshot time is not on the step grid.
     """
-    n_p, n_q = bins
     if not (p_range[1] > p_range[0] and q_range[1] > q_range[0]):
         raise DegenerateRange(f"bad window {p_range} x {q_range}")
-    snap_steps = {steps_for(t, tau): t for t in snapshot_times}
+    grid = {"bins": list(bins), "range": [p_range, q_range]}
+    snap_steps = {steps_for(t, tau) for t in snapshot_times}
     n_steps = max(snap_steps) if snap_steps else 0
 
-    def work(first, path_seeds):
-        part, edges = {}, {}
+    def work(path_seeds):
+        part = {}
 
         def visit(n, st):
             if n in snap_steps:
-                c, pe, qe = np.histogram2d(st.p, st.q, bins=[n_p, n_q],
-                                           range=[p_range, q_range])
-                part[n] = c
-                edges[n] = (pe, qe)
+                part[n] = np.histogram2d(st.p, st.q, **grid)
 
-        stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit,
-                     first)
-        return part, edges
+        stream_paths(scheme, prm, tau, n_steps, initial, path_seeds, visit)
+        return part
 
-    counts = {n: np.zeros((n_p, n_q)) for n in snap_steps}
-    for part, edges in map_chunks(work, n_paths, seeds):
-        for n, c in part.items():
+    counts = {n: np.zeros(bins) for n in snap_steps}
+    for part in map_chunks(work, n_paths, seeds):
+        # The edges follow from the grid: every chunk and time has the same.
+        for n, (c, *edges) in part.items():
             counts[n] += c
 
     out = []
@@ -154,9 +150,7 @@ def histogram_snapshots(scheme: SchemeSpec, prm: PhysParams, tau: float,
         total = int(c.sum())
         if total == 0:
             raise DegenerateRange("no samples fall inside the window")
-        pe, qe = edges[n]
-        out.append(Histogram2D(p_edges=pe, q_edges=qe, counts=c,
-                               n_samples=total))
+        out.append(Histogram2D(*edges, counts=c, n_samples=total))
     return out
 
 
@@ -172,16 +166,13 @@ def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
     time.  Returns ``(times, rms_error)`` on about ``n_records`` record
     times.
     """
-    ratio = steps_for(tau, reference_tau_f, NonIntegralRatio, minimum=1)
-    n_fine = steps_for(T, reference_tau_f, NonIntegralGrid, minimum=1)
-    n_steps = steps_for(T, tau, NonIntegralRatio)
-    stride = max(1, n_steps // n_records)
-    while n_steps % stride != 0:
-        stride -= 1
+    ratio = steps_for(tau, reference_tau_f, minimum=1)
+    n_steps = steps_for(T, tau, minimum=1)
+    stride = record_stride(n_steps, n_records)
     n_rec = n_steps // stride
     fine_stride = stride * ratio
 
-    def work(first, path_seeds):
+    def work(path_seeds):
         part = np.zeros(n_rec + 1)
 
         def add_block(start, runs):
@@ -191,8 +182,8 @@ def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
             first_rec = 0 if start == 0 else start // fine_stride + 1
             part[first_rec:first_rec + len(err)] += err.sum(axis=1)
 
-        _coupled_runs(scheme, [reference_tau_f, tau], reference_tau_f, n_fine,
-                      prm, initial, path_seeds, first,
+        _coupled_runs(scheme, [reference_tau_f, tau], reference_tau_f,
+                      n_steps * ratio, prm, initial, path_seeds,
                       record_every=[fine_stride, stride], visit=add_block)
         return part
 
@@ -204,10 +195,22 @@ def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
     return times, np.sqrt(acc / n_paths)
 
 
+def record_stride(n_steps: int, n_records: int) -> int:
+    """The largest divisor of ``n_steps`` up to ``n_steps // n_records``."""
+    stride = max(1, n_steps // n_records)
+    while n_steps % stride != 0:
+        stride -= 1
+    return stride
+
+
 def window_means(times: np.ndarray,
                  values: np.ndarray) -> Tuple[float, float]:
-    """Mean of ``values`` over the first and last tenth of the horizon."""
+    """Mean of ``values`` over the first and last tenth of the horizon.
+
+    Raises :class:`EmptyWindow` if either tenth holds no time.
+    """
     horizon = times[-1]
-    early = times <= horizon * 0.1
-    late = times >= horizon * 0.9
+    early, late = times <= horizon * 0.1, times >= horizon * 0.9
+    if not (early.any() and late.any()):
+        raise EmptyWindow(f"a tenth of the horizon {horizon:g} holds no time")
     return float(values[early].mean()), float(values[late].mean())

@@ -85,9 +85,9 @@ class PhysParams:
     Parameters
     ----------
     upsilon : float
-        Friction coefficient, strictly positive.
+        Friction coefficient, strictly positive and finite.
     sigma : float
-        Noise amplitude.  The model of interest has ``sigma > 0``;
+        Noise amplitude, finite.  The model of interest has ``sigma > 0``;
         ``sigma = 0`` is accepted as the deterministic limit so the
         noise-free identities of the sub-flows can be checked directly.
     """
@@ -99,10 +99,10 @@ class PhysParams:
     potential = QuarticPotential()
 
     def __post_init__(self):
-        if not self.upsilon > 0:
-            raise ValueError(f"upsilon must be positive, got {self.upsilon}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 < self.upsilon < math.inf:
+            raise ValueError(f"upsilon must be finite and > 0, got {self.upsilon}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .errors import NonIntegralGrid
+from .errors import NonConvergence, NonIntegralGrid
 
 __all__ = [
     "PATH_CHUNK",
@@ -79,16 +79,16 @@ class SeedPolicy:
                         dtype=np.uint64)
 
 
-def steps_for(T: float, tau: float, error: type = ValueError,
-              minimum: int = 0) -> int:
+def steps_for(T: float, tau: float, minimum: int = 0) -> int:
     """Number of steps of size ``tau`` that tile ``[0, T]`` exactly.
 
-    Raises ``error`` unless ``T`` is an integer multiple of ``tau`` (to a
-    relative 1e-9) of at least ``minimum`` steps.
+    Raises :class:`NonIntegralGrid` unless ``T`` is an integer multiple of
+    ``tau`` (to a relative 1e-9) of at least ``minimum`` steps.
     """
     n = int(round(T / tau)) if tau > 0 else -1
     if n < minimum or abs(n * tau - T) > 1e-9 * max(abs(T), tau):
-        raise error(f"{T:g} is not an integer multiple of the step {tau:g}")
+        raise NonIntegralGrid(
+            f"{T:g} is not an integer multiple of the step {tau:g}")
     return n
 
 
@@ -118,21 +118,27 @@ def _run_adopted(first: int):
     return _work(first)
 
 
-def map_chunks(work: Callable[[int, np.ndarray], _R], n_paths: int,
+def map_chunks(work: Callable[[np.ndarray], _R], n_paths: int,
                seeds: SeedPolicy) -> List[_R]:
-    """``work(first, path_seeds)`` of each chunk of the ensemble, in order.
+    """``work(path_seeds)`` of each chunk of the ensemble, in order.
 
-    ``first`` is the ensemble index of a chunk's first path, and every path
-    keeps the seed of its index.  ``work`` returns the chunk's partial
-    result, and the caller folds the list in chunk order, so a result has
-    the same bits for any number of workers.  Chunks run on a pool of forked
-    processes when :func:`chunk_plan` gives more than one worker, and in
-    this process otherwise.  An exception of the first chunk that fails is
-    raised, as in a run of the chunks in turn; no worker outlives the call.
+    Every path keeps the seed of its ensemble index, and a
+    :class:`NonConvergence` leaves its chunk naming that index.  ``work``
+    returns the chunk's partial result, and the caller folds the list in
+    chunk order, so a result has the same bits for any number of workers.
+    Chunks run on a pool of forked processes when :func:`chunk_plan` gives
+    more than one worker, and in this process otherwise.  An exception of
+    the first chunk that fails is raised, as in a run of the chunks in
+    turn; no worker outlives the call.
     """
     def chunk(first: int) -> _R:
-        return work(first, seeds.path_seeds(min(PATH_CHUNK, n_paths - first),
-                                            start=first))
+        try:
+            return work(seeds.path_seeds(min(PATH_CHUNK, n_paths - first),
+                                         start=first))
+        except NonConvergence as exc:
+            if exc.path_index is not None:
+                exc.path_index += first
+            raise
 
     firsts = range(0, n_paths, PATH_CHUNK)
     workers, _ = chunk_plan(n_paths)
@@ -193,7 +199,7 @@ def increment_matrix(T: float, tau_f: float,
     NonIntegralGrid
         If ``T`` is not a positive integer multiple of ``tau_f``.
     """
-    n = steps_for(T, tau_f, NonIntegralGrid, minimum=1)
+    n = steps_for(T, tau_f, minimum=1)
     out = np.empty((n, len(path_seeds)))
     root = np.sqrt(tau_f)
     for i, s in enumerate(path_seeds):

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Union
 import numpy as np
 
 from .detflow import MAP_KINDS, conservative_step
-from .errors import NonConvergence, NonIntegralRatio
+from .errors import NonConvergence
 from .model import PhysParams, State
 from .montecarlo import path_noise, steps_for
 from .stochflow import FineWindow, OUIncrement, ou_substep_coupled
@@ -140,63 +140,53 @@ def scheme_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
     return lie_trotter_step(s, tau, prm, spec, noise, ou)
 
 
-def require_finite(p: np.ndarray, q: np.ndarray, step_index=None,
-                   first_path: int = 0) -> None:
+def require_finite(p: np.ndarray, q: np.ndarray, step_index=None) -> None:
     """Raise :class:`NonConvergence` at the first non-finite sample.
 
     ``p`` and ``q`` hold one ensemble (last axis: path) or a trajectory
-    (axes: step, path); the error names the step and the path index, with
-    path indices offset by ``first_path``.
+    (axes: step, path); the error names the step and the path index.
     """
     bad = ~(np.isfinite(p) & np.isfinite(q))
-    if not bad.any():
-        return
-    where = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    if len(where) == 2:
-        step_index = int(where[0])
-    path_index = int(where[-1]) + first_path if where else None
-    at = "" if step_index is None else f" at step {step_index}"
-    raise NonConvergence(f"non-finite state{at} in path {path_index}",
-                         step_index=step_index, path_index=path_index)
+    if bad.any():
+        where = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise NonConvergence(
+            "non-finite state", path_index=int(where[-1]) if where else None,
+            step_index=int(where[0]) if len(where) == 2 else step_index)
 
 
-def _check_finite(s: State, step_index: int, first_path: int) -> None:
+def _check_finite(s: State, step_index: int) -> None:
     # A non-finite lane makes the sum of products p*q non-finite, so one
     # reduction screens the batch; only then are the lanes searched.  An
     # overflowing sum of finite products is searched and passes.
     if not math.isfinite(np.vdot(s.p, s.q)):
-        require_finite(np.ravel(s.p), np.ravel(s.q), step_index, first_path)
+        require_finite(np.ravel(s.p), np.ravel(s.q), step_index)
 
 
 def _evolve(initial: State, shape: tuple, tau: float, prm: PhysParams,
             spec: SchemeSpec, noise: Iterable[Noise],
-            visit: Callable[[int, State], None], first_path: int = 0,
-            first_step: int = 0) -> State:
+            visit: Callable[[int, State], None]) -> State:
     """The stepping loop of every run: one scheme step per item of ``noise``.
 
     ``initial`` is copied out to a batch of the given shape; ``visit(n,
     state)`` sees step n = 0 through the last step, and the final state is
     returned.  Every state is checked before it is visited, so a non-finite
-    state raises :class:`NonConvergence` naming its step and its path
-    (offset by ``first_path``); a solver failure names the step it was
-    taking and, for a batch, its first unconverged path.  A run evolved in
-    pieces passes the step index of ``initial`` as ``first_step``, so that
-    errors name the step of the whole run; ``visit`` still counts from 0.
+    state raises :class:`NonConvergence` naming its step and its lane; a
+    solver failure names the step it was taking and, for a batch, its first
+    unconverged lane.  Steps and lanes count from the batch's own start:
+    the code that cuts a run into chunks or blocks offsets them.
     """
     cur = State(np.broadcast_to(np.asarray(initial.p, float), shape).astype(float),
                 np.broadcast_to(np.asarray(initial.q, float), shape).astype(float))
     ou = OUIncrement.from_params(prm, tau) if tau > 0 else None
-    _check_finite(cur, first_step, first_path)
+    _check_finite(cur, 0)
     visit(0, cur)
     for n, dw in enumerate(noise, 1):
         try:
             cur = scheme_step(cur, tau, prm, spec, dw, ou)
         except NonConvergence as exc:
-            exc.step_index = first_step + n - 1
-            if exc.path_index is not None:
-                exc.path_index += first_path
+            exc.step_index = n - 1
             raise
-        _check_finite(cur, first_step + n, first_path)
+        _check_finite(cur, n)
         visit(n, cur)
     return cur
 
@@ -261,15 +251,12 @@ def _fine_windows(increments: np.ndarray, ratio: int,
 
 def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
                      spec: SchemeSpec, increments: np.ndarray, tau_f: float,
-                     keep: str = "all", record_every: int = 1,
-                     first_path: int = 0, first_step: int = 0):
+                     keep: str = "all", record_every: int = 1):
     """Evolve on a shared fine Brownian grid (path-coupled evaluation).
 
     Each coarse step consumes one window of ``tau/tau_f`` fine increments,
     so runs at different ``tau`` on the same ``increments`` see the same
-    Wiener path.  A run can be continued on the next increments of its
-    paths from the state it reached, as the path-coupled studies do one time
-    block at a time.
+    Wiener path.
 
     Parameters
     ----------
@@ -281,28 +268,21 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
     record_every : int
         With ``keep="all"``, record every k-th coarse state (the initial
         state is always recorded and the horizon must tile).
-    first_path : int
-        Ensemble index of the first column, used to name a path that goes
-        non-finite.
-    first_step : int
-        Step index of ``initial`` when continuing a run: errors name the
-        step of the whole run, and recorded times start at
-        ``first_step * tau``.
 
     Raises
     ------
-    NonIntegralRatio
+    NonIntegralGrid
         If ``tau`` is not an integer multiple of ``tau_f``, or its steps do
         not tile the increments.
     """
     increments = np.asarray(increments, dtype=float)
-    ratio = steps_for(tau, tau_f, NonIntegralRatio, minimum=1)
-    n_steps = steps_for(increments.shape[0], ratio, NonIntegralRatio)
+    ratio = steps_for(tau, tau_f, minimum=1)
+    n_steps = steps_for(increments.shape[0], ratio)
     windows = _fine_windows(increments, ratio, tau_f)
     batch_shape = increments.shape[1:]
     if keep != "all":
         return _evolve(initial, batch_shape, tau, prm, spec, windows,
-                       lambda n, s: None, first_path, first_step)
+                       lambda n, s: None)
 
     if n_steps % record_every != 0:
         raise ValueError("record_every must tile the number of steps")
@@ -315,7 +295,6 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
             p_out[n // record_every] = s.p
             q_out[n // record_every] = s.q
 
-    _evolve(initial, batch_shape, tau, prm, spec, windows, record, first_path,
-            first_step)
-    times = first_step * tau + np.arange(n_rec + 1) * (tau * record_every)
+    _evolve(initial, batch_shape, tau, prm, spec, windows, record)
+    times = np.arange(n_rec + 1) * (tau * record_every)
     return Trajectory(times=times, p=p_out, q=q_out)

@@ -8,8 +8,8 @@ import numpy as np
 
 from langsplit.analysis import Histogram2D, Observable, _ChunkMoments
 from langsplit.detflow import conservative_step, subsystem_field
-from langsplit.errors import (DegenerateRange, EmptyWindow, NonIntegralGrid,
-                              NonIntegralRatio)
+from langsplit.errors import DegenerateRange, EmptyWindow
+from langsplit.experiments import record_stride
 from langsplit.model import ArrayLike, PhysParams, State, energy_H, energy_H0
 from langsplit.montecarlo import increment_matrix, map_chunks, steps_for
 from langsplit.splitting import Trajectory, require_finite, simulate_on_grid
@@ -145,14 +145,14 @@ def consistency_residuals(map_kind: str, s: State, tau: float,
 def coupled_terminal_stats_whole(scheme, tau_levels, tau_f, T, prm, n_paths,
                                  seeds, initial=State(0.0, 0.0), g=None):
     """``analysis.coupled_terminal_stats`` with each chunk's whole fine grid."""
-    def work(first, path_seeds):
+    def work(path_seeds):
         fine = increment_matrix(T, tau_f, path_seeds)
         ref = simulate_on_grid(initial, tau_f, prm, scheme, fine, tau_f,
-                               keep="last", first_path=first)
+                               keep="last")
         part = _ChunkMoments(len(tau_levels))
         for i, tau in enumerate(tau_levels):
             num = simulate_on_grid(initial, tau, prm, scheme, fine, tau_f,
-                                   keep="last", first_path=first)
+                                   keep="last")
             if g is None:
                 val = (num.p - ref.p) ** 2 + (num.q - ref.q) ** 2
             else:
@@ -174,20 +174,17 @@ def coupled_terminal_stats_whole(scheme, tau_levels, tau_f, T, prm, n_paths,
 def long_time_error_whole(scheme, tau, tau_f, T, prm, n_paths, seeds,
                           initial=State(0.0, 0.0), n_records=1024):
     """``experiments.long_time_error`` with each chunk's whole fine grid."""
-    ratio = steps_for(tau, tau_f, NonIntegralRatio, minimum=1)
-    steps_for(T, tau_f, NonIntegralGrid, minimum=1)
-    n_steps = steps_for(T, tau, NonIntegralRatio)
-    stride = max(1, n_steps // n_records)
-    while n_steps % stride != 0:
-        stride -= 1
+    ratio = steps_for(tau, tau_f, minimum=1)
+    n_steps = steps_for(T, tau)
+    stride = record_stride(n_steps, n_records)
     n_rec = n_steps // stride
 
-    def work(first, path_seeds):
+    def work(path_seeds):
         fine = increment_matrix(T, tau_f, path_seeds)
         ref = simulate_on_grid(initial, tau_f, prm, scheme, fine, tau_f,
-                               record_every=stride * ratio, first_path=first)
+                               record_every=stride * ratio)
         num = simulate_on_grid(initial, tau, prm, scheme, fine, tau_f,
-                               record_every=stride, first_path=first)
+                               record_every=stride)
         return ((num.p - ref.p) ** 2 + (num.q - ref.q) ** 2).sum(axis=1)
 
     acc = np.zeros(n_rec + 1)

@@ -12,8 +12,7 @@ from langsplit.analysis import (distance_noise_floor, distribution_distance,
                                 jacobian_det, linear_fit, lyapunov_check,
                                 msd_fit_window, msd_plateau, phase_area)
 from langsplit.errors import (DegenerateRange, EmptyWindow, NonConvergence,
-                              NonIntegralGrid, NonIntegralRatio,
-                              NonPositiveError)
+                              NonIntegralGrid, NonPositiveError)
 from langsplit.experiments import (ergodic_averages, histogram_snapshots,
                                    long_time_error, msd_experiment,
                                    window_means)
@@ -629,6 +628,9 @@ class TestStreamingDrivers:
         early, late = window_means(times, vals)
         assert early == pytest.approx(2.0)
         assert late == pytest.approx(1.0)
+        # Eight records after t = 0: the first tenth holds none.
+        with pytest.raises(EmptyWindow):
+            window_means(np.arange(1, 9) * 0.5, np.ones(8))
 
 
 # The explicit map far beyond its stability limit: path 149 of SeedPolicy(1)
@@ -690,50 +692,45 @@ def test_non_finite_state_names_step_and_path(name, monkeypatch):
 # Each experiment given a horizon that its step does not tile (T = 1 is 33.3
 # steps of 0.03, and 85.3 steps of 3 * 2^-8).
 OFF_GRID_RUNS = {
-    "simulate": (ValueError, lambda: simulate(
-        ORIGIN, 1.0, 0.03, PRM10, SAVF, seed=1)),
-    "simulate_on_grid": (NonIntegralRatio, lambda: simulate_on_grid(
-        ORIGIN, 3 * 2.0**-8, PRM10, SAVF, np.zeros((256, 2)), 2.0**-8)),
-    "increment_matrix": (NonIntegralGrid, lambda: increment_matrix(
-        1.0, 0.03, [1, 2])),
-    "ergodic_averages": (ValueError, lambda: ergodic_averages(
-        SAVF, PRM10, 0.03, 1.0, 0.3, 4, SeedPolicy(1), ORIGIN, {})),
-    "ergodic_averages_burn_in": (ValueError, lambda: ergodic_averages(
-        SAVF, PRM10, 2.0**-6, 1.0, 0.1, 4, SeedPolicy(1), ORIGIN, {})),
-    "msd_experiment": (ValueError, lambda: msd_experiment(
-        SAVF, PRM10, 0.03, 1.0, 4, SeedPolicy(1), ORIGIN)),
-    "histogram_snapshots": (ValueError, lambda: histogram_snapshots(
+    "simulate": lambda: simulate(ORIGIN, 1.0, 0.03, PRM10, SAVF, seed=1),
+    "simulate_on_grid": lambda: simulate_on_grid(
+        ORIGIN, 3 * 2.0**-8, PRM10, SAVF, np.zeros((256, 2)), 2.0**-8),
+    "increment_matrix": lambda: increment_matrix(1.0, 0.03, [1, 2]),
+    "ergodic_averages": lambda: ergodic_averages(
+        SAVF, PRM10, 0.03, 1.0, 0.3, 4, SeedPolicy(1), ORIGIN, {}),
+    "ergodic_averages_burn_in": lambda: ergodic_averages(
+        SAVF, PRM10, 2.0**-6, 1.0, 0.1, 4, SeedPolicy(1), ORIGIN, {}),
+    "msd_experiment": lambda: msd_experiment(
+        SAVF, PRM10, 0.03, 1.0, 4, SeedPolicy(1), ORIGIN),
+    "histogram_snapshots": lambda: histogram_snapshots(
         SAVF, PRM10, 0.03, [0.0, 1.0], 4, SeedPolicy(1), ORIGIN,
-        (4, 4), (-1, 1), (-1, 1))),
-    "exp_moment_monitor": (ValueError, lambda: exp_moment_monitor(
-        SAVF, PRM10, 0.03, 1.0, 4, SeedPolicy(1))),
-    "phase_area": (ValueError, lambda: phase_area(
-        SE, PRM10, 0.03, 1.0, 8, seed=1)),
-    "h0_dissipation_compare": (ValueError, lambda: h0_dissipation_compare(
-        PRM10, 0.03, 1.0, ORIGIN, 4)),
-    "coupled_terminal_stats_level": (ValueError, lambda:
+        (4, 4), (-1, 1), (-1, 1)),
+    "exp_moment_monitor": lambda: exp_moment_monitor(
+        SAVF, PRM10, 0.03, 1.0, 4, SeedPolicy(1)),
+    "phase_area": lambda: phase_area(SE, PRM10, 0.03, 1.0, 8, seed=1),
+    "h0_dissipation_compare": lambda: h0_dissipation_compare(
+        PRM10, 0.03, 1.0, ORIGIN, 4),
+    "coupled_terminal_stats_level": lambda: analysis.coupled_terminal_stats(
+        SAVF, [0.03], 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1)),
+    "coupled_terminal_stats_reference": lambda:
         analysis.coupled_terminal_stats(
-            SAVF, [0.03], 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1))),
-    "coupled_terminal_stats_reference": (NonIntegralGrid, lambda:
-        analysis.coupled_terminal_stats(
-            SAVF, [0.06], 0.03, 1.0, PRM10, 4, SeedPolicy(1))),
-    "coupled_terminal_stats_horizon": (NonIntegralRatio, lambda:
-        analysis.coupled_terminal_stats(
-            SAVF, [3 * 2.0**-8], 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1))),
-    "long_time_error_level": (NonIntegralRatio, lambda: long_time_error(
-        SAVF, 0.03, 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1))),
-    "long_time_error_reference": (NonIntegralGrid, lambda: long_time_error(
-        SAVF, 0.06, 0.03, 1.0, PRM10, 4, SeedPolicy(1))),
-    "long_time_error_horizon": (NonIntegralRatio, lambda: long_time_error(
-        SAVF, 3 * 2.0**-8, 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1))),
+            SAVF, [0.06], 0.03, 1.0, PRM10, 4, SeedPolicy(1)),
+    "coupled_terminal_stats_horizon": lambda: analysis.coupled_terminal_stats(
+        SAVF, [3 * 2.0**-8], 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1)),
+    "long_time_error_level": lambda: long_time_error(
+        SAVF, 0.03, 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1)),
+    "long_time_error_reference": lambda: long_time_error(
+        SAVF, 0.06, 0.03, 1.0, PRM10, 4, SeedPolicy(1)),
+    "long_time_error_horizon": lambda: long_time_error(
+        SAVF, 3 * 2.0**-8, 2.0**-8, 1.0, PRM10, 4, SeedPolicy(1)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OFF_GRID_RUNS))
 def test_off_grid_horizon_is_rejected(name):
-    error, run = OFF_GRID_RUNS[name]
-    with pytest.raises(error):
-        run()
+    # One grid check, one error, which the CLI also reads as a ValueError.
+    with pytest.raises(NonIntegralGrid):
+        OFF_GRID_RUNS[name]()
 
 
 def _coupled(g):
@@ -835,4 +832,6 @@ def test_pool_names_the_failure_of_the_serial_run(name, monkeypatch):
                 np.errstate(over="ignore", invalid="ignore"):
             run()
         assert (info.value.step_index, info.value.path_index) == expected
+        # The message names the offset step and path, also once pickled.
+        assert str(info.value).endswith("at step %d in path %d" % expected)
         assert multiprocessing.active_children() == []

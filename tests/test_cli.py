@@ -321,6 +321,20 @@ def test_workers_flag_is_rejected(tmp_path):
     ("weak-order", "tau_levels = 2^-6\n"),
     ("ergodic-average", "burn_in = 512\n"),
     ("ergodic-average", "burn_in = 8\nT = 4\n"),
+    ("long-time-error", "T = 4\ntau = 2^-6\nref_tau = 2^-8\nn_records = 7\n"),
+    ("long-time-error", "T = 1\ntau = 2^-3\n"),
+    ("histogram", "times =\n"),
+    ("histogram", "times = 2\n"),
+    ("histogram", "times = 0,2,2\n"),
+    ("histogram", "p_min = 1\n"),
+    ("histogram", "q_max = -2\n"),
+    ("histogram", "p_max = inf\n"),
+    ("jacobian", "upsilon = inf\n"),
+    ("lyapunov", "sigma = inf\n"),
+    ("simulate", "sigma = nan\n"),
+    ("histogram", "sigma = 0\n"),
+    ("msd", "sigma = 0\n"),
+    ("ergodic-average", "sigma = 0\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
@@ -331,6 +345,42 @@ def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     # A bad value is named by its key, not blamed on the numerics.
     key = config_text.split("=")[0].strip()
     assert repr(key) in record["error"]["message"]
+
+
+# A config of each recipe that runs in about a second.
+SMALL_CONFIGS = {
+    "simulate": "tau = 2^-6\nT = 0.25\n",
+    "strong-order": "tau_levels = 2^-4,2^-5,2^-6\nref_tau = 2^-8\n"
+                    "T = 0.25\nn_paths = 20\n",
+    "weak-order": "tau_levels = 2^-4,2^-5,2^-6\nref_tau = 2^-8\nT = 0.25\n"
+                  "n_paths = 20\n",
+    "long-time-error": "tau = 2^-6\nref_tau = 2^-8\nT = 1\nn_paths = 8\n"
+                       "n_records = 16\n",
+    "ergodic-average": "tau = 2^-6\nT = 2\nburn_in = 1\nn_seeds = 4\n",
+    "histogram": "times = 0,0.25\nn_paths = 100\ntau = 2^-6\nbins_p = 6\n"
+                 "bins_q = 6\n",
+    "msd": "tau = 2^-6\nT = 4\nn_paths = 20\nfit_t_min = 0.1\n"
+           "fit_t_max = 1\n",
+    "exp-moment": "tau = 2^-8\nT = 0.25\nn_paths = 64\n",
+    "lyapunov": "n_draws = 500\nstates = 0,0;1,1\n",
+    "jacobian": "n_states = 20\nn_draws = 3\n",
+    "phase-area": "tau = 2^-10\nT = 2^-4\nn_vertices = 500\n",
+    "dissipation-demo": "tau = 2^-7\nT = 0.25\nn_paths = 200\n",
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_summary_is_strict_json(tmp_path, name):
+    # json.dump writes NaN and Infinity, which no strict JSON parser reads.
+    code, out = run_cli(tmp_path, name, SMALL_CONFIGS[name], seed=3)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["experiment"] == name
 
 
 @pytest.mark.parametrize("name", RECIPES)

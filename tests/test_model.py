@@ -61,6 +61,11 @@ def test_params_validation():
         PhysParams(-1.0, 1.0)
     with pytest.raises(ValueError):
         PhysParams(1.0, -0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PhysParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            PhysParams(1.0, bad)
     with pytest.raises(ValueError):
         gibbs_log_density(State(0.0, 0.0), PhysParams(1.0, 0.0))
 

@@ -40,12 +40,12 @@ class TestMapChunks:
         seeds = SeedPolicy(4)
         for workers in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "WORKERS", workers)
-            got = montecarlo.map_chunks(
-                lambda first, s: (first, s, os.getpid()), 300, seeds)
-            assert [first for first, _, _ in got] == [0, 64, 128, 192, 256]
-            assert np.array_equal(np.concatenate([s for _, s, _ in got]),
+            got = montecarlo.map_chunks(lambda s: (s, os.getpid()), 300,
+                                        seeds)
+            assert [len(s) for s, _ in got] == [64, 64, 64, 64, 44]
+            assert np.array_equal(np.concatenate([s for s, _ in got]),
                                   seeds.path_seeds(300))
-            pids = {pid for _, _, pid in got}
+            pids = {pid for _, pid in got}
             assert (pids == {os.getpid()}) == (workers == 1)
             assert len(pids) <= workers
         assert multiprocessing.active_children() == []
@@ -58,7 +58,7 @@ class TestMapChunks:
         monkeypatch.setattr(montecarlo, "WORKERS", 2)
         n = montecarlo.PATH_CHUNK
         assert montecarlo.chunk_plan(n) == (1, 1)
-        assert montecarlo.map_chunks(lambda first, s: len(s), n,
+        assert montecarlo.map_chunks(lambda s: len(s), n,
                                      SeedPolicy(1)) == [n]
         assert montecarlo.chunk_plan(n + 1) == (2, 2)
         assert montecarlo.chunk_plan(5 * n) == (2, 5)

@@ -6,7 +6,7 @@ import pytest
 
 from langsplit import detflow
 from langsplit.detflow import avf_step
-from langsplit.errors import GridMismatch, NonConvergence, NonIntegralRatio
+from langsplit.errors import GridMismatch, NonConvergence, NonIntegralGrid
 from langsplit.model import PhysParams, State, energy_H
 from langsplit.montecarlo import SeedPolicy, increment_matrix
 from langsplit.splitting import (SchemeSpec, lie_trotter_step, scheme_step,
@@ -248,13 +248,14 @@ class TestSimulateOnGrid:
 
     def test_non_integral_ratio(self):
         inc = np.zeros((10, 2))
-        with pytest.raises(NonIntegralRatio):
+        with pytest.raises(NonIntegralGrid):
             simulate_on_grid(State(0.0, 0.0), 3 * 2.0**-9, PRM10, SAVF, inc,
                              2.0**-9, keep="last")
 
     def test_continued_run_equals_one_piece(self):
         # The second half continues from the first half's last state on the
-        # next increments; its records and times are those of the whole run.
+        # next increments; its records are those of the whole run, and its
+        # times count from its own start.
         tau_f, tau = 2.0**-8, 2.0**-6
         inc = increment_matrix(1.0, tau_f, SeedPolicy(6).path_seeds(3))
         whole = simulate_on_grid(State(0.0, 0.0), tau, PRM10, SAVF, inc,
@@ -262,12 +263,10 @@ class TestSimulateOnGrid:
         head = simulate_on_grid(State(0.0, 0.0), tau, PRM10, SAVF, inc[:128],
                                 tau_f, record_every=4)
         tail = simulate_on_grid(State(head.p[-1], head.q[-1]), tau, PRM10,
-                                SAVF, inc[128:], tau_f, record_every=4,
-                                first_step=32)
+                                SAVF, inc[128:], tau_f, record_every=4)
         assert np.array_equal(whole.p, np.concatenate([head.p, tail.p[1:]]))
         assert np.array_equal(whole.q, np.concatenate([head.q, tail.q[1:]]))
-        assert np.array_equal(whole.times,
-                              np.concatenate([head.times, tail.times[1:]]))
+        assert np.array_equal(tail.times, head.times)
 
     def test_record_every(self):
         tau_f = 2.0**-8
