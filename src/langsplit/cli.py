@@ -381,7 +381,7 @@ def run_histogram(cfg: Config, outdir: Path):
     tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     times = cfg.numbers("times", [0.0, 2.0, 256.0])
     steps = {_valid(("times", "tau"), steps_for, t, tau) for t in times}
-    if not len(times) == len(steps) >= 2:
+    if len(steps) < 2 or len(steps) < len(times):
         raise ConfigError("config key 'times': need at least two distinct "
                           f"times, got {cfg.text('times')!r}")
     n_paths = cfg.integer("n_paths", 5000)
