@@ -21,8 +21,8 @@ from .errors import EmptyWindow, NonConvergence, NonPositiveError
 from .model import (ArrayLike, EnergyConstants, PhysParams, State,
                     _position_weight_scale, energy_H, energy_H0,
                     exp_moment_rate_constant, position_marginal_normalizer)
-from .montecarlo import (SeedPolicy, increment_matrix, map_chunks, path_noise,
-                         steps_for)
+from .montecarlo import (SeedPolicy, beside, increment_matrix, map_chunks,
+                         path_noise, spare_worker, steps_for)
 # ``require_finite`` stays importable here: the benchmark traces it as
 # ``analysis.require_finite``.
 from .splitting import (SchemeSpec, _evolve, _fine_windows,
@@ -117,21 +117,28 @@ def fit_order(levels, std_errors) -> OrderFit:
 _FINE_BLOCK = 1024
 
 
+def _fine_block(taus: Sequence[float], tau_f: float) -> int:
+    """The fine steps of a block of a coupled study at the steps ``taus``."""
+    grain = math.lcm(*(steps_for(tau, tau_f, minimum=1) for tau in taus))
+    return -(-_FINE_BLOCK // grain) * grain
+
+
 def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
                   n_fine: int, prm: PhysParams, initial: State,
                   path_seeds: Sequence[int],
                   record_every: Optional[Sequence[int]] = None,
-                  visit: Optional[Callable[[int, List[State]], None]] = None
-                  ) -> List[State]:
+                  visit: Optional[Callable[[int, List[State]], None]] = None,
+                  block: Optional[int] = None) -> List[State]:
     """Run the scheme at each step of ``taus`` on shared fine Wiener paths.
 
     Path i's fine increments are the N(0, tau_f) draws of the stream of
     ``path_seeds[i]`` in time order, as in one ``increment_matrix`` over the
-    ``n_fine`` steps.  They are drawn one block at a time, and every run
-    crosses a block before the next one is drawn.  With ``record_every``
-    (one stride per run), ``visit(start, runs)`` is called after each block
-    starting at fine step ``start``, with each run's records in the block:
-    its states at the steps that are multiples of its stride, as one
+    ``n_fine`` steps.  They are drawn ``block`` fine steps at a time (by
+    default :func:`_fine_block` of ``taus``), and every run crosses a block
+    before the next one is drawn.  ``visit(start, runs)`` is called after
+    each block starting at fine step ``start``.  With ``record_every`` (one
+    stride per run), ``runs`` holds each run's records in the block: its
+    states at the steps that are multiples of its stride, as one
     :class:`State` of ``(records, width)`` arrays.  A block holds the
     records after its first step, and the first block also step 0, so a
     record can fall in any block and is visited once.  Returns the final
@@ -139,8 +146,8 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
     step index of the whole run.
     """
     ratios = [steps_for(tau, tau_f, minimum=1) for tau in taus]
-    grain = math.lcm(*ratios)
-    block = -(-_FINE_BLOCK // grain) * grain
+    if block is None:
+        block = _fine_block(taus, tau_f)
     width = len(path_seeds)
     rngs = [np.random.default_rng(seed) for seed in path_seeds]
     states = [initial] * len(taus)
@@ -174,6 +181,49 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
         if visit is not None:
             visit(start, runs)
     return states
+
+
+def _reference_and_levels(scheme: SchemeSpec, tau_levels: Sequence[float],
+                          tau_f: float, n_fine: int, prm: PhysParams,
+                          initial: State,
+                          path_seeds: Sequence[int]) -> List[State]:
+    """The final states of the reference run at ``tau_f`` and of the levels.
+
+    Given the Wiener paths the reference and the levels are independent
+    runs.  Levels that repay a fork (:func:`~langsplit.montecarlo.
+    spare_worker`) run in a worker :func:`~langsplit.montecarlo.beside` the
+    reference; the two processes draw the same fine increments from the
+    same seeds in the same blocks, so every state has the bits of the joint
+    :func:`_coupled_runs`, which runs otherwise.  A failure raises what the
+    joint run raises: the failure of the earliest block, the reference's
+    before the levels'.
+    """
+    taus = [tau_f, *tau_levels]
+    level_steps = sum(n_fine // steps_for(tau, tau_f, minimum=1)
+                      for tau in tau_levels)
+    if not spare_worker(len(path_seeds) * level_steps):
+        return _coupled_runs(scheme, taus, tau_f, n_fine, prm, initial,
+                             path_seeds)
+    block = _fine_block(taus, tau_f)
+
+    def run(part):
+        # (final states, None), or (None, (blocks done, the exception)).
+        done = []
+        try:
+            return _coupled_runs(scheme, part, tau_f, n_fine, prm, initial,
+                                 path_seeds, block=block,
+                                 visit=lambda start, _: done.append(start)
+                                 ), None
+        except Exception as exc:
+            return None, (len(done), exc)
+
+    (ref, ref_failure), (levels, level_failure) = beside(
+        lambda: run(taus[:1]), lambda: run(taus[1:]))
+    failures = [f for f in (ref_failure, level_failure) if f is not None]
+    if failures:
+        # Of two failures in one block, min keeps the first: the reference's.
+        raise min(failures, key=lambda f: f[0])[1]
+    return ref + levels
 
 
 class _ChunkMoments:
@@ -241,9 +291,9 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
         steps_for(T, tau)
 
     def work(path_seeds):
-        ref, *levels = _coupled_runs(
-            scheme, [reference_tau_f, *tau_levels], reference_tau_f, n_fine,
-            prm, initial, path_seeds)
+        ref, *levels = _reference_and_levels(
+            scheme, tau_levels, reference_tau_f, n_fine, prm, initial,
+            path_seeds)
         part = _ChunkMoments(len(tau_levels))
         for i, num in enumerate(levels):
             if g is None:
@@ -455,14 +505,18 @@ class ExpMomentReport:
     """Per-step estimates of the scaled exponential moment.
 
     ``estimates[n]`` is the Monte Carlo mean of
-    ``exp(c_e (P_n^2 + Q_n^4) / exp(sigma^2 t_n))``; ``max_exponents``
-    tracks the largest exponent seen at each step (the direct blow-up
-    diagnostic).  ``flagged`` is set when any estimate escapes the envelope
-    ``exp(C (T+1) + H(X_0))``; overflow flags, it never raises.
+    ``exp(c_e (P_n^2 + Q_n^4) / exp(sigma^2 t_n))``, which overflows to
+    ``inf`` once an exponent passes about 709; ``log_estimates[n]`` is its
+    logarithm, taken by log-sum-exp about the largest exponent where the
+    mean overflows, so it stays finite.  ``max_exponents`` tracks the
+    largest exponent seen at each step (the direct blow-up diagnostic).
+    ``flagged`` is set when any log-estimate escapes the envelope's log
+    ``C (T+1) + H(X_0)``; it never raises.
     """
 
     times: np.ndarray
     estimates: np.ndarray
+    log_estimates: np.ndarray
     max_exponents: np.ndarray
     envelope_log: float
     flagged: bool
@@ -480,6 +534,7 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
     def work(path_seeds):
         sums = np.zeros(n_steps + 1)
         maxima = np.full(n_steps + 1, -np.inf)
+        log_sums = np.zeros(n_steps + 1)
 
         def visit(n, st):
             q2 = st.q * st.q
@@ -487,26 +542,34 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
             with np.errstate(over="ignore"):
                 sums[n] = np.exp(expo).sum()
             maxima[n] = expo.max()
+            if sums[n] == math.inf:
+                # log-sum-exp about the largest exponent
+                log_sums[n] = maxima[n] + math.log(
+                    np.exp(expo - maxima[n]).sum())
 
         _evolve(initial, (len(path_seeds),), tau, prm, scheme,
                 path_noise(path_seeds, n_steps), visit)
-        return sums, maxima
+        return sums, maxima, np.where(sums == math.inf, log_sums,
+                                      np.log(sums))
 
     sum_exp = np.zeros(n_steps + 1)
     max_expo = np.full(n_steps + 1, -np.inf)
-    for sums, maxima in map_chunks(work, n_paths, seeds):
+    log_sum = np.full(n_steps + 1, -np.inf)
+    for sums, maxima, log_sums in map_chunks(work, n_paths, seeds):
         sum_exp += sums
         np.maximum(max_expo, maxima, out=max_expo)
+        np.logaddexp(log_sum, log_sums, out=log_sum)
 
     estimates = sum_exp / n_paths
+    # Every exponent is >= 0, so every estimate is >= 1.
+    log_estimates = np.where(estimates < math.inf, np.log(estimates),
+                             log_sum - math.log(n_paths))
     envelope_log = (exp_moment_rate_constant(prm) * (T + 1.0)
                     + float(energy_H(initial, prm)))
-    with np.errstate(divide="ignore"):
-        flagged = bool(np.any(~np.isfinite(estimates))
-                       or np.any(np.log(estimates) > envelope_log))
     return ExpMomentReport(times=times, estimates=estimates,
-                           max_exponents=max_expo,
-                           envelope_log=envelope_log, flagged=flagged)
+                           log_estimates=log_estimates,
+                           max_exponents=max_expo, envelope_log=envelope_log,
+                           flagged=bool(np.any(log_estimates > envelope_log)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ experiment, a key the experiment does not read, a value of the wrong type,
 a count below 1 or a negative seed, an unknown choice or scheme, a
 non-finite or non-positive ``upsilon``, a non-finite or negative ``sigma``
 (or a zero one where the Gibbs law is the oracle), a bad step or an
-untiled horizon, fewer than 3 ``tau_levels``, 10 error records or 2
-distinct ``times``, an empty histogram window or a ``burn_in`` that leaves
-no window before ``T``), 1 numerical failures.
+untiled horizon, a level or ``tau`` below twice ``ref_tau``, fewer than 3
+``tau_levels``, 10 error records or 2 distinct ``times``, an empty
+histogram window or a ``burn_in`` that leaves no window before ``T``), 1
+numerical failures (a non-finite figure among them: ``summary.json`` is
+strict JSON, and a figure it cannot hold is named, not written).
 
 A recipe over many paths runs them in chunks of ``montecarlo.PATH_CHUNK``
 on up to ``montecarlo.WORKERS`` processes; its ``workers`` and ``n_chunks``
@@ -275,7 +277,8 @@ def _order_recipe(cfg, outdir, weak):
     ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-13), scheme, prm)
     for tau in levels:
         _step("tau_levels", tau, scheme, prm)
-        _valid(("tau_levels", "ref_tau"), steps_for, tau, ref, minimum=1)
+        # A level of the reference's own step has no error to fit.
+        _valid(("tau_levels", "ref_tau"), steps_for, tau, ref, minimum=2)
         _valid(("T", "tau_levels"), steps_for, T, tau, minimum=1)
     n_paths = cfg.integer("n_paths", 5000 if weak else 1000)
     initial = _initial(cfg)
@@ -317,7 +320,8 @@ def run_long_time_error(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
     tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-11), scheme, prm)
-    _valid(("tau", "ref_tau"), steps_for, tau, ref, minimum=1)
+    # A run at the reference's own step has no error to track.
+    _valid(("tau", "ref_tau"), steps_for, tau, ref, minimum=2)
     T = cfg.num("T", 100.0)
     n_steps = _valid(("T", "tau"), steps_for, T, tau, minimum=1)
     n_paths = cfg.integer("n_paths", 200)
@@ -336,8 +340,9 @@ def run_long_time_error(cfg: Config, outdir: Path):
               _meta(cfg, scheme, prm, tau, T, seed), ["t", "error"],
               zip(times, errs))
     early, late = experiments.window_means(times[1:], errs[1:])
+    # No ratio (null) for a first-decade error of 0, as with sigma = 0.
     metrics = {"early_window_mean": early, "late_window_mean": late,
-               "ratio": late / early if early > 0 else float("inf"),
+               "ratio": late / early if early > 0 else None,
                **_plan(n_paths)}
     return metrics, [_check("late_window_bounded", late <= 2.0 * early,
                             2.0 * early - late)]
@@ -495,10 +500,11 @@ def run_exp_moment(cfg: Config, outdir: Path):
     write_csv(outdir / "exp_moment.csv", _meta(cfg, scheme, prm, tau, T, seed),
               ["t", "estimate", "max_exponent"],
               zip(rep.times, rep.estimates, rep.max_exponents))
-    headroom = rep.envelope_log - float(np.log(np.max(rep.estimates)))
+    log_max = float(np.max(rep.log_estimates))
+    headroom = rep.envelope_log - log_max
     metrics = {"envelope_log": rep.envelope_log, "flagged": rep.flagged,
-               "max_estimate": float(np.max(rep.estimates)),
-               "log_headroom": headroom, **_plan(n_paths)}
+               "log_max_estimate": log_max, "log_headroom": headroom,
+               **_plan(n_paths)}
     return metrics, [_check("exp_moment_bounded", not rep.flagged, headroom)]
 
 
@@ -670,11 +676,21 @@ def main(argv=None) -> int:
         "metrics": metrics,
         "checks": checks,
     }
+    figures = {**metrics, **{f"margin of {c['name']}": c["margin"]
+                             for c in checks}}
+    non_finite = [name for name, val in figures.items()
+                  if isinstance(val, (float, np.floating))
+                  and not math.isfinite(val)]
+    if non_finite:
+        # Strict JSON holds no NaN or Infinity: a non-finite figure is a bug.
+        print(_error_record("NonFiniteMetric", "not finite: "
+                            + ", ".join(non_finite)), file=sys.stderr)
+        return 1
     with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+        json.dump(summary, fh, indent=2, default=float, allow_nan=False)
         fh.write("\n")
     print(json.dumps({"experiment": experiment, "metrics": metrics,
-                      "checks": checks}, default=float))
+                      "checks": checks}, default=float, allow_nan=False))
     return 0
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "pavf_step",
     "sympl_euler_step",
     "conservative_step",
-    "subsystem_field",
 ]
 
 # Map-kind tags.  The first three conserve H exactly; the last preserves the
@@ -55,13 +54,6 @@ MAP_KINDS = CONSERVATIVE_KINDS + ("sympl_euler",)
 NEWTON_REL_TOL = 1e-12
 NEWTON_ABS_TOL = 1e-14
 NEWTON_MAX_ITER = 50
-
-
-def subsystem_field(s: State, prm: PhysParams) -> State:
-    """Right-hand side of the conservative subsystem at ``s``."""
-    u = prm.upsilon
-    return State(p=-0.5 * u * s.p - prm.potential.grad(s.q),
-                 q=s.p + 0.5 * u * s.q)
 
 
 def _check_tau(tau: float, prm: PhysParams) -> None:
@@ -124,44 +116,45 @@ def newton_solve_2d(
     scale = np.maximum(np.abs(p), np.abs(q))
     tol = NEWTON_ABS_TOL + NEWTON_REL_TOL * scale
 
-    def res_norm(x):
+    def check(x):
+        # The residual at x, its norm, and the lanes it leaves unconverged
+        # (a NaN residual among them) with their count.
         f1, f2 = residual(x)
-        return np.maximum(np.abs(f1), np.abs(f2)), (f1, f2)
+        norm = np.maximum(np.abs(f1), np.abs(f2))
+        active = ~(norm <= tol)
+        return f1, f2, norm, active, np.count_nonzero(active)
 
     x = State(p, q)
-    norm, (f1, f2) = res_norm(x)
+    f1, f2, norm, active, n_active = check(x)
     iterations = 0
-    converged = bool((norm <= tol).all())
-    while iterations < NEWTON_MAX_ITER and not converged:
+    while n_active and iterations < NEWTON_MAX_ITER:
         j11, j12, j21, j22 = jacobian(x)
         det = j11 * j22 - j12 * j21
-        active = norm > tol
-        all_active = bool(active.all())
+        all_active = n_active == active.size
         small = np.abs(det) < 1e-13
         if (small if all_active else active & small).any():
             raise SingularJacobian(
                 "Newton Jacobian numerically singular; step size too close "
                 "to the conditioning boundary")
-        # Converged lanes are frozen, so each lane's iterate sequence is the
-        # one a standalone solve of that lane would produce.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if all_active:
-                p = p - (j22 * f1 - j12 * f2) / det
-                q = q - (j11 * f2 - j21 * f1) / det
-            else:
+        if all_active:
+            p = p - (j22 * f1 - j12 * f2) / det
+            q = q - (j11 * f2 - j21 * f1) / det
+        else:
+            # Converged lanes are frozen, so each lane's iterate sequence is
+            # the one a standalone solve of that lane would produce; their
+            # determinants may vanish.
+            with np.errstate(divide="ignore", invalid="ignore"):
                 p = np.where(active, p - (j22 * f1 - j12 * f2) / det, p)
                 q = np.where(active, q - (j11 * f2 - j21 * f1) / det, q)
         x = State(p, q)
-        norm, (f1, f2) = res_norm(x)
+        f1, f2, norm, active, n_active = check(x)
         iterations += 1
-        converged = bool((norm <= tol).all())
 
-    if not converged:
+    if n_active:
         worst = float(np.max(norm))
         lane = None
         if np.ndim(norm) > 0:
-            where = np.unravel_index(int(np.argmax(~(norm <= tol))),
-                                     np.shape(norm))
+            where = np.unravel_index(int(np.argmax(active)), np.shape(norm))
             lane = int(where[-1])
         raise NonConvergence(
             f"implicit step did not converge (max |residual| = {worst:.3e} "
@@ -174,11 +167,6 @@ def newton_solve_2d(
                      "residual_norm": float(np.max(norm)),
                      "fallback_used": False}
     return out
-
-
-def _predictor(s: State, tau: float, prm: PhysParams) -> State:
-    f = subsystem_field(s, prm)
-    return State(s.p + tau * f.p, s.q + tau * f.q)
 
 
 def _cubic_increment(q0: np.ndarray, k: float, c0: ArrayLike) -> ArrayLike:
@@ -288,66 +276,69 @@ def dg_step(s: State, tau: float, prm: PhysParams) -> State:
     """Midpoint discrete-gradient map: implicit, conserves ``H`` exactly.
 
     The discrete gradient is the midpoint gradient plus the rank-one
-    correction enforcing the exact energy-difference identity.  The
-    correction numerator is evaluated in the cancellation-free form
-    ``(avg_grad(q, q1) - U'(mid_q)) * (q1 - q)``, which is identical to the
-    literal ``H``-difference quotient but stable for small displacements.
-    When ``|delta|^2 < 1e-28`` the correction is defined as zero.
+    correction enforcing the exact energy-difference identity.  For the
+    quartic well ``avg_grad(q, q1) - U'(mq) = mq dq^2 / 4`` exactly, with
+    ``(dp, dq)`` the step's displacement and ``mq`` its mid position, so the
+    correction is ``c = mq dq^3 / (4 |delta|^2)``: no cancellation, and zero
+    where ``|delta|^2 = dp^2 + dq^2 < 1e-28``.  With ``a = tau*u/4`` and
+    ``h = dq/2`` the residual is
+
+        f1 = (1 + a) dp + e1 + tau (mq^3 + c dq),
+        f2 = (1 - a) dq - e2 - tau (1/2 + c) dp,
+
+    where ``e1 = 2a p`` and ``e2 = tau p + 2a q`` are fixed for the step,
+    ``mq = q + h`` and ``c = mq h^2 dq / |delta|^2``.  The explicit Euler
+    step ``(p - e1 - tau q^3, q + e2)`` is the guess.
 
     The shared terms are evaluated once per Newton iterate: the residual
     keeps them, and the Jacobian, which :func:`newton_solve_2d` asks for
-    only at the state of the latest residual, reuses them.  The masks for
-    lanes with a vanishing displacement run only when some lane has one.
+    only at the state of the latest residual, reuses them.  The mask for
+    lanes with a vanishing displacement runs only when some lane has one.
     """
     _check_tau(tau, prm)
-    u, pot = prm.upsilon, prm.potential
-    half_u = 0.5 * u
     p0 = np.asarray(s.p, dtype=float)
     q0 = np.asarray(s.q, dtype=float)
-    tiny = 1e-28
-    # Terms of the latest residual: x, mq, dp, dq, safe |delta|^2, the live
-    # mask (None when every lane is live), avg_grad - U'(mq), correction.
+    a = 0.25 * tau * prm.upsilon
+    up, down = 1.0 + a, 1.0 - a
+    e1 = (2.0 * a) * p0
+    e2 = tau * p0 + (2.0 * a) * q0
+    # Terms of the latest residual: x, dp, dq, h, mq, 1/|delta|^2 (0 where
+    # the correction is zero), h^2/|delta|^2, c.
     last = [None] * 8
 
     def residual(x):
-        mp = 0.5 * (x.p + p0)
-        mq = 0.5 * (x.q + q0)
         dp = x.p - p0
         dq = x.q - q0
+        h = 0.5 * dq
+        mq = q0 + h
         dd = dp * dp + dq * dq
-        g = pot.grad(mq)
-        s_term = pot.avg_grad(q0, x.q) - g
-        if dd.min(initial=np.inf) >= tiny:
-            live = None
-            c = s_term * dq / dd
+        if dd.min(initial=np.inf) >= 1e-28:
+            inv = 1.0 / dd
         else:
-            live = dd >= tiny
-            dd = np.where(live, dd, 1.0)
-            c = np.where(live, s_term * dq / dd, 0.0)
-        last[:] = x, mq, dp, dq, dd, live, s_term, c
-        f1 = dp + tau * (g + half_u * mp + c * dq)
-        f2 = dq - tau * (mp + half_u * mq + c * dp)
+            inv = np.divide(1.0, dd, out=np.zeros_like(dd),
+                            where=dd >= 1e-28)
+        w = h * h * inv
+        c = mq * dq * w
+        last[:] = x, dp, dq, h, mq, inv, w, c
+        f1 = up * dp + e1 + tau * (mq * mq * mq + c * dq)
+        f2 = down * dq - e2 - tau * ((0.5 + c) * dp)
         return f1, f2
 
     def jacobian(x):
         if x is not last[0]:
             residual(x)
-        _, mq, dp, dq, dd, live, s_term, c = last
-        h = pot.hess(mq)
-        ds_dq1 = pot.avg_grad_db(q0, x.q) - 0.5 * h
-        m2c = -2.0 * c
-        dc_dp1 = m2c * dp / dd
-        dc_dq1 = (ds_dq1 * dq + s_term) / dd + m2c * dq / dd
-        if live is not None:
-            dc_dp1 = np.where(live, dc_dp1, 0.0)
-            dc_dq1 = np.where(live, dc_dq1, 0.0)
-        j11 = 1.0 + tau * (0.25 * u + dc_dp1 * dq)
-        j12 = tau * (0.5 * h + dc_dq1 * dq + c)
-        j21 = -tau * (0.5 + dc_dp1 * dp + c)
-        j22 = 1.0 - tau * (0.25 * u + dc_dq1 * dp)
+        _, dp, dq, h, mq, inv, w, c = last
+        m2c = -2.0 * c * inv
+        dc_dp1 = m2c * dp
+        dc_dq1 = (h + 3.0 * mq) * w + m2c * dq
+        j11 = up + tau * (dc_dp1 * dq)
+        j12 = tau * (0.5 * prm.potential.hess(mq) + dc_dq1 * dq + c)
+        j21 = -tau * (0.5 + c + dc_dp1 * dp)
+        j22 = down - tau * (dc_dq1 * dp)
         return j11, j12, j21, j22
 
-    return newton_solve_2d(residual, jacobian, _predictor(s, tau, prm))
+    guess = State(p0 - e1 - tau * (q0 * q0 * q0), q0 + e2)
+    return newton_solve_2d(residual, jacobian, guess)
 
 
 def pavf_step(s: State, tau: float, prm: PhysParams) -> State:

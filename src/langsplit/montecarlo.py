@@ -5,12 +5,14 @@ independent stream, so any subset of paths can be regenerated in any order
 with identical results.  Every experiment counts its steps with
 :func:`steps_for`, runs its ensemble in path chunks with :func:`map_chunks`
 and draws its noise with :func:`path_noise` (sampled runs) or
-:func:`increment_matrix` (path-coupled runs).
+:func:`increment_matrix` (path-coupled runs).  Two independent runs of one
+chunk can run side by side, one in a forked worker (:func:`beside`).
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
@@ -21,10 +23,13 @@ from .errors import NonConvergence, NonIntegralGrid
 __all__ = [
     "PATH_CHUNK",
     "WORKERS",
+    "BESIDE_MIN_LANE_STEPS",
     "SeedPolicy",
     "steps_for",
     "chunk_plan",
     "map_chunks",
+    "spare_worker",
+    "beside",
     "path_noise",
     "increment_matrix",
 ]
@@ -57,6 +62,7 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 _R = TypeVar("_R")
+_S = TypeVar("_S")
 
 
 @dataclass(frozen=True)
@@ -104,14 +110,23 @@ def chunk_plan(n_paths: int) -> Tuple[int, int]:
     return max(workers, 1), n_chunks
 
 
-# The chunk function of the run whose pool forked this process.  Workers
-# inherit it through the fork, so no closure is ever pickled.
+# Lane-steps a run needs to go to a forked worker of its own (see
+# :func:`beside`).  A fork and join took 2.3 ms, and the copy-on-write
+# faults that follow slowed the parent's own run by up to about 4 ms; the
+# cheapest path-coupled lane-step costs about 64 ns (sympl-euler at width
+# 2048, its fine increments drawn included; 2-core x86_64, numpy 2.4).  A
+# run of fewer lane-steps would not repay its fork.
+BESIDE_MIN_LANE_STEPS = 100_000
+
+# The function of the run whose fork made this process a worker.  Workers
+# inherit it through the fork, so no closure is ever pickled; a process
+# that holds one forks no workers of its own.
 _work = None
 
 
-def _adopt(chunk: Callable[[int], _R]) -> None:
+def _adopt(work: Callable) -> None:
     global _work
-    _work = chunk
+    _work = work
 
 
 def _run_adopted(first: int):
@@ -156,6 +171,58 @@ def map_chunks(work: Callable[[np.ndarray], _R], n_paths: int,
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
+
+
+def spare_worker(lane_steps: int) -> bool:
+    """Whether a run of ``lane_steps`` may go to a worker :func:`beside` this
+    process: ``WORKERS`` is at least 2, ``fork`` exists, this process is no
+    worker, and the run repays its fork (``BESIDE_MIN_LANE_STEPS``).
+    """
+    return (WORKERS >= 2 and hasattr(os, "fork") and _work is None
+            and lane_steps >= BESIDE_MIN_LANE_STEPS)
+
+
+def beside(here: Callable[[], _R], there: Callable[[], _S]) -> Tuple[_R, _S]:
+    """``(here(), there())``, with ``there`` run in a forked worker while
+    ``here`` runs in this process.
+
+    ``there`` reaches the worker through the fork, and its result or
+    exception comes back pickled through a pipe.  Both run to their end,
+    and the worker is reaped, before an exception of either is raised
+    (``here``'s first) or the pair is returned.  A plain fork: a one-worker
+    ``ProcessPoolExecutor`` raised this process's peak RSS by 3.7 MiB (its
+    modules and threads), the fork alone by nothing measurable.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: report, and never return into the caller
+        status = 1
+        try:
+            os.close(read)
+            _adopt(there)
+            try:
+                outcome = True, there()
+            except BaseException as exc:
+                outcome = False, exc
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    try:
+        mine = here()
+    finally:
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise ChildProcessError(f"the worker beside this process ended with "
+                                f"wait status {status}")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return mine, theirs
 
 
 def path_noise(seed, n_steps: int) -> Iterator:

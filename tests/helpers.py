@@ -7,13 +7,20 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from langsplit.analysis import Histogram2D, Observable, _ChunkMoments
-from langsplit.detflow import conservative_step, subsystem_field
+from langsplit.detflow import conservative_step
 from langsplit.errors import DegenerateRange, EmptyWindow
 from langsplit.experiments import record_stride
 from langsplit.model import ArrayLike, PhysParams, State, energy_H, energy_H0
 from langsplit.montecarlo import increment_matrix, map_chunks, steps_for
 from langsplit.splitting import Trajectory, require_finite, simulate_on_grid
 from langsplit.stochflow import naive_increment
+
+
+def subsystem_field(s: State, prm: PhysParams) -> State:
+    """Right-hand side of the conservative subsystem at ``s``."""
+    u = prm.upsilon
+    return State(p=-0.5 * u * s.p - prm.potential.grad(s.q),
+                 q=s.p + 0.5 * u * s.q)
 
 
 def energy_residual(kind: str, s: State, tau: float,

@@ -1,5 +1,7 @@
+import collections
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from langsplit.experiments import (ergodic_averages, histogram_snapshots,
                                    window_means)
 from langsplit.model import (EnergyConstants, PhysParams, State, energy_H0)
 from langsplit.montecarlo import SeedPolicy, increment_matrix
-from langsplit.splitting import (SchemeSpec, scheme_step, simulate,
+from langsplit.splitting import (SchemeSpec, _evolve, scheme_step, simulate,
                                  simulate_on_grid)
 from langsplit.stochflow import OUIncrement
 
@@ -835,3 +837,132 @@ def test_pool_names_the_failure_of_the_serial_run(name, monkeypatch):
         # The message names the offset step and path, also once pickled.
         assert str(info.value).endswith("at step %d in path %d" % expected)
         assert multiprocessing.active_children() == []
+
+
+def _no_child_left():
+    # Every worker has been reaped: this process has no child at all.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forks(monkeypatch):
+    """The list of the forks ``coupled_terminal_stats`` makes from now on."""
+    forks = []
+
+    def counted(here, there):
+        forks.append(os.getpid())
+        return montecarlo.beside(here, there)
+
+    monkeypatch.setattr(analysis, "beside", counted)
+    return forks
+
+
+@pytest.mark.parametrize("name", ["savf", "strang-sdg"])
+@pytest.mark.parametrize("g", [None, lambda p, q: np.sin(p) * np.sin(q)],
+                         ids=["strong", "weak"])
+def test_reference_beside_levels_keeps_the_bits(name, g, monkeypatch):
+    # One chunk whose levels are over the (lowered) threshold: at two
+    # workers the reference runs here and the levels in a forked worker,
+    # each drawing the fine increments in blocks of 8 from the same seeds.
+    monkeypatch.setattr(montecarlo, "BESIDE_MIN_LANE_STEPS", 100)
+    monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
+    forks = _forks(monkeypatch)
+
+    def run(workers):
+        monkeypatch.setattr(montecarlo, "WORKERS", workers)
+        return analysis.coupled_terminal_stats(
+            SchemeSpec.from_name(name), [2.0**-4, 2.0**-5, 2.0**-6],
+            2.0**-7, 0.5, PRM10, 40, SeedPolicy(5), g=g)
+
+    serial = run(1)
+    assert forks == []
+    split = run(2)
+    assert forks == [os.getpid()]
+    assert all(np.array_equal(a, b) for a, b in zip(serial, split))
+    _no_child_left()
+
+
+def test_small_levels_stay_in_one_process(monkeypatch):
+    # 40 paths times 28 level steps are far below the fork's cost.
+    monkeypatch.setattr(montecarlo, "WORKERS", 2)
+    forks = _forks(monkeypatch)
+    analysis.coupled_terminal_stats(SAVF, [2.0**-3, 2.0**-4, 2.0**-5],
+                                    2.0**-7, 0.5, PRM10, 40, SeedPolicy(5))
+    assert forks == []
+
+
+def _planted(failures):
+    """``_evolve`` whose run at step tau fails in block ``failures[tau]``
+    (its k-th call is its k-th block), naming the run in the message."""
+    calls = collections.Counter()
+
+    def evolve(initial, shape, tau, *args):
+        block = calls[tau]
+        calls[tau] += 1
+        if failures.get(tau) == block:
+            raise NonConvergence(f"planted at tau {tau:g}", step_index=1,
+                                 path_index=2)
+        return _evolve(initial, shape, tau, *args)
+    return evolve
+
+
+# Reference 2^-7 and levels 2^-4 (ratio 8) and 2^-5 (ratio 4) over 64 fine
+# steps: eight blocks of 8.  {tau: block of its failure}: the joint run
+# raises the failure of the earliest block, the reference's first.
+REF, COARSE, FINE = 2.0**-7, 2.0**-4, 2.0**-5
+PLANTED_FAILURES = {
+    "reference": {REF: 3},
+    "level": {FINE: 2},
+    "level_in_an_earlier_block": {REF: 3, FINE: 2},
+    "reference_in_an_earlier_block": {REF: 5, COARSE: 6},
+    "both_in_one_block": {REF: 2, COARSE: 2},
+    "two_levels_in_one_block": {COARSE: 5, FINE: 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_FAILURES))
+def test_split_raises_the_failure_of_the_joint_run(name, monkeypatch):
+    monkeypatch.setattr(montecarlo, "BESIDE_MIN_LANE_STEPS", 100)
+    monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
+    raised = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "WORKERS", workers)
+        monkeypatch.setattr(analysis, "_evolve",
+                            _planted(PLANTED_FAILURES[name]))
+        forks = _forks(monkeypatch)
+        with pytest.raises(NonConvergence) as info:
+            analysis.coupled_terminal_stats(SAVF, [COARSE, FINE], REF, 0.5,
+                                            PRM10, 40, SeedPolicy(5))
+        assert len(forks) == workers - 1
+        raised[workers] = (str(info.value), info.value.step_index,
+                           info.value.path_index)
+        _no_child_left()
+    assert raised[1] == raised[2]
+    # The step index counts from the start of the failing run.
+    failures = PLANTED_FAILURES[name]
+    tau, block = min(failures.items(), key=lambda f: (f[1], f[0] != REF))
+    assert raised[1][0].startswith(f"planted at tau {tau:g}")
+    assert raised[1][1:] == (1 + block * 8 * REF / tau, 2)
+
+
+@pytest.mark.parametrize("name", ["coupled_terminal_stats",
+                                  "coupled_terminal_stats_dg"])
+def test_split_names_the_step_and_path_of_a_divergence(name, monkeypatch):
+    # The diverging runs above in one chunk: the reference and its level
+    # have one step, so both processes fail, in one block.
+    run = DIVERGING_RUNS[name][0]
+    monkeypatch.setattr(montecarlo, "BESIDE_MIN_LANE_STEPS", 100)
+    monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
+    monkeypatch.setattr(detflow, "NEWTON_MAX_ITER", 2)
+    forks = _forks(monkeypatch)
+    raised = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "WORKERS", workers)
+        with pytest.raises(NonConvergence) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            run()
+        raised[workers] = (str(info.value), info.value.step_index,
+                           info.value.path_index)
+        _no_child_left()
+    assert len(forks) == 1
+    assert raised[1] == raised[2]

@@ -478,3 +478,76 @@ def test_summary_records_the_chunk_plan(tmp_path, monkeypatch):
         assert (metrics.pop("workers"), metrics.pop("n_chunks")) == (workers, 5)
         runs[workers] = (metrics, csv_body(out / "histogram_t0.25.csv"))
     assert runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("name, config_text", [
+    # A level at the reference's own step has error 0 by construction.
+    ("strong-order", "tau_levels = 2^-6,2^-7,2^-8\nref_tau = 2^-8\nT = 0.25\n"
+                     "n_paths = 8\n"),
+    ("weak-order", "tau_levels = 2^-6,2^-7,2^-8\nref_tau = 2^-8\nT = 0.25\n"
+                   "n_paths = 8\n"),
+    # So does a long-time run at the reference's step.
+    ("long-time-error", "tau = 2^-8\nref_tau = 2^-8\nT = 1\nn_paths = 4\n"),
+])
+def test_run_at_the_reference_step_is_exit_two(tmp_path, capsys, name,
+                                               config_text):
+    # These ran the whole study and then failed in the fit, or wrote an
+    # infinite ratio; the ratio of at least 2 is checked before any work.
+    code, out = run_cli(tmp_path, name, config_text, seed=3)
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "'ref_tau'" in message
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_long_time_error_without_early_error_has_no_ratio(tmp_path):
+    # With sigma = 0 from the origin both runs stay at rest: the error is 0
+    # throughout, and so is its first-decade mean.
+    code, out = run_cli(tmp_path, "long-time-error",
+                        "sigma = 0\ntau = 2^-6\nref_tau = 2^-8\nT = 1\n"
+                        "n_paths = 4\nn_records = 16\n", seed=3)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["metrics"]["early_window_mean"] == 0.0
+    assert summary["metrics"]["ratio"] is None
+    assert summary["checks"][0]["pass"] is True
+
+
+def test_exp_moment_overflow_is_measured_in_log_space(tmp_path):
+    # From q = 9 the exponent c_e q^4 is 820 at t = 0: exp overflows, but
+    # the envelope's log is 3396.5, so the paper's bound holds.
+    code, out = run_cli(tmp_path, "exp-moment",
+                        "tau = 2^-10\nT = 2^-6\nn_paths = 16\ninitial_q = 9\n",
+                        seed=3)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    metrics = summary["metrics"]
+    assert metrics["flagged"] is False
+    # Every path starts at the same state: the mean of equal terms.
+    assert metrics["log_max_estimate"] == 0.125 * 9.0 ** 4
+    assert metrics["log_headroom"] == pytest.approx(
+        metrics["envelope_log"] - metrics["log_max_estimate"], rel=1e-15)
+    assert summary["checks"][0]["pass"] is True
+    # The linear estimate keeps its column, overflowed where it overflows.
+    rows = [l.split(",") for l in (out / "exp_moment.csv").read_text()
+            .splitlines() if l and not l.startswith("#")][1:]
+    assert rows[0][1] == "inf"
+
+
+def test_non_finite_figure_exits_one_naming_it(tmp_path, capsys,
+                                               monkeypatch):
+    def recipe(cfg, outdir):
+        cfg.reject_unread()
+        return {"fine": 1.0, "broken": float("nan")}, [
+            {"name": "bounded", "pass": False, "margin": -math.inf}]
+
+    monkeypatch.setitem(RECIPES, "simulate", recipe)
+    code, out = run_cli(tmp_path, "simulate", "")
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert record["type"] == "NonFiniteMetric"
+    assert "broken" in record["message"] and "fine" not in record["message"]
+    assert "margin of bounded" in record["message"]
+    assert not (out / "summary.json").exists()

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from langsplit import detflow
 from langsplit.analysis import jacobian_det
 from langsplit.detflow import (avf_step, conservative_step, dg_step, newton_solve_2d, pavf_step,
-                               subsystem_field, sympl_euler_step)
+                               sympl_euler_step)
 from langsplit.errors import NonConvergence
 from langsplit.model import PhysParams, QuarticPotential, State, energy_H
 
-from helpers import energy_residual
+from helpers import energy_residual, subsystem_field
 
 PRM10 = PhysParams(10.0, 1.0)
 
@@ -385,8 +385,45 @@ def test_first_order_consistency_with_subsystem_flow(kind):
 
 
 def dg_reference(s, tau, prm):
-    """dg_step with every shared term recomputed in each callable and every
-    lane masked, as the map is written out in its docstring."""
+    """dg_step in its quartic form, as its docstring writes it out: every
+    term recomputed in each callable and every lane masked."""
+    p0 = np.asarray(s.p, dtype=float)
+    q0 = np.asarray(s.q, dtype=float)
+    a = 0.25 * tau * prm.upsilon
+    e1 = (2.0 * a) * p0
+    e2 = tau * p0 + (2.0 * a) * q0
+
+    def parts(x):
+        dp, dq = x.p - p0, x.q - q0
+        h = 0.5 * dq
+        mq = q0 + h
+        dd = dp * dp + dq * dq
+        live = dd >= 1e-28
+        inv = np.where(live, 1.0 / np.where(live, dd, 1.0), 0.0)
+        w = h * h * inv
+        return dp, dq, h, mq, inv, w, mq * dq * w
+
+    def residual(x):
+        dp, dq, _, mq, _, _, c = parts(x)
+        return ((1.0 + a) * dp + e1 + tau * (mq * mq * mq + c * dq),
+                (1.0 - a) * dq - e2 - tau * ((0.5 + c) * dp))
+
+    def jacobian(x):
+        dp, dq, h, mq, inv, w, c = parts(x)
+        dc_dp1 = -2.0 * c * inv * dp
+        dc_dq1 = (h + 3.0 * mq) * w + -2.0 * c * inv * dq
+        return ((1.0 + a) + tau * (dc_dp1 * dq),
+                tau * (0.5 * (3.0 * mq**2) + dc_dq1 * dq + c),
+                -tau * (0.5 + c + dc_dp1 * dp),
+                (1.0 - a) - tau * (dc_dq1 * dp))
+
+    guess = State(p0 - e1 - tau * (q0 * q0 * q0), q0 + e2)
+    return detflow.newton_solve_2d(residual, jacobian, guess)
+
+
+def dg_avg_grad_oracle(s, tau, prm):
+    """The discrete-gradient map in its general form: the correction
+    ``(avg_grad(q, q1) - U'(mq)) dq / |delta|^2``, from the Euler guess."""
     u, pot = prm.upsilon, prm.potential
     p0 = np.asarray(s.p, dtype=float)
     q0 = np.asarray(s.q, dtype=float)
@@ -446,6 +483,21 @@ class TestDgBitIdentity:
             out, ref = dg_step(batch, tau, prm), dg_reference(batch, tau, prm)
             assert np.array_equal(out.p, ref.p)
             assert np.array_equal(out.q, ref.q)
+
+    @pytest.mark.parametrize("upsilon", [2.0, 10.0, 15.0])
+    @pytest.mark.parametrize("tau", [2.0**-4, 2.0**-8, 2.0**-13])
+    def test_agrees_with_general_form(self, upsilon, tau):
+        # avg_grad(q, q1) - U'(mq) = mq dq^2 / 4 exactly, so both forms solve
+        # one system; each root meets the Newton tolerance, and the two stay
+        # within it of each other (the quartic form moved them by at most
+        # 4.4e-16 here).
+        prm = PhysParams(upsilon, 1.0)
+        s = mixed_batch(256, 3)
+        out, ref = dg_step(s, tau, prm), dg_avg_grad_oracle(s, tau, prm)
+        scale = np.maximum(np.abs(ref.p), np.abs(ref.q))
+        tol = detflow.NEWTON_ABS_TOL + detflow.NEWTON_REL_TOL * scale
+        assert np.all(np.abs(out.p - ref.p) <= tol)
+        assert np.all(np.abs(out.q - ref.q) <= tol)
 
     def test_batch_equals_lane_by_lane(self):
         s, tau = mixed_batch(33, 4), 2.0**-8

@@ -64,6 +64,50 @@ class TestMapChunks:
         assert montecarlo.chunk_plan(5 * n) == (2, 5)
 
 
+def _no_child_left():
+    # Every worker has been reaped: this process has no child at all.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestBeside:
+    def test_both_results_and_where_they_ran(self):
+        # A lambda cannot be pickled: the worker inherits it through the fork.
+        here, there = montecarlo.beside(lambda: os.getpid(),
+                                        lambda: (os.getpid(), np.arange(3.0)))
+        assert here == os.getpid() and there[0] != os.getpid()
+        assert np.array_equal(there[1], np.arange(3.0))
+        _no_child_left()
+
+    def test_a_large_result_comes_back_whole(self):
+        # More than a pipe's buffer, read while the worker writes.
+        _, there = montecarlo.beside(lambda: None, lambda: np.arange(1e6))
+        assert np.array_equal(there, np.arange(1e6))
+        _no_child_left()
+
+    def test_exceptions_here_first(self):
+        def fail(where):
+            raise ValueError(where)
+
+        with pytest.raises(ValueError, match="there"):
+            montecarlo.beside(lambda: 1, lambda: fail("there"))
+        _no_child_left()
+        with pytest.raises(ValueError, match="here"):
+            montecarlo.beside(lambda: fail("here"), lambda: fail("there"))
+        _no_child_left()
+
+    def test_workers_fork_no_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "WORKERS", 2)
+        big = montecarlo.BESIDE_MIN_LANE_STEPS
+        assert montecarlo.spare_worker(big)
+        assert not montecarlo.spare_worker(big - 1)
+        _, nested = montecarlo.beside(
+            lambda: None, lambda: montecarlo.spare_worker(big))
+        assert nested is False
+        monkeypatch.setattr(montecarlo, "WORKERS", 1)
+        assert not montecarlo.spare_worker(big)
+
+
 class TestGenerateGrid:
     """Fine Brownian grids as built by ``increment_matrix``."""
 
