@@ -534,7 +534,7 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
     def work(path_seeds):
         sums = np.zeros(n_steps + 1)
         maxima = np.full(n_steps + 1, -np.inf)
-        log_sums = np.zeros(n_steps + 1)
+        log_sums = np.empty(n_steps + 1)
 
         def visit(n, st):
             q2 = st.q * st.q
@@ -542,15 +542,14 @@ def exp_moment_monitor(scheme: SchemeSpec, prm: PhysParams, tau: float,
             with np.errstate(over="ignore"):
                 sums[n] = np.exp(expo).sum()
             maxima[n] = expo.max()
-            if sums[n] == math.inf:
-                # log-sum-exp about the largest exponent
-                log_sums[n] = maxima[n] + math.log(
-                    np.exp(expo - maxima[n]).sum())
+            # Where the sum overflows, log-sum-exp about the largest exponent.
+            log_sums[n] = (math.log(sums[n]) if sums[n] < math.inf else
+                           maxima[n]
+                           + math.log(np.exp(expo - maxima[n]).sum()))
 
         _evolve(initial, (len(path_seeds),), tau, prm, scheme,
                 path_noise(path_seeds, n_steps), visit)
-        return sums, maxima, np.where(sums == math.inf, log_sums,
-                                      np.log(sums))
+        return sums, maxima, log_sums
 
     sum_exp = np.zeros(n_steps + 1)
     max_expo = np.full(n_steps + 1, -np.inf)

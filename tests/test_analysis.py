@@ -743,7 +743,7 @@ def _coupled(g):
 
 def _exp_moment():
     rep = exp_moment_monitor(SAVF, PRM10, 2.0**-6, 0.5, 300, SeedPolicy(5))
-    return rep.estimates, rep.max_exponents
+    return rep.estimates, rep.log_estimates, rep.max_exponents
 
 
 def _dissipation():
