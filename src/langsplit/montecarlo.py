@@ -194,7 +194,12 @@ def beside(here: Callable[[], _R], there: Callable[[], _S]) -> Tuple[_R, _S]:
     modules and threads), the fork alone by nothing measurable.
     """
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
     if pid == 0:  # the worker: report, and never return into the caller
         status = 1
         try:

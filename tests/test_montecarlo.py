@@ -96,6 +96,11 @@ class TestBeside:
             montecarlo.beside(lambda: fail("here"), lambda: fail("there"))
         _no_child_left()
 
+    def test_a_worker_that_dies_is_an_error(self):
+        with pytest.raises(ChildProcessError):
+            montecarlo.beside(lambda: None, lambda: os._exit(3))
+        _no_child_left()
+
     def test_workers_fork_no_workers(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "WORKERS", 2)
         big = montecarlo.BESIDE_MIN_LANE_STEPS
