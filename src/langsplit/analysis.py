@@ -21,8 +21,9 @@ from .errors import EmptyWindow, NonConvergence, NonPositiveError
 from .model import (ArrayLike, EnergyConstants, PhysParams, State,
                     _position_weight_scale, energy_H, energy_H0,
                     exp_moment_rate_constant, position_marginal_normalizer)
+from . import montecarlo
 from .montecarlo import (SeedPolicy, beside, increment_matrix, map_chunks,
-                         path_noise, spare_worker, steps_for)
+                         path_noise, steps_for)
 # ``require_finite`` stays importable here: the benchmark traces it as
 # ``analysis.require_finite``.
 from .splitting import (SchemeSpec, _evolve, _fine_windows,
@@ -190,18 +191,15 @@ def _reference_and_levels(scheme: SchemeSpec, tau_levels: Sequence[float],
     """The final states of the reference run at ``tau_f`` and of the levels.
 
     Given the Wiener paths the reference and the levels are independent
-    runs.  Levels that repay a fork (:func:`~langsplit.montecarlo.
-    spare_worker`) run in a worker :func:`~langsplit.montecarlo.beside` the
-    reference; the two processes draw the same fine increments from the
-    same seeds in the same blocks, so every state has the bits of the joint
-    :func:`_coupled_runs`, which runs otherwise.  A failure raises what the
-    joint run raises: the failure of the earliest block, the reference's
-    before the levels'.
+    runs.  At ``montecarlo.WORKERS >= 2`` the levels run in a worker
+    :func:`~langsplit.montecarlo.beside` the reference, drawing the same
+    fine increments from the same seeds in the same blocks, so every state
+    has the bits of the joint :func:`_coupled_runs`, which runs otherwise.
+    A failure raises what the joint run raises: the failure of the
+    earliest block, the reference's before the levels'.
     """
     taus = [tau_f, *tau_levels]
-    level_steps = sum(n_fine // steps_for(tau, tau_f, minimum=1)
-                      for tau in tau_levels)
-    if not spare_worker(len(path_seeds) * level_steps):
+    if montecarlo.WORKERS < 2:
         return _coupled_runs(scheme, taus, tau_f, n_fine, prm, initial,
                              path_seeds)
     block = _fine_block(taus, tau_f)
@@ -217,8 +215,11 @@ def _reference_and_levels(scheme: SchemeSpec, tau_levels: Sequence[float],
         except Exception as exc:
             return None, (len(done), exc)
 
-    (ref, ref_failure), (levels, level_failure) = beside(
-        lambda: run(taus[:1]), lambda: run(taus[1:]))
+    (ref, ref_failure), [(ok, theirs)] = beside(lambda: run(taus[:1]),
+                                                [lambda: run(taus[1:])])
+    if not ok:
+        raise theirs
+    levels, level_failure = theirs
     failures = [f for f in (ref_failure, level_failure) if f is not None]
     if failures:
         # Of two failures in one block, min keeps the first: the reference's.

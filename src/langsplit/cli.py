@@ -13,9 +13,10 @@ Exit codes: 0 success, 2 configuration errors (bad config file, unknown
 experiment, a key the experiment does not read, a value of the wrong type,
 a count below 1 or a negative seed, an unknown choice or scheme, a
 non-finite or non-positive ``upsilon``, a non-finite or negative ``sigma``
-(or a zero one where the Gibbs law is the oracle), a bad step or an
-untiled horizon, a level or ``tau`` below twice ``ref_tau``, fewer than 3
-``tau_levels``, 10 error records or 2 distinct ``times``, an empty
+(or a zero one where the Gibbs law is the oracle), a non-finite initial
+state, a bad step or an untiled or non-finite horizon, a non-conservative
+``lyapunov`` scheme, a level or ``tau`` below twice ``ref_tau``, fewer
+than 3 ``tau_levels``, 10 error records or 2 distinct ``times``, an empty
 histogram window or a ``burn_in`` that leaves no window before ``T``), 1
 numerical failures (a non-finite figure among them: ``summary.json`` is
 strict JSON, and a figure it cannot hold is named, not written).
@@ -234,7 +235,11 @@ def _common(cfg, scheme_default="savf", upsilon=10.0):
 
 
 def _initial(cfg, q=0.0):
-    return State(cfg.num("initial_p", 0.0), cfg.num("initial_q", q))
+    state = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", q))
+    for key, val in zip(("initial_p", "initial_q"), state):
+        if not math.isfinite(val):
+            raise ConfigError(f"config key {key!r}: not finite: {val!r}")
+    return state
 
 
 def _step(key, tau, scheme, prm):
@@ -514,6 +519,8 @@ def run_lyapunov(cfg: Config, outdir: Path):
     n_draws = cfg.integer("n_draws", 100000)
     states = [State(p, q) for p, q in
               cfg.pairs("states", [(0.0, 0.0), (1.0, 1.0), (2.0, -1.0)])]
+    # The check's own test of the scheme, on no states.
+    _valid(("scheme",), analysis.lyapunov_check, scheme, prm, tau, [], 1)
     cfg.reject_unread()
     records = analysis.lyapunov_check(scheme, prm, tau, states, n_draws,
                                       seed=seed)

@@ -5,12 +5,15 @@ independent stream, so any subset of paths can be regenerated in any order
 with identical results.  Every experiment counts its steps with
 :func:`steps_for`, runs its ensemble in path chunks with :func:`map_chunks`
 and draws its noise with :func:`path_noise` (sampled runs) or
-:func:`increment_matrix` (path-coupled runs).  Two independent runs of one
-chunk can run side by side, one in a forked worker (:func:`beside`).
+:func:`increment_matrix` (path-coupled runs).  :func:`beside` is the one
+way to use another core: it runs callables in plain forked workers, which
+:func:`map_chunks` hands static round-robin shares of the chunks, and
+which run a one-chunk study's levels beside its reference.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 from dataclasses import dataclass
@@ -23,12 +26,10 @@ from .errors import NonConvergence, NonIntegralGrid
 __all__ = [
     "PATH_CHUNK",
     "WORKERS",
-    "BESIDE_MIN_LANE_STEPS",
     "SeedPolicy",
     "steps_for",
     "chunk_plan",
     "map_chunks",
-    "spare_worker",
     "beside",
     "path_noise",
     "increment_matrix",
@@ -55,11 +56,11 @@ _NOISE_TILE = 64
 # chunks ran a 4096-path histogram ~20% slower (2-core x86_64, numpy 2.4).
 PATH_CHUNK = 2048
 
-# Processes a run of several chunks spreads them over: the cores this
-# process may run on, measured once.  The bits of a result do not depend on
-# it (see :func:`map_chunks`).
-WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
+# Processes a run may use: the cores this process may run on, measured
+# once; 1 without ``fork`` and in a forked worker, so forks never nest.
+# The bits of a result do not depend on it (see :func:`map_chunks`).
+WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) if hasattr(os, "fork") else 1)
 
 _R = TypeVar("_R")
 _S = TypeVar("_S")
@@ -88,11 +89,14 @@ class SeedPolicy:
 def steps_for(T: float, tau: float, minimum: int = 0) -> int:
     """Number of steps of size ``tau`` that tile ``[0, T]`` exactly.
 
-    Raises :class:`NonIntegralGrid` unless ``T`` is an integer multiple of
-    ``tau`` (to a relative 1e-9) of at least ``minimum`` steps.
+    Raises :class:`NonIntegralGrid` unless ``T`` is a finite integer
+    multiple of a finite ``tau`` (to a relative 1e-9) of at least
+    ``minimum`` steps.
     """
-    n = int(round(T / tau)) if tau > 0 else -1
-    if n < minimum or abs(n * tau - T) > 1e-9 * max(abs(T), tau):
+    ratio = T / tau if tau > 0 else math.nan
+    n = int(round(ratio)) if math.isfinite(ratio) else -1
+    # Written so that a NaN (an infinite step) fails the test.
+    if n < minimum or not abs(n * tau - T) <= 1e-9 * max(abs(T), tau):
         raise NonIntegralGrid(
             f"{T:g} is not an integer multiple of the step {tau:g}")
     return n
@@ -102,35 +106,11 @@ def chunk_plan(n_paths: int) -> Tuple[int, int]:
     """``(workers, chunks)`` of a run of ``n_paths`` paths.
 
     The ensemble splits into chunks of ``PATH_CHUNK`` paths, spread over
-    ``min(WORKERS, chunks)`` forked workers; a run of one chunk, or on a
-    platform without ``fork``, has one worker, the calling process.
+    ``min(WORKERS, chunks)`` forked workers; a run of one chunk, or of
+    ``WORKERS = 1``, has one worker, the calling process.
     """
     n_chunks = -(-n_paths // PATH_CHUNK)
-    workers = min(WORKERS, n_chunks) if hasattr(os, "fork") else 1
-    return max(workers, 1), n_chunks
-
-
-# Lane-steps a run needs to go to a forked worker of its own (see
-# :func:`beside`).  A fork and join took 2.3 ms, and the copy-on-write
-# faults that follow slowed the parent's own run by up to about 4 ms; the
-# cheapest path-coupled lane-step costs about 64 ns (sympl-euler at width
-# 2048, its fine increments drawn included; 2-core x86_64, numpy 2.4).  A
-# run of fewer lane-steps would not repay its fork.
-BESIDE_MIN_LANE_STEPS = 100_000
-
-# The function of the run whose fork made this process a worker.  Workers
-# inherit it through the fork, so no closure is ever pickled; a process
-# that holds one forks no workers of its own.
-_work = None
-
-
-def _adopt(work: Callable) -> None:
-    global _work
-    _work = work
-
-
-def _run_adopted(first: int):
-    return _work(first)
+    return max(min(WORKERS, n_chunks), 1), n_chunks
 
 
 def map_chunks(work: Callable[[np.ndarray], _R], n_paths: int,
@@ -141,10 +121,10 @@ def map_chunks(work: Callable[[np.ndarray], _R], n_paths: int,
     :class:`NonConvergence` leaves its chunk naming that index.  ``work``
     returns the chunk's partial result, and the caller folds the list in
     chunk order, so a result has the same bits for any number of workers.
-    Chunks run on a pool of forked processes when :func:`chunk_plan` gives
-    more than one worker, and in this process otherwise.  An exception of
-    the first chunk that fails is raised, as in a run of the chunks in
-    turn; no worker outlives the call.
+    When :func:`chunk_plan` gives ``w >= 2`` workers, worker ``k`` runs
+    chunks ``k, k + w, ...`` up to its first failure while this process
+    waits; otherwise the chunks run here.  An exception of the first chunk
+    that fails is raised, as in a run of the chunks in turn.
     """
     def chunk(first: int) -> _R:
         try:
@@ -159,75 +139,80 @@ def map_chunks(work: Callable[[np.ndarray], _R], n_paths: int,
     workers, _ = chunk_plan(n_paths)
     if workers < 2:
         return [chunk(first) for first in firsts]
-    # Imported here: a run of one chunk never loads the pool's modules.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_adopt,
-                             initargs=(chunk,)) as pool:
-        futures = [pool.submit(_run_adopted, first) for first in firsts]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
 
-
-def spare_worker(lane_steps: int) -> bool:
-    """Whether a run of ``lane_steps`` may go to a worker :func:`beside` this
-    process: ``WORKERS`` is at least 2, ``fork`` exists, this process is no
-    worker, and the run repays its fork (``BESIDE_MIN_LANE_STEPS``).
-    """
-    return (WORKERS >= 2 and hasattr(os, "fork") and _work is None
-            and lane_steps >= BESIDE_MIN_LANE_STEPS)
-
-
-def beside(here: Callable[[], _R], there: Callable[[], _S]) -> Tuple[_R, _S]:
-    """``(here(), there())``, with ``there`` run in a forked worker while
-    ``here`` runs in this process.
-
-    ``there`` reaches the worker through the fork, and its result or
-    exception comes back pickled through a pipe.  Both run to their end,
-    and the worker is reaped, before an exception of either is raised
-    (``here``'s first) or the pair is returned.  A plain fork: a one-worker
-    ``ProcessPoolExecutor`` raised this process's peak RSS by 3.7 MiB (its
-    modules and threads), the fork alone by nothing measurable.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:  # the worker: report, and never return into the caller
-        status = 1
-        try:
-            os.close(read)
-            _adopt(there)
+    def share(k: int) -> List[Tuple[bool, object]]:
+        # (ok, result or exception) of its chunks, up to the first failure.
+        done = []
+        for first in firsts[k::workers]:
             try:
-                outcome = True, there()
+                done.append((True, chunk(first)))
             except BaseException as exc:
-                outcome = False, exc
-            with os.fdopen(write, "wb") as pipe:
-                pickle.dump(outcome, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
+                return done + [(False, exc)]
+        return done
+
+    _, shares = beside(lambda: None, [lambda k=k: share(k)
+                                      for k in range(workers)])
+    results = []
+    # A worker stops at its first failure, so every chunk before the first
+    # failing one in chunk order has its result.
+    for i in range(len(firsts)):
+        ok, value = shares[i % workers][1][i // workers]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def beside(here: Callable[[], _R], theres: Sequence[Callable[[], _S]]
+           ) -> Tuple[_R, List[Tuple[bool, object]]]:
+    """``here()``, run in this process while each of ``theres`` runs in a
+    forked worker of its own, and each worker's ``(True, result)`` or
+    ``(False, exception)``.
+
+    A callable reaches its worker through the fork, and its outcome comes
+    back pickled through a pipe.  Every worker runs to its end and is
+    reaped before this returns or raises, also the workers started before
+    a fork that fails.  A worker that dies without its outcome raises
+    :class:`ChildProcessError`.  A plain fork: a process pool's modules and
+    threads raised peak RSS by 3.7 MiB, the fork alone by nothing measured.
+    """
+    global WORKERS
+    started = []  # (pid, read end of its pipe)
     try:
+        for there in theres:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the worker: report, and never return to the caller
+                status = 1
+                try:
+                    WORKERS = 1
+                    try:
+                        outcome = True, there()
+                    except BaseException as exc:
+                        outcome = False, exc
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(outcome, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            started.append((pid, read))
         mine = here()
     finally:
-        with os.fdopen(read, "rb") as pipe:
-            data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        raise ChildProcessError(f"the worker beside this process ended with "
-                                f"wait status {status}")
-    ok, theirs = pickle.loads(data)
-    if not ok:
-        raise theirs
-    return mine, theirs
+        ends = []
+        for pid, read in started:
+            with os.fdopen(read, "rb") as pipe:
+                ends.append((pipe.read(), os.waitpid(pid, 0)[1]))
+    for _, status in ends:
+        if status != 0:
+            raise ChildProcessError(f"a worker beside this process ended "
+                                    f"with wait status {status}")
+    return mine, [pickle.loads(data) for data, _ in ends]
 
 
 def path_noise(seed, n_steps: int) -> Iterator:
@@ -241,18 +226,22 @@ def path_noise(seed, n_steps: int) -> Iterator:
     """
     shared = np.ndim(seed) == 0
     rngs = [np.random.default_rng(s) for s in ([seed] if shared else seed)]
-    block = min(_NOISE_BLOCK, n_steps)
-    buf = np.empty((block, len(rngs)))
-    tile = np.empty((min(_NOISE_TILE, len(rngs)), block))
+    buf = np.empty((min(_NOISE_BLOCK, n_steps), len(rngs)))
     for start in range(0, n_steps, _NOISE_BLOCK):
-        n = min(_NOISE_BLOCK, n_steps - start)
-        rows = buf[:n]
-        for first in range(0, len(rngs), _NOISE_TILE):
-            group = rngs[first:first + _NOISE_TILE]
-            for i, rng in enumerate(group):
-                rng.standard_normal(out=tile[i, :n])
-            rows[:, first:first + len(group)] = tile[:len(group), :n].T
+        rows = buf[:min(_NOISE_BLOCK, n_steps - start)]
+        _normal_columns(rngs, rows)
         yield from (rows[:, 0] if shared else rows)
+
+
+def _normal_columns(rngs: Sequence[np.random.Generator], out: np.ndarray):
+    """Each generator's next ``len(out)`` standard normal draws, written
+    into its column of ``out`` ``_NOISE_TILE`` generators at a time."""
+    tile = np.empty((min(_NOISE_TILE, len(rngs)), len(out)))
+    for first in range(0, len(rngs), _NOISE_TILE):
+        group = rngs[first:first + _NOISE_TILE]
+        for i, rng in enumerate(group):
+            rng.standard_normal(out=tile[i])
+        out[:, first:first + len(group)] = tile[:len(group)].T
 
 
 def increment_matrix(T: float, tau_f: float,
@@ -273,7 +262,6 @@ def increment_matrix(T: float, tau_f: float,
     """
     n = steps_for(T, tau_f, minimum=1)
     out = np.empty((n, len(path_seeds)))
-    root = np.sqrt(tau_f)
-    for i, s in enumerate(path_seeds):
-        out[:, i] = np.random.default_rng(s).standard_normal(n) * root
+    _normal_columns([np.random.default_rng(s) for s in path_seeds], out)
+    out *= np.sqrt(tau_f)
     return out

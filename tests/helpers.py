@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple, Tuple
 
 import numpy as np
+import pytest
 
 from langsplit.analysis import Histogram2D, Observable, _ChunkMoments
 from langsplit.detflow import conservative_step
@@ -14,6 +16,12 @@ from langsplit.model import ArrayLike, PhysParams, State, energy_H, energy_H0
 from langsplit.montecarlo import increment_matrix, map_chunks, steps_for
 from langsplit.splitting import Trajectory, require_finite, simulate_on_grid
 from langsplit.stochflow import naive_increment
+
+
+def no_child_left() -> None:
+    """Every forked worker has been reaped: this process has no child."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def subsystem_field(s: State, prm: PhysParams) -> State:

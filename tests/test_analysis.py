@@ -1,6 +1,5 @@
 import collections
 import math
-import multiprocessing
 import os
 
 import numpy as np
@@ -25,7 +24,8 @@ from langsplit.splitting import (SchemeSpec, _evolve, scheme_step, simulate,
 from langsplit.stochflow import OUIncrement
 
 from helpers import (coupled_terminal_stats_whole, empirical_distribution,
-                     long_time_error_whole, msd_curve, time_average)
+                     long_time_error_whole, msd_curve, no_child_left,
+                     time_average)
 
 PRM10 = PhysParams(10.0, 1.0)
 PRM15 = PhysParams(15.0, 1.0)
@@ -816,7 +816,7 @@ def test_worker_count_keeps_the_bits(name, monkeypatch):
         pooled = run(workers)
         assert len(pooled) == len(serial)
         assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
-    assert multiprocessing.active_children() == []
+    no_child_left()
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -836,22 +836,16 @@ def test_pool_names_the_failure_of_the_serial_run(name, monkeypatch):
         assert (info.value.step_index, info.value.path_index) == expected
         # The message names the offset step and path, also once pickled.
         assert str(info.value).endswith("at step %d in path %d" % expected)
-        assert multiprocessing.active_children() == []
-
-
-def _no_child_left():
-    # Every worker has been reaped: this process has no child at all.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
 
 def _forks(monkeypatch):
     """The list of the forks ``coupled_terminal_stats`` makes from now on."""
     forks = []
 
-    def counted(here, there):
+    def counted(here, theres):
         forks.append(os.getpid())
-        return montecarlo.beside(here, there)
+        return montecarlo.beside(here, theres)
 
     monkeypatch.setattr(analysis, "beside", counted)
     return forks
@@ -861,10 +855,9 @@ def _forks(monkeypatch):
 @pytest.mark.parametrize("g", [None, lambda p, q: np.sin(p) * np.sin(q)],
                          ids=["strong", "weak"])
 def test_reference_beside_levels_keeps_the_bits(name, g, monkeypatch):
-    # One chunk whose levels are over the (lowered) threshold: at two
-    # workers the reference runs here and the levels in a forked worker,
-    # each drawing the fine increments in blocks of 8 from the same seeds.
-    monkeypatch.setattr(montecarlo, "BESIDE_MIN_LANE_STEPS", 100)
+    # One chunk: at two workers the reference runs here and the levels in
+    # a forked worker, each drawing the fine increments in blocks of 8 from
+    # the same seeds.
     monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
     forks = _forks(monkeypatch)
 
@@ -879,16 +872,7 @@ def test_reference_beside_levels_keeps_the_bits(name, g, monkeypatch):
     split = run(2)
     assert forks == [os.getpid()]
     assert all(np.array_equal(a, b) for a, b in zip(serial, split))
-    _no_child_left()
-
-
-def test_small_levels_stay_in_one_process(monkeypatch):
-    # 40 paths times 28 level steps are far below the fork's cost.
-    monkeypatch.setattr(montecarlo, "WORKERS", 2)
-    forks = _forks(monkeypatch)
-    analysis.coupled_terminal_stats(SAVF, [2.0**-3, 2.0**-4, 2.0**-5],
-                                    2.0**-7, 0.5, PRM10, 40, SeedPolicy(5))
-    assert forks == []
+    no_child_left()
 
 
 def _planted(failures):
@@ -922,7 +906,6 @@ PLANTED_FAILURES = {
 
 @pytest.mark.parametrize("name", sorted(PLANTED_FAILURES))
 def test_split_raises_the_failure_of_the_joint_run(name, monkeypatch):
-    monkeypatch.setattr(montecarlo, "BESIDE_MIN_LANE_STEPS", 100)
     monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
     raised = {}
     for workers in (1, 2):
@@ -936,7 +919,7 @@ def test_split_raises_the_failure_of_the_joint_run(name, monkeypatch):
         assert len(forks) == workers - 1
         raised[workers] = (str(info.value), info.value.step_index,
                            info.value.path_index)
-        _no_child_left()
+        no_child_left()
     assert raised[1] == raised[2]
     # The step index counts from the start of the failing run.
     failures = PLANTED_FAILURES[name]
@@ -951,7 +934,6 @@ def test_split_names_the_step_and_path_of_a_divergence(name, monkeypatch):
     # The diverging runs above in one chunk: the reference and its level
     # have one step, so both processes fail, in one block.
     run = DIVERGING_RUNS[name][0]
-    monkeypatch.setattr(montecarlo, "BESIDE_MIN_LANE_STEPS", 100)
     monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
     monkeypatch.setattr(detflow, "NEWTON_MAX_ITER", 2)
     forks = _forks(monkeypatch)
@@ -963,6 +945,6 @@ def test_split_names_the_step_and_path_of_a_divergence(name, monkeypatch):
             run()
         raised[workers] = (str(info.value), info.value.step_index,
                            info.value.path_index)
-        _no_child_left()
+        no_child_left()
     assert len(forks) == 1
     assert raised[1] == raised[2]

@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,6 +13,8 @@ import langsplit
 from langsplit import analysis, montecarlo
 from langsplit.cli import (RECIPES, main, msd_approach, parse_config_file,
                            _parse_number)
+
+from helpers import no_child_left
 
 
 def run_cli(tmp_path, name, config_text, seed=None, extra=()):
@@ -335,6 +336,22 @@ def test_workers_flag_is_rejected(tmp_path):
     ("histogram", "sigma = 0\n"),
     ("msd", "sigma = 0\n"),
     ("ergodic-average", "sigma = 0\n"),
+    ("simulate", "T = inf\n"),
+    ("simulate", "T = nan\n"),
+    ("strong-order", "T = inf\n"),
+    ("long-time-error", "T = inf\n"),
+    ("ergodic-average", "T = inf\n"),
+    ("ergodic-average", "burn_in = inf\n"),
+    ("msd", "T = inf\n"),
+    ("exp-moment", "T = inf\n"),
+    ("phase-area", "T = inf\n"),
+    ("dissipation-demo", "T = inf\n"),
+    ("dissipation-demo", "tau = inf\n"),
+    ("histogram", "times = 0,inf\n"),
+    ("simulate", "initial_p = inf\n"),
+    ("histogram", "initial_q = nan\n"),
+    ("dissipation-demo", "initial_q = -inf\n"),
+    ("lyapunov", "scheme = sympl-euler\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
@@ -430,15 +447,23 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
                                    "--seed", "3", "--out", str(out / name)])
         assert code == 0, name
     assert not scipy_modules(), scipy_modules()[:3]
-    # Every run above is one path chunk, which starts no pool.
+    # A run of several chunks on two workers forks them plainly.
+    langsplit.montecarlo.PATH_CHUNK = 64
+    langsplit.montecarlo.WORKERS = 2
+    cfg = out / "chunks.cfg"
+    cfg.write_text(recipes["histogram"])
+    code = langsplit.cli.main(["--experiment", "histogram", "--config",
+                               str(cfg), "--seed", "3", "--out",
+                               str(out / "chunks")])
+    assert code == 0
     assert not pool_modules(), pool_modules()[:3]
 """)
 
 
 def test_no_scipy_at_run_time(tmp_path):
     # The Gibbs oracles are closed forms: importing the package and running
-    # the recipes that use them must not load scipy.  Nor do they load the
-    # process pool's modules, which only a run of several chunks imports.
+    # the recipes that use them must not load scipy.  Nor does any run load
+    # a process pool's modules, also one of several chunks on two workers.
     src = str(Path(langsplit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
@@ -462,7 +487,7 @@ def test_failure_in_a_pooled_chunk_exits_one(tmp_path, capsys, monkeypatch):
     assert record["type"] == "NonConvergence"
     assert (record["step_index"], record["path_index"]) == (49, 149)
     assert not (out / "summary.json").exists()
-    assert multiprocessing.active_children() == []
+    no_child_left()
 
 
 def test_summary_records_the_chunk_plan(tmp_path, monkeypatch):

@@ -1,5 +1,4 @@
-import concurrent.futures
-import multiprocessing
+import math
 import os
 
 import numpy as np
@@ -10,6 +9,8 @@ from langsplit.errors import NonIntegralGrid
 from langsplit.model import PhysParams, State
 from langsplit.montecarlo import SeedPolicy, increment_matrix
 from langsplit.splitting import SchemeSpec, simulate
+
+from helpers import no_child_left
 
 
 class TestSeedPolicy:
@@ -45,16 +46,18 @@ class TestMapChunks:
             assert [len(s) for s, _ in got] == [64, 64, 64, 64, 44]
             assert np.array_equal(np.concatenate([s for s, _ in got]),
                                   seeds.path_seeds(300))
-            pids = {pid for _, pid in got}
-            assert (pids == {os.getpid()}) == (workers == 1)
-            assert len(pids) <= workers
-        assert multiprocessing.active_children() == []
+            pids = [pid for _, pid in got]
+            # Worker k runs chunks k, k + workers, ...; this process none.
+            assert pids == [pids[i % workers] for i in range(5)]
+            assert (os.getpid() in pids) == (workers == 1)
+            assert len(set(pids)) == workers
+        no_child_left()
 
     def test_one_chunk_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(montecarlo, "WORKERS", 2)
         n = montecarlo.PATH_CHUNK
         assert montecarlo.chunk_plan(n) == (1, 1)
@@ -63,54 +66,105 @@ class TestMapChunks:
         assert montecarlo.chunk_plan(n + 1) == (2, 2)
         assert montecarlo.chunk_plan(5 * n) == (2, 5)
 
+    def test_a_worker_stops_at_its_first_failure(self, monkeypatch):
+        # Chunks 1, 2 and 3 fail.  Worker 0 runs chunks 0 and 2, worker 1
+        # chunk 1; neither runs a chunk after its failure, and chunk 1's
+        # failure, the first in chunk order, is raised.
+        monkeypatch.setattr(montecarlo, "PATH_CHUNK", 64)
+        monkeypatch.setattr(montecarlo, "WORKERS", 2)
+        seeds = SeedPolicy(4)
+        firsts = list(seeds.path_seeds(300)[::64])
+        read, write = os.pipe()
 
-def _no_child_left():
-    # Every worker has been reaped: this process has no child at all.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        def work(s):
+            # Each worker reports the chunks it runs through the pipe.
+            k = firsts.index(s[0])
+            os.write(write, b"%d " % k)
+            if k in (1, 2, 3):
+                raise ValueError(f"chunk {k}")
+            return k
+
+        with pytest.raises(ValueError, match="chunk 1"):
+            montecarlo.map_chunks(work, 300, seeds)
+        no_child_left()
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            ran = sorted(map(int, pipe.read().split()))
+        assert ran == [0, 1, 2]
 
 
 class TestBeside:
     def test_both_results_and_where_they_ran(self):
         # A lambda cannot be pickled: the worker inherits it through the fork.
-        here, there = montecarlo.beside(lambda: os.getpid(),
-                                        lambda: (os.getpid(), np.arange(3.0)))
-        assert here == os.getpid() and there[0] != os.getpid()
-        assert np.array_equal(there[1], np.arange(3.0))
-        _no_child_left()
+        here, there = montecarlo.beside(
+            lambda: os.getpid(),
+            [lambda: (os.getpid(), np.arange(3.0)), lambda: os.getpid()])
+        (ok_a, (pid_a, arr)), (ok_b, pid_b) = there
+        assert ok_a and ok_b
+        assert len({here, pid_a, pid_b}) == 3 and here == os.getpid()
+        assert np.array_equal(arr, np.arange(3.0))
+        assert montecarlo.beside(lambda: 1, []) == (1, [])
+        no_child_left()
 
     def test_a_large_result_comes_back_whole(self):
-        # More than a pipe's buffer, read while the worker writes.
-        _, there = montecarlo.beside(lambda: None, lambda: np.arange(1e6))
-        assert np.array_equal(there, np.arange(1e6))
-        _no_child_left()
+        # More than a pipe's buffer from each worker, read while they write.
+        _, there = montecarlo.beside(lambda: None,
+                                     [lambda: np.arange(1e6)] * 2)
+        assert all(ok and np.array_equal(a, np.arange(1e6)) for ok, a in there)
+        no_child_left()
 
     def test_exceptions_here_first(self):
         def fail(where):
             raise ValueError(where)
 
-        with pytest.raises(ValueError, match="there"):
-            montecarlo.beside(lambda: 1, lambda: fail("there"))
-        _no_child_left()
+        _, [(ok, exc), (ok_b, b)] = montecarlo.beside(
+            lambda: 1, [lambda: fail("there"), lambda: 2])
+        assert not ok and isinstance(exc, ValueError) and str(exc) == "there"
+        assert (ok_b, b) == (True, 2)
+        no_child_left()
         with pytest.raises(ValueError, match="here"):
-            montecarlo.beside(lambda: fail("here"), lambda: fail("there"))
-        _no_child_left()
+            montecarlo.beside(lambda: fail("here"), [lambda: fail("there")])
+        no_child_left()
 
     def test_a_worker_that_dies_is_an_error(self):
         with pytest.raises(ChildProcessError):
-            montecarlo.beside(lambda: None, lambda: os._exit(3))
-        _no_child_left()
+            montecarlo.beside(lambda: None, [lambda: 1, lambda: os._exit(3)])
+        no_child_left()
+
+    def test_a_failed_fork_leaves_no_child(self, monkeypatch):
+        # The second fork fails: the first worker ends and is reaped.
+        real_fork, calls = os.fork, []
+
+        def fork():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError("no second fork")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError, match="no second fork"):
+            montecarlo.beside(lambda: None,
+                              [lambda: None, lambda: None, lambda: None])
+        assert len(calls) == 2
+        no_child_left()
 
     def test_workers_fork_no_workers(self, monkeypatch):
+        # A worker has one process, itself: its chunks run in it.
         monkeypatch.setattr(montecarlo, "WORKERS", 2)
-        big = montecarlo.BESIDE_MIN_LANE_STEPS
-        assert montecarlo.spare_worker(big)
-        assert not montecarlo.spare_worker(big - 1)
-        _, nested = montecarlo.beside(
-            lambda: None, lambda: montecarlo.spare_worker(big))
-        assert nested is False
-        monkeypatch.setattr(montecarlo, "WORKERS", 1)
-        assert not montecarlo.spare_worker(big)
+        n = 3 * montecarlo.PATH_CHUNK
+        _, [(_, nested)] = montecarlo.beside(
+            lambda: None,
+            [lambda: (montecarlo.WORKERS, montecarlo.chunk_plan(n))])
+        assert nested == (1, (1, 3))
+        assert montecarlo.chunk_plan(n) == (2, 3)
+
+
+def test_non_finite_horizon_or_step_is_no_grid():
+    for T, tau in ((math.inf, 0.1), (1.0, math.inf), (math.nan, 0.1),
+                   (1.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(NonIntegralGrid):
+            montecarlo.steps_for(T, tau)
+    assert montecarlo.steps_for(1.0, 0.125) == 8
 
 
 class TestGenerateGrid:
@@ -138,23 +192,28 @@ class TestGenerateGrid:
         se = T * np.sqrt(2.0 / (n_paths - 1))
         assert abs(totals.var(ddof=1) - T) < 3 * se
 
+    # Widths inside one 64-generator noise tile and across its edges.
+    TILE_WIDTHS = (5, 65, 130)
+
     def test_increment_matrix_matches_grids(self):
         # column i is path i's own stream, regenerated from its seed alone
-        seeds = SeedPolicy(2).path_seeds(5)
-        mat = increment_matrix(0.25, 2.0**-6, seeds)
-        for i, s in enumerate(seeds):
-            own = np.random.default_rng(s).standard_normal(16) * 2.0**-3
-            assert np.array_equal(mat[:, i], own)
+        for width in self.TILE_WIDTHS:
+            seeds = SeedPolicy(2).path_seeds(width)
+            mat = increment_matrix(0.25, 2.0**-6, seeds)
+            for i, s in enumerate(seeds):
+                own = np.random.default_rng(s).standard_normal(16) * 2.0**-3
+                assert np.array_equal(mat[:, i], own), (width, i)
 
     def test_generators_continue_their_streams(self):
         # blocks of 7, 7 and 2 rows from the same generators are the rows of
         # one call over the whole span
-        seeds = SeedPolicy(2).path_seeds(5)
-        whole = increment_matrix(16 * 2.0**-6, 2.0**-6, seeds)
-        rngs = [np.random.default_rng(s) for s in seeds]
-        blocks = [increment_matrix(n * 2.0**-6, 2.0**-6, rngs)
-                  for n in (7, 7, 2)]
-        assert np.array_equal(np.concatenate(blocks), whole)
+        for width in self.TILE_WIDTHS:
+            seeds = SeedPolicy(2).path_seeds(width)
+            whole = increment_matrix(16 * 2.0**-6, 2.0**-6, seeds)
+            rngs = [np.random.default_rng(s) for s in seeds]
+            blocks = [increment_matrix(n * 2.0**-6, 2.0**-6, rngs)
+                      for n in (7, 7, 2)]
+            assert np.array_equal(np.concatenate(blocks), whole), width
 
 
 # Widths inside one 64-path noise tile and on either side of its edges.
