@@ -117,6 +117,9 @@ def fit_order(levels, std_errors) -> OrderFit:
 # every run's step ratio, so that each run's steps tile it.
 _FINE_BLOCK = 1024
 
+# Level lane-steps that repay a fork: 2-6 ms at >= 64 ns a lane-step.
+_SPLIT_MIN_LANE_STEPS = 100_000
+
 
 def _fine_block(taus: Sequence[float], tau_f: float) -> int:
     """The fine steps of a block of a coupled study at the steps ``taus``."""
@@ -191,25 +194,26 @@ def _reference_and_levels(scheme: SchemeSpec, tau_levels: Sequence[float],
     """The final states of the reference run at ``tau_f`` and of the levels.
 
     Given the Wiener paths the reference and the levels are independent
-    runs.  At ``montecarlo.WORKERS >= 2`` the levels run in a worker
-    :func:`~langsplit.montecarlo.beside` the reference, drawing the same
-    fine increments from the same seeds in the same blocks, so every state
-    has the bits of the joint :func:`_coupled_runs`, which runs otherwise.
+    runs.  At ``montecarlo.WORKERS >= 2`` levels that repay a fork run in a
+    worker :func:`~langsplit.montecarlo.beside` the reference, drawing the
+    same fine increments from the same seeds in the same blocks, so every
+    state has the bits of the joint :func:`_coupled_runs`, run otherwise.
     A failure raises what the joint run raises: the failure of the
     earliest block, the reference's before the levels'.
     """
     taus = [tau_f, *tau_levels]
-    if montecarlo.WORKERS < 2:
+    lane_steps = len(path_seeds) * sum(
+        n_fine // steps_for(tau, tau_f, minimum=1) for tau in tau_levels)
+    if montecarlo.WORKERS < 2 or lane_steps < _SPLIT_MIN_LANE_STEPS:
         return _coupled_runs(scheme, taus, tau_f, n_fine, prm, initial,
                              path_seeds)
-    block = _fine_block(taus, tau_f)
 
     def run(part):
         # (final states, None), or (None, (blocks done, the exception)).
         done = []
         try:
             return _coupled_runs(scheme, part, tau_f, n_fine, prm, initial,
-                                 path_seeds, block=block,
+                                 path_seeds, block=_fine_block(taus, tau_f),
                                  visit=lambda start, _: done.append(start)
                                  ), None
         except Exception as exc:

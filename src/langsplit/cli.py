@@ -519,8 +519,9 @@ def run_lyapunov(cfg: Config, outdir: Path):
     n_draws = cfg.integer("n_draws", 100000)
     states = [State(p, q) for p, q in
               cfg.pairs("states", [(0.0, 0.0), (1.0, 1.0), (2.0, -1.0)])]
-    # The check's own test of the scheme, on no states.
-    _valid(("scheme",), analysis.lyapunov_check, scheme, prm, tau, [], 1)
+    if scheme.map_kind not in analysis.CONSERVATIVE_KINDS:
+        raise ConfigError("config key 'scheme': lyapunov checks the "
+                          f"conservative maps only, got {scheme.name!r}")
     cfg.reject_unread()
     records = analysis.lyapunov_check(scheme, prm, tau, states, n_draws,
                                       seed=seed)

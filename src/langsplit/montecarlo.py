@@ -63,7 +63,6 @@ WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1) if hasattr(os, "fork") else 1)
 
 _R = TypeVar("_R")
-_S = TypeVar("_S")
 
 
 @dataclass(frozen=True)
@@ -121,10 +120,10 @@ def map_chunks(work: Callable[[np.ndarray], _R], n_paths: int,
     :class:`NonConvergence` leaves its chunk naming that index.  ``work``
     returns the chunk's partial result, and the caller folds the list in
     chunk order, so a result has the same bits for any number of workers.
-    When :func:`chunk_plan` gives ``w >= 2`` workers, worker ``k`` runs
-    chunks ``k, k + w, ...`` up to its first failure while this process
-    waits; otherwise the chunks run here.  An exception of the first chunk
-    that fails is raised, as in a run of the chunks in turn.
+    At :func:`chunk_plan`'s ``w >= 2`` workers, worker ``k`` runs chunks
+    ``k, k + w, ...`` up to its first failure while this process waits.
+    The first failing chunk's exception is raised, as in a run of the
+    chunks in turn, once every worker has ended: it stops no other worker.
     """
     def chunk(first: int) -> _R:
         try:
@@ -163,7 +162,7 @@ def map_chunks(work: Callable[[np.ndarray], _R], n_paths: int,
     return results
 
 
-def beside(here: Callable[[], _R], theres: Sequence[Callable[[], _S]]
+def beside(here: Callable[[], _R], theres: Sequence[Callable[[], object]]
            ) -> Tuple[_R, List[Tuple[bool, object]]]:
     """``here()``, run in this process while each of ``theres`` runs in a
     forked worker of its own, and each worker's ``(True, result)`` or
@@ -188,7 +187,6 @@ def beside(here: Callable[[], _R], theres: Sequence[Callable[[], _S]]
                 os.close(write)
                 raise
             if pid == 0:  # the worker: report, and never return to the caller
-                status = 1
                 try:
                     WORKERS = 1
                     try:
@@ -197,9 +195,9 @@ def beside(here: Callable[[], _R], theres: Sequence[Callable[[], _S]]
                         outcome = False, exc
                     with os.fdopen(write, "wb") as pipe:
                         pickle.dump(outcome, pipe)
-                    status = 0
+                    os._exit(0)
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             os.close(write)
             started.append((pid, read))
         mine = here()

@@ -855,9 +855,10 @@ def _forks(monkeypatch):
 @pytest.mark.parametrize("g", [None, lambda p, q: np.sin(p) * np.sin(q)],
                          ids=["strong", "weak"])
 def test_reference_beside_levels_keeps_the_bits(name, g, monkeypatch):
-    # One chunk: at two workers the reference runs here and the levels in
-    # a forked worker, each drawing the fine increments in blocks of 8 from
-    # the same seeds.
+    # One chunk whose levels are over the (lowered) threshold: at two
+    # workers the reference runs here and the levels in a forked worker,
+    # each drawing the fine increments in blocks of 8 from the same seeds.
+    monkeypatch.setattr(analysis, "_SPLIT_MIN_LANE_STEPS", 100)
     monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
     forks = _forks(monkeypatch)
 
@@ -873,6 +874,15 @@ def test_reference_beside_levels_keeps_the_bits(name, g, monkeypatch):
     assert forks == [os.getpid()]
     assert all(np.array_equal(a, b) for a, b in zip(serial, split))
     no_child_left()
+
+
+def test_small_levels_stay_in_one_process(monkeypatch):
+    # 40 paths times 28 level steps are far below the fork's cost.
+    monkeypatch.setattr(montecarlo, "WORKERS", 2)
+    forks = _forks(monkeypatch)
+    analysis.coupled_terminal_stats(SAVF, [2.0**-3, 2.0**-4, 2.0**-5],
+                                    2.0**-7, 0.5, PRM10, 40, SeedPolicy(5))
+    assert forks == []
 
 
 def _planted(failures):
@@ -906,6 +916,7 @@ PLANTED_FAILURES = {
 
 @pytest.mark.parametrize("name", sorted(PLANTED_FAILURES))
 def test_split_raises_the_failure_of_the_joint_run(name, monkeypatch):
+    monkeypatch.setattr(analysis, "_SPLIT_MIN_LANE_STEPS", 100)
     monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
     raised = {}
     for workers in (1, 2):
@@ -934,6 +945,7 @@ def test_split_names_the_step_and_path_of_a_divergence(name, monkeypatch):
     # The diverging runs above in one chunk: the reference and its level
     # have one step, so both processes fail, in one block.
     run = DIVERGING_RUNS[name][0]
+    monkeypatch.setattr(analysis, "_SPLIT_MIN_LANE_STEPS", 100)
     monkeypatch.setattr(analysis, "_FINE_BLOCK", 8)
     monkeypatch.setattr(detflow, "NEWTON_MAX_ITER", 2)
     forks = _forks(monkeypatch)
