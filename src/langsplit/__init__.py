@@ -16,9 +16,9 @@ orders.
 
 from .detflow import (avf_step, dg_step, newton_solve_2d, pavf_step,
                       sympl_euler_step)
-from .errors import (DegenerateRange, EmptyWindow, GridMismatch,
-                     LangsplitError, NonConvergence, NonIntegralGrid,
-                     NonPositiveError, SingularJacobian)
+from .errors import (DegenerateRange, EmptyWindow, LangsplitError,
+                     NonConvergence, NonIntegralGrid, NonPositiveError,
+                     SingularJacobian)
 from .model import (EnergyConstants, GibbsMoments, PhysParams,
                     QuarticPotential, State, energy_H, energy_H0,
                     gibbs_moments)

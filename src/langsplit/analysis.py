@@ -187,6 +187,15 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
     return states
 
 
+def levels_beside(tau_levels: Sequence[float], tau_f: float, n_fine: int,
+                  width: int) -> bool:
+    """Whether a chunk of ``width`` paths runs its levels in a worker beside
+    its reference: at ``montecarlo.WORKERS >= 2``, if they repay a fork."""
+    lane_steps = width * sum(
+        n_fine // steps_for(tau, tau_f, minimum=1) for tau in tau_levels)
+    return montecarlo.WORKERS >= 2 and lane_steps >= _SPLIT_MIN_LANE_STEPS
+
+
 def _reference_and_levels(scheme: SchemeSpec, tau_levels: Sequence[float],
                           tau_f: float, n_fine: int, prm: PhysParams,
                           initial: State,
@@ -194,17 +203,15 @@ def _reference_and_levels(scheme: SchemeSpec, tau_levels: Sequence[float],
     """The final states of the reference run at ``tau_f`` and of the levels.
 
     Given the Wiener paths the reference and the levels are independent
-    runs.  At ``montecarlo.WORKERS >= 2`` levels that repay a fork run in a
-    worker :func:`~langsplit.montecarlo.beside` the reference, drawing the
-    same fine increments from the same seeds in the same blocks, so every
-    state has the bits of the joint :func:`_coupled_runs`, run otherwise.
+    runs.  Where :func:`levels_beside` says so, the levels run in a worker
+    beside the reference, drawing the same fine increments from the same
+    seeds in the same blocks, so every state has the bits of the joint
+    :func:`_coupled_runs`, run otherwise.
     A failure raises what the joint run raises: the failure of the
     earliest block, the reference's before the levels'.
     """
     taus = [tau_f, *tau_levels]
-    lane_steps = len(path_seeds) * sum(
-        n_fine // steps_for(tau, tau_f, minimum=1) for tau in tau_levels)
-    if montecarlo.WORKERS < 2 or lane_steps < _SPLIT_MIN_LANE_STEPS:
+    if not levels_beside(tau_levels, tau_f, n_fine, len(path_seeds)):
         return _coupled_runs(scheme, taus, tau_f, n_fine, prm, initial,
                              path_seeds)
 

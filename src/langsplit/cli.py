@@ -9,15 +9,15 @@ Each recipe reads the config keys it uses before any work, and any other
 key is a configuration error.  The recipes' checks hold the acceptance
 bounds; no config key sets one.
 
-Exit codes: 0 success, 2 configuration errors (bad config file, unknown
-experiment, a key the experiment does not read, a value of the wrong type,
-a count below 1 or a negative seed, an unknown choice or scheme, a
-non-finite or non-positive ``upsilon``, a non-finite or negative ``sigma``
-(or a zero one where the Gibbs law is the oracle), a non-finite initial
-state, a bad step or an untiled or non-finite horizon, a non-conservative
-``lyapunov`` scheme, a level or ``tau`` below twice ``ref_tau``, fewer
-than 3 ``tau_levels``, 10 error records or 2 distinct ``times``, an empty
-histogram window or a ``burn_in`` that leaves no window before ``T``), 1
+Exit codes: 0 success, 2 configuration errors (bad config file, a key set
+twice, unknown experiment, a key the experiment does not read, a value
+that is not a finite number, a count below 1 (2 where it feeds a standard
+error), a negative seed, an unknown choice or scheme, a non-positive
+``upsilon``, a negative ``sigma`` (or a zero one where the Gibbs law is
+the oracle), a bad step or an untiled horizon, a non-conservative
+``lyapunov`` scheme, a level or ``tau`` below twice ``ref_tau``, fewer than
+3 distinct ``tau_levels``, 10 error records or 2 distinct ``times``, an
+empty histogram window or a ``burn_in`` leaving no window before ``T``), 1
 numerical failures (a non-finite figure among them: ``summary.json`` is
 strict JSON, and a figure it cannot hold is named, not written).
 
@@ -66,7 +66,7 @@ def _parse_number(text: str) -> float:
     text = text.strip()
     if "^" in text:
         base, expo = text.split("^", 1)
-        return float(base) ** float(expo)
+        return math.pow(float(base), float(expo))
     return float(text)
 
 
@@ -74,9 +74,9 @@ def parse_config_file(path: str) -> dict:
     """Read the plain-text ``key = value`` config format.
 
     Lines starting with ``#`` (or blank) are skipped; values stay strings
-    and are interpreted per key by the experiment.
+    and are interpreted per key by the experiment.  A key may appear once.
     """
-    cfg = {}
+    cfg, lines = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -87,8 +87,12 @@ def parse_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is "
+                              f"already set on line {lines[key]}")
+        lines[key] = lineno
+        cfg[key] = value
     return cfg
 
 
@@ -113,19 +117,23 @@ class Config:
 
     @staticmethod
     def _number(key, text):
+        """``text`` as a finite float, or a ConfigError naming ``key``."""
         try:
-            return _parse_number(text)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: not a number: {text!r}")
+            val = _parse_number(text)
+            if math.isfinite(val):
+                return val
+        except (ValueError, OverflowError):  # also a power with no real value
+            pass
+        raise ConfigError(f"config key {key!r}: not a finite number: {text!r}")
 
     def num(self, key, default=None):
         text = self.text(key)
         return default if text is None else self._number(key, text)
 
     def integer(self, key, default, minimum=1):
-        """An integer of at least ``minimum``; every count must be >= 1."""
+        """An integer of at least ``minimum``: a count is at least 1."""
         val = self.num(key, default)
-        if not (math.isfinite(val) and val == int(val)):
+        if val != int(val):
             raise ConfigError(f"config key {key!r}: not an integer: {val!r}")
         if val < minimum:
             raise ConfigError(f"config key {key!r}: must be at least "
@@ -204,10 +212,11 @@ def _check(name, passed, margin):
     return {"name": name, "pass": bool(passed), "margin": float(margin)}
 
 
-def _plan(n_paths):
-    """The worker processes and path chunks of a run of ``n_paths``."""
+def _plan(n_paths, beside=False):
+    """The worker processes and path chunks of a run of ``n_paths``; a run
+    that forks a worker ``beside`` itself has at least two."""
     workers, n_chunks = chunk_plan(n_paths)
-    return {"workers": workers, "n_chunks": n_chunks}
+    return {"workers": max(workers, 1 + beside), "n_chunks": n_chunks}
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +244,7 @@ def _common(cfg, scheme_default="savf", upsilon=10.0):
 
 
 def _initial(cfg, q=0.0):
-    state = State(cfg.num("initial_p", 0.0), cfg.num("initial_q", q))
-    for key, val in zip(("initial_p", "initial_q"), state):
-        if not math.isfinite(val):
-            raise ConfigError(f"config key {key!r}: not finite: {val!r}")
-    return state
+    return State(cfg.num("initial_p", 0.0), cfg.num("initial_q", q))
 
 
 def _step(key, tau, scheme, prm):
@@ -252,11 +257,17 @@ def _step(key, tau, scheme, prm):
     return tau
 
 
+def _grid(cfg, scheme, prm, tau, T, minimum=0):
+    """``(tau, T, n_steps)`` of the keys ``tau`` and ``T`` (defaults ``tau``,
+    ``T``): a step of ``scheme`` that tiles T in at least ``minimum`` steps."""
+    tau = _step("tau", cfg.num("tau", tau), scheme, prm)
+    T = cfg.num("T", T)
+    return tau, T, _valid(("T", "tau"), steps_for, T, tau, minimum=minimum)
+
+
 def run_simulate(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
-    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
-    T = cfg.num("T", 1.0)
-    _valid(("T", "tau"), steps_for, T, tau)
+    tau, T, _ = _grid(cfg, scheme, prm, 2.0**-8, 1.0)
     initial = _initial(cfg)
     cfg.reject_unread()
     traj = simulate(initial, T, tau, prm, scheme, seed)
@@ -276,16 +287,16 @@ def _order_recipe(cfg, outdir, weak):
     scheme, prm, seed = _common(cfg)
     T = cfg.num("T", 1.0)
     levels = cfg.numbers("tau_levels", [2.0**-k for k in range(6, 11)])
-    if len(levels) < 3:
+    if len(set(levels)) < 3:
         raise ConfigError(f"config key 'tau_levels': an order fit needs at "
-                          f"least 3 levels, got {len(levels)}")
+                          f"least 3 distinct levels, got {len(set(levels))}")
     ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-13), scheme, prm)
     for tau in levels:
         _step("tau_levels", tau, scheme, prm)
         # A level of the reference's own step has no error to fit.
         _valid(("tau_levels", "ref_tau"), steps_for, tau, ref, minimum=2)
         _valid(("T", "tau_levels"), steps_for, T, tau, minimum=1)
-    n_paths = cfg.integer("n_paths", 5000 if weak else 1000)
+    n_paths = cfg.integer("n_paths", 5000 if weak else 1000, minimum=2)
     initial = _initial(cfg)
     g = cfg.choice("observable", OBSERVABLES, "sinsin") if weak else None
     cfg.reject_unread()
@@ -304,7 +315,8 @@ def _order_recipe(cfg, outdir, weak):
     metrics = {"slope": fit.slope, "intercept": fit.intercept,
                "r_squared": fit.r_squared, "n_paths": n_paths,
                "min_level_snr": float(np.min(fit.errors / fit.std_errors)),
-               **_plan(n_paths)}
+               **_plan(n_paths, analysis.levels_beside(
+                   levels, ref, steps_for(T, ref), n_paths))}
     checks = [_check("slope_in_window", lo <= fit.slope <= hi,
                      min(fit.slope - lo, hi - fit.slope))]
     if not weak:
@@ -323,12 +335,10 @@ def run_weak_order(cfg, outdir):
 
 def run_long_time_error(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
-    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
+    tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 100.0, minimum=1)
     ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-11), scheme, prm)
     # A run at the reference's own step has no error to track.
     _valid(("tau", "ref_tau"), steps_for, tau, ref, minimum=2)
-    T = cfg.num("T", 100.0)
-    n_steps = _valid(("T", "tau"), steps_for, T, tau, minimum=1)
     n_paths = cfg.integer("n_paths", 200)
     initial = _initial(cfg)
     n_records = cfg.integer("n_records", 1024)
@@ -355,14 +365,12 @@ def run_long_time_error(cfg: Config, outdir: Path):
 
 def run_ergodic_average(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
-    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
-    T = cfg.num("T", 512.0)
+    tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 512.0)
     burn = cfg.num("burn_in", 64.0)
-    n_steps = _valid(("T", "tau"), steps_for, T, tau)
     if _valid(("burn_in", "tau"), steps_for, burn, tau) >= n_steps:
         raise ConfigError(f"config key 'burn_in': {burn:g} leaves no window "
                           f"before T = {T:g}")
-    n_seeds = cfg.integer("n_seeds", 100)
+    n_seeds = cfg.integer("n_seeds", 100, minimum=2)
     initial = _initial(cfg)
     oracle = _valid(("sigma",), gibbs_moments, prm)
     cfg.reject_unread()
@@ -399,9 +407,9 @@ def run_histogram(cfg: Config, outdir: Path):
     p_range = (cfg.num("p_min", -1.0), cfg.num("p_max", 1.0))
     q_range = (cfg.num("q_min", -1.5), cfg.num("q_max", 1.5))
     for axis, (lo, hi) in zip("pq", (p_range, q_range)):
-        if not -math.inf < lo < hi < math.inf:
+        if not lo < hi:
             raise ConfigError(f"config keys '{axis}_min', '{axis}_max': "
-                              f"[{lo:g}, {hi:g}] is not a finite window")
+                              f"[{lo:g}, {hi:g}] is an empty window")
     initial = _initial(cfg)
     _valid(("sigma",), gibbs_moments, prm)
     cfg.reject_unread()
@@ -439,25 +447,21 @@ def run_histogram(cfg: Config, outdir: Path):
     return metrics, checks
 
 
-def msd_approach(times, msd, plateau, upsilon, fit_lo=None, fit_hi=None):
+def msd_approach(times, msd, plateau, upsilon):
     """Metrics and check of an exponential approach of ``msd`` to ``plateau``.
 
-    ``log(plateau - msd)`` is fitted by a line in ``t`` over [fit_lo,
-    fit_hi] (a bound not given comes from ``analysis.msd_fit_window``) and
-    by a line in ``log(1 + t)``, the shape of an algebraic approach.  The
-    semilog fit must fall, reach r^2 > 0.9 and beat the log-log r^2.
+    ``log(plateau - msd)`` is fitted over ``analysis.msd_fit_window`` by a
+    line in ``t`` and by a line in ``log(1 + t)``, the shape of an
+    algebraic approach.  The semilog fit must fall, reach r^2 > 0.9 and
+    beat the log-log r^2.
     """
-    if fit_lo is None or fit_hi is None:
-        auto = analysis.msd_fit_window(times, msd, upsilon)
-        fit_lo = float(times[auto.start]) if fit_lo is None else fit_lo
-        fit_hi = float(times[auto.stop - 1]) if fit_hi is None else fit_hi
-    window = (times >= fit_lo) & (times <= fit_hi) & (msd < plateau)
+    window = analysis.msd_fit_window(times, msd, upsilon)
     t, log_gap = times[window], np.log(plateau - msd[window])
     slope, _, r2 = analysis.linear_fit(t, log_gap)
     _, _, r2_algebraic = analysis.linear_fit(np.log1p(t), log_gap)
     metrics = {"equilibrium_rate": slope, "fit_r_squared": r2,
                "algebraic_r_squared": r2_algebraic,
-               "fit_t_min": fit_lo, "fit_t_max": fit_hi}
+               "fit_t_min": float(t[0]), "fit_t_max": float(t[-1])}
     passed = slope < 0 and r2 > 0.9 and r2 > r2_algebraic
     return metrics, _check("exponential_approach", passed,
                            min(r2 - 0.9, r2 - r2_algebraic))
@@ -465,13 +469,10 @@ def msd_approach(times, msd, plateau, upsilon, fit_lo=None, fit_hi=None):
 
 def run_msd(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
-    tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
-    T = cfg.num("T", 512.0)
-    _valid(("T", "tau"), steps_for, T, tau)
+    tau, T, _ = _grid(cfg, scheme, prm, 2.0**-8, 512.0)
     n_paths = cfg.integer("n_paths", 1000)
     n_records = cfg.integer("n_records", 2048)
     initial = _initial(cfg)
-    fit_lo, fit_hi = cfg.num("fit_t_min"), cfg.num("fit_t_max")
     mom = _valid(("sigma",), gibbs_moments, prm)
     cfg.reject_unread()
     times, msd = experiments.msd_experiment(
@@ -484,8 +485,7 @@ def run_msd(cfg: Config, outdir: Path):
     # stationary second moments plus the squared initial offset.
     target = mom.Ep2 + mom.Eq2 + float(initial.p)**2 + float(initial.q)**2
     rel = abs(plateau - target) / target
-    approach, approach_check = msd_approach(times, msd, plateau, prm.upsilon,
-                                            fit_lo, fit_hi)
+    approach, approach_check = msd_approach(times, msd, plateau, prm.upsilon)
     metrics = {"plateau": plateau, "target": target, "rel_err": rel,
                **approach, **_plan(n_paths)}
     return metrics, [_check("plateau_within_5pct", rel < 0.05, 0.05 - rel),
@@ -494,9 +494,7 @@ def run_msd(cfg: Config, outdir: Path):
 
 def run_exp_moment(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
-    tau = _step("tau", cfg.num("tau", 2.0**-10), scheme, prm)
-    T = cfg.num("T", 1.0)
-    _valid(("T", "tau"), steps_for, T, tau)
+    tau, T, _ = _grid(cfg, scheme, prm, 2.0**-10, 1.0)
     n_paths = cfg.integer("n_paths", 10000)
     initial = _initial(cfg)
     cfg.reject_unread()
@@ -516,7 +514,7 @@ def run_exp_moment(cfg: Config, outdir: Path):
 def run_lyapunov(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg)
     tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
-    n_draws = cfg.integer("n_draws", 100000)
+    n_draws = cfg.integer("n_draws", 100000, minimum=2)
     states = [State(p, q) for p, q in
               cfg.pairs("states", [(0.0, 0.0), (1.0, 1.0), (2.0, -1.0)])]
     if scheme.map_kind not in analysis.CONSERVATIVE_KINDS:
@@ -559,9 +557,7 @@ def run_jacobian(cfg: Config, outdir: Path):
 
 def run_phase_area(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, scheme_default="sympl-euler", upsilon=2.0)
-    tau = _step("tau", cfg.num("tau", 1e-4), scheme, prm)
-    T = cfg.num("T", 1.0)
-    _valid(("T", "tau"), steps_for, T, tau)
+    tau, T, _ = _grid(cfg, scheme, prm, 1e-4, 1.0)
     n_vertices = cfg.integer("n_vertices", 10000)
     n_records = cfg.integer("n_records", 1024)
     cfg.reject_unread()

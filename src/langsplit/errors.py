@@ -31,10 +31,6 @@ class SingularJacobian(LangsplitError):
     conditioning boundary)."""
 
 
-class GridMismatch(LangsplitError):
-    """A fine-increment window does not tile the requested coarse step."""
-
-
 class NonIntegralGrid(LangsplitError, ValueError):
     """A horizon, time or coarse step is not a whole number of steps."""
 

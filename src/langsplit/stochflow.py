@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import NonIntegralGrid
 from .model import ArrayLike, PhysParams, State
 
 __all__ = [
@@ -81,7 +81,7 @@ class FineWindow:
             raise ValueError("fine increments must be (n_fine,) or "
                              f"(n_fine, n_paths), got shape {inc.shape}")
         if inc.shape[0] == 0:
-            raise GridMismatch("fine window is empty")
+            raise NonIntegralGrid("fine window is empty")
         if self.tau_f <= 0:
             raise ValueError(f"fine spacing must be positive, got {self.tau_f}")
 
@@ -129,12 +129,12 @@ def ou_substep_coupled(s: State, window: FineWindow, prm: PhysParams,
     window : FineWindow
         Fine increments spanning the step; its span defines the step size.
     tau : float, optional
-        Intended coarse step; raises :class:`GridMismatch` if the window
+        Intended coarse step; raises :class:`NonIntegralGrid` if the window
         does not tile it.
     """
     span = window.span
     if tau is not None and abs(span - tau) > 1e-9 * max(tau, window.tau_f):
-        raise GridMismatch(
+        raise NonIntegralGrid(
             f"window spans {span:g} but the step is {tau:g}; fine spacing "
             f"{window.tau_f:g} must tile the step exactly")
     u = prm.upsilon

@@ -224,7 +224,7 @@ def test_histogram_recipe_reports_dropped_samples(tmp_path):
 def test_msd_recipe_small(tmp_path):
     code, out = run_cli(
         tmp_path, "msd",
-        "tau = 2^-6\nT = 24\nn_paths = 60\nfit_t_max = 1.5\n",
+        "tau = 2^-6\nT = 24\nn_paths = 60\n",
         seed=9)
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -352,13 +352,24 @@ def test_workers_flag_is_rejected(tmp_path):
     ("histogram", "initial_q = nan\n"),
     ("dissipation-demo", "initial_q = -inf\n"),
     ("lyapunov", "scheme = sympl-euler\n"),
+    ("simulate", "tau = 2^2000\n"),
+    ("simulate", "tau = -8^0.5\n"),
+    ("lyapunov", "states = inf,0\n"),
+    ("simulate", "tau = 2^-6\nT = 0.125\ntau = 2^-5\n"),
+    ("strong-order", "n_paths = 1\n"),
+    ("weak-order", "n_paths = 1\n"),
+    ("ergodic-average", "n_seeds = 1\n"),
+    ("lyapunov", "n_draws = 1\n"),
+    ("strong-order", "tau_levels = 2^-4,2^-5,2^-5\nref_tau = 2^-8\nT = 0.25\n"
+                     "n_paths = 20\n"),
+    ("msd", "fit_t_min = 3\nfit_t_max = 1\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
     assert code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["type"] == "config"
-    assert not (out / "summary.json").exists()
+    assert not out.exists() or not any(out.iterdir())
     # A bad value is named by its key, not blamed on the numerics.
     key = config_text.split("=")[0].strip()
     assert repr(key) in record["error"]["message"]
@@ -376,8 +387,7 @@ SMALL_CONFIGS = {
     "ergodic-average": "tau = 2^-6\nT = 2\nburn_in = 1\nn_seeds = 4\n",
     "histogram": "times = 0,0.25\nn_paths = 100\ntau = 2^-6\nbins_p = 6\n"
                  "bins_q = 6\n",
-    "msd": "tau = 2^-6\nT = 4\nn_paths = 20\nfit_t_min = 0.1\n"
-           "fit_t_max = 1\n",
+    "msd": "tau = 2^-6\nT = 24\nn_paths = 60\n",
     "exp-moment": "tau = 2^-8\nT = 0.25\nn_paths = 64\n",
     "lyapunov": "n_draws = 500\nstates = 0,0;1,1\n",
     "jacobian": "n_states = 20\nn_draws = 3\n",
@@ -436,8 +446,7 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
     recipes = {
         "histogram": "times = 0,0.25\\nn_paths = 200\\ntau = 2^-6\\n"
                      "bins_p = 10\\nbins_q = 10\\n",
-        "msd": "tau = 2^-6\\nT = 4\\nn_paths = 20\\nfit_t_min = 0.1\\n"
-               "fit_t_max = 1\\n",
+        "msd": "tau = 2^-6\\nT = 24\\nn_paths = 60\\n",
         "ergodic-average": "tau = 2^-6\\nT = 4\\nburn_in = 1\\nn_seeds = 4\\n",
     }
     for name, text in recipes.items():
@@ -492,17 +501,26 @@ def test_failure_in_a_pooled_chunk_exits_one(tmp_path, capsys, monkeypatch):
 
 def test_summary_records_the_chunk_plan(tmp_path, monkeypatch):
     monkeypatch.setattr(montecarlo, "PATH_CHUNK", 64)
-    cfg = ("times = 0,0.25\nn_paths = 300\ntau = 2^-6\nbins_p = 10\n"
-           "bins_q = 10\n")
-    runs = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(montecarlo, "WORKERS", workers)
-        code, out = run_cli(tmp_path / str(workers), "histogram", cfg, seed=8)
-        assert code == 0
-        metrics = json.loads((out / "summary.json").read_text())["metrics"]
-        assert (metrics.pop("workers"), metrics.pop("n_chunks")) == (workers, 5)
-        runs[workers] = (metrics, csv_body(out / "histogram_t0.25.csv"))
-    assert runs[1] == runs[2]
+    studies = [
+        ("histogram", "times = 0,0.25\nn_paths = 300\ntau = 2^-6\n"
+                      "bins_p = 10\nbins_q = 10\n", "histogram_t0.25.csv", 5),
+        # One chunk of sdg whose levels hold 126,976 lane-steps: at two
+        # workers they run in a worker forked beside the reference.
+        ("strong-order", "scheme = sdg\nn_paths = 64\n", "strong_order.csv",
+         1),
+    ]
+    for name, cfg, csv, n_chunks in studies:
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(montecarlo, "WORKERS", workers)
+            code, out = run_cli(tmp_path / name / str(workers), name, cfg,
+                                seed=8)
+            assert code == 0
+            metrics = json.loads((out / "summary.json").read_text())["metrics"]
+            assert ((metrics.pop("workers"), metrics.pop("n_chunks"))
+                    == (workers, n_chunks)), name
+            runs[workers] = (metrics, csv_body(out / csv))
+        assert runs[1] == runs[2], name
 
 
 @pytest.mark.parametrize("name, config_text", [

@@ -6,7 +6,7 @@ import pytest
 
 from langsplit import detflow
 from langsplit.detflow import avf_step
-from langsplit.errors import GridMismatch, NonConvergence, NonIntegralGrid
+from langsplit.errors import NonConvergence, NonIntegralGrid
 from langsplit.model import PhysParams, State, energy_H
 from langsplit.montecarlo import SeedPolicy, increment_matrix
 from langsplit.splitting import (SchemeSpec, lie_trotter_step, scheme_step,
@@ -80,7 +80,7 @@ class TestLieTrotterStep:
 
     def test_window_mismatch_raises(self):
         win = FineWindow(np.zeros(5), 2.0**-9)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(NonIntegralGrid):
             lie_trotter_step(State(1.0, 1.0), 2.0**-6, PRM10, SAVF, win)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from langsplit import stochflow
-from langsplit.errors import GridMismatch
+from langsplit.errors import NonIntegralGrid
 from langsplit.model import PhysParams, State, energy_H, energy_H0
 from langsplit.stochflow import (FineWindow, OUIncrement, naive_increment,
                                  ou_substep_coupled, ou_substep_exact)
@@ -123,9 +123,9 @@ class TestOUSubstepCoupled:
 
     def test_grid_mismatch(self):
         win = FineWindow(np.zeros(3), 2.0**-8)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(NonIntegralGrid):
             ou_substep_coupled(State(0.0, 0.0), win, PRM10, tau=2.0**-6)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(NonIntegralGrid):
             FineWindow(np.zeros(0), 2.0**-8)
 
     def test_window_is_one_or_two_dimensional(self):
