@@ -126,7 +126,7 @@ class Config:
             pass
         raise ConfigError(f"config key {key!r}: not a finite number: {text!r}")
 
-    def num(self, key, default=None):
+    def num(self, key, default):
         text = self.text(key)
         return default if text is None else self._number(key, text)
 
@@ -152,14 +152,14 @@ class Config:
                               f"expected one of {', '.join(options)}")
         return options[name]
 
-    def numbers(self, key, default=None):
+    def numbers(self, key, default):
         text = self.text(key)
         if text is None:
             return default
         return [self._number(key, tok)
                 for tok in text.split(",") if tok.strip()]
 
-    def pairs(self, key, default=None):
+    def pairs(self, key, default):
         text = self.text(key)
         if text is None:
             return default
