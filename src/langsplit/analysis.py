@@ -9,12 +9,12 @@ boundedness, and the conformal contraction of phase-space volume.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .detflow import CONSERVATIVE_KINDS
 from .errors import EmptyWindow, NonConvergence, NonPositiveError
@@ -48,6 +48,7 @@ __all__ = [
     "gibbs_bin_masses",
     "distance_noise_floor",
     "msd_plateau",
+    "msd_window_start",
     "msd_fit_window",
     "exp_moment_monitor",
     "jacobian_det",
@@ -113,9 +114,9 @@ def fit_order(levels, std_errors) -> OrderFit:
 
 # Fine steps drawn at a time in a path-coupled run.  A chunk then holds one
 # (block, width) matrix of fine increments whatever the horizon and the
-# record stride, 16 MiB at width 2048.  The block rounds up to a multiple of
+# record stride, 4 MiB at width 2048.  The block rounds up to a multiple of
 # every run's step ratio, so that each run's steps tile it.
-_FINE_BLOCK = 1024
+_FINE_BLOCK = 256
 
 # Level lane-steps that repay a fork: 2-6 ms at >= 64 ns a lane-step.
 _SPLIT_MIN_LANE_STEPS = 100_000
@@ -282,7 +283,7 @@ def coupled_terminal_stats(scheme: SchemeSpec, tau_levels: Sequence[float],
 
     The reference is the same scheme run at ``reference_tau_f``; every level
     consumes the same fine increments through windows of its step, drawn
-    a block of about 1024 fine steps at a time.  With ``g``
+    a block of about 256 fine steps at a time.  With ``g``
     None the statistic is the root-mean-square terminal error and its
     (delta-method) standard error; otherwise it is
     ``|mean(g(numerical) - g(reference))|`` with the standard error of the
@@ -371,8 +372,13 @@ class Histogram2D:
         return self.counts / self.n_samples
 
 
-# Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1].
-_GL_NODES, _GL_WEIGHTS = leggauss(20)
+@functools.cache
+def _gauss_legendre_20() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1],
+    built on first use so that importing the package loads no
+    ``numpy.polynomial``."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(20)
 
 
 def gibbs_bin_masses(prm: PhysParams, p_edges: np.ndarray,
@@ -388,6 +394,7 @@ def gibbs_bin_masses(prm: PhysParams, p_edges: np.ndarray,
     which the integrand is smooth enough for the rule to reach rounding.
     """
     c = _position_weight_scale(prm)
+    nodes, weights = _gauss_legendre_20()
     sd = prm.sigma / math.sqrt(2.0 * prm.upsilon)
     p_cdf = np.array([0.5 * (1.0 + math.erf(e / (sd * math.sqrt(2.0))))
                       for e in p_edges])
@@ -403,9 +410,9 @@ def gibbs_bin_masses(prm: PhysParams, p_edges: np.ndarray,
     owner = np.repeat(np.arange(len(lo)), n_panels)
     k = np.arange(len(owner)) - (np.cumsum(n_panels) - n_panels)[owner]
     half = 0.5 * width[owner] / n_panels[owner]
-    q = (lo[owner] + (2 * k + 1) * half)[:, None] + half[:, None] * _GL_NODES
+    q = (lo[owner] + (2 * k + 1) * half)[:, None] + half[:, None] * nodes
     q2 = q * q
-    panel = half * (np.exp(-c * (q2 * q2)) @ _GL_WEIGHTS)
+    panel = half * (np.exp(-c * (q2 * q2)) @ weights)
     q_mass = np.bincount(owner, weights=panel, minlength=len(lo))
     return np.outer(p_mass, q_mass / position_marginal_normalizer(prm))
 
@@ -477,6 +484,12 @@ def msd_plateau(times: np.ndarray, msd: np.ndarray) -> float:
     return float(_plateau_samples(times, msd).mean())
 
 
+def msd_window_start(times: np.ndarray, upsilon: float) -> int:
+    """Index of the first time at or after ``10 / upsilon``, where the fit
+    window of :func:`msd_fit_window` opens."""
+    return int(np.searchsorted(times, 10.0 / upsilon))
+
+
 def msd_fit_window(times: np.ndarray, msd: np.ndarray,
                    upsilon: float) -> slice:
     """Index window over which ``log(plateau - msd)`` is fitted by a line.
@@ -497,7 +510,7 @@ def msd_fit_window(times: np.ndarray, msd: np.ndarray,
     """
     tail = _plateau_samples(times, msd)
     gap = float(tail.mean()) - np.asarray(msd, dtype=float)
-    start = int(np.searchsorted(times, 10.0 / upsilon))
+    start = msd_window_start(times, upsilon)
     resolved = gap[start:] > 3.0 * float(tail.std())
     stop = start + (len(resolved) if resolved.all()
                     else int(np.argmin(resolved)))

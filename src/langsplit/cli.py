@@ -17,9 +17,12 @@ error), a negative seed, an unknown choice or scheme, a non-positive
 the oracle), a bad step or an untiled horizon, a non-conservative
 ``lyapunov`` scheme, a level or ``tau`` below twice ``ref_tau``, fewer than
 3 distinct ``tau_levels``, 10 error records or 2 distinct ``times``, an
-empty histogram window or a ``burn_in`` leaving no window before ``T``), 1
-numerical failures (a non-finite figure among them: ``summary.json`` is
-strict JSON, and a figure it cannot hold is named, not written).
+empty histogram window, a ``burn_in`` leaving no window before ``T``, fewer
+than 3 ``phase-area`` vertices, a ``dissipation-demo`` ``T`` below its
+check time 0.2, or an ``msd`` ``T`` with fewer than 3 grid times from
+``10 / upsilon`` on), 1 numerical failures (a non-finite figure among them:
+``summary.json`` is strict JSON, and a figure it cannot hold is named, not
+written).
 
 A recipe over many paths runs them in chunks of ``montecarlo.PATH_CHUNK``
 on up to ``montecarlo.WORKERS`` processes; its ``workers`` and ``n_chunks``
@@ -469,7 +472,14 @@ def msd_approach(times, msd, plateau, upsilon):
 
 def run_msd(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
-    tau, T, _ = _grid(cfg, scheme, prm, 2.0**-8, 512.0)
+    tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 512.0)
+    # The fit window opens at t = 10/upsilon and needs 3 grid times.
+    start = analysis.msd_window_start(np.arange(n_steps + 1) * tau,
+                                      prm.upsilon)
+    if n_steps + 1 - start < 3:
+        raise ConfigError(
+            f"config keys 'T', 'upsilon': T = {T:g} holds fewer than 3 grid "
+            f"times at or after t = 10/upsilon = {10.0 / prm.upsilon:g}")
     n_paths = cfg.integer("n_paths", 1000)
     n_records = cfg.integer("n_records", 2048)
     initial = _initial(cfg)
@@ -558,7 +568,8 @@ def run_jacobian(cfg: Config, outdir: Path):
 def run_phase_area(cfg: Config, outdir: Path):
     scheme, prm, seed = _common(cfg, scheme_default="sympl-euler", upsilon=2.0)
     tau, T, _ = _grid(cfg, scheme, prm, 1e-4, 1.0)
-    n_vertices = cfg.integer("n_vertices", 10000)
+    # Fewer than 3 vertices span no area.
+    n_vertices = cfg.integer("n_vertices", 10000, minimum=3)
     n_records = cfg.integer("n_records", 1024)
     cfg.reject_unread()
     times, areas = analysis.phase_area(scheme, prm, tau, T, n_vertices, seed)
@@ -567,7 +578,8 @@ def run_phase_area(cfg: Config, outdir: Path):
               ["t", "area"], zip(times[::stride], areas[::stride]))
     ratio = areas[-1] / math.pi
     target = math.exp(-prm.upsilon * T)
-    rel = abs(ratio / target - 1.0)
+    # Against the polygon's own initial area: an inscribed n-gon's is below pi.
+    rel = abs(areas[-1] / areas[0] / target - 1.0)
     metrics = {"final_area": float(areas[-1]), "area_over_pi": float(ratio),
                "target": target, "rel_err": float(rel)}
     return metrics, [_check("area_contraction", rel <= 1e-3, 1e-3 - rel)]
@@ -577,7 +589,10 @@ def run_dissipation_demo(cfg: Config, outdir: Path):
     _, prm, seed = _common(cfg, scheme_default=None)
     tau = cfg.num("tau", 2.0**-8)
     T = cfg.num("T", 1.0)
-    _valid(("T", "tau"), steps_for, T, tau)
+    # The dissipative check reads the curve from t = 0.2 on.
+    if _valid(("T", "tau"), steps_for, T, tau) * tau < 0.2:
+        raise ConfigError(f"config key 'T': {T:g} ends before the check "
+                          "time 0.2")
     n_paths = cfg.integer("n_paths", 20000)
     initial = _initial(cfg, q=2.0)
     cfg.reject_unread()

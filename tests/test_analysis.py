@@ -161,6 +161,25 @@ def test_blocked_runs_equal_whole_horizon(name, monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_default_block_at_the_coupled_order_levels(monkeypatch):
+    # Criterion 01's levels 2^-6..2^-10 against 2^-13 have step ratios 8 to
+    # 128, all of which tile the default block: a chunk holds 256 fine steps
+    # of increments at a time, 8 blocks over T = 0.25.
+    monkeypatch.setattr(montecarlo, "WORKERS", 1)
+    drawn = []
+    original = analysis.increment_matrix
+
+    def recorded(T, tau_f, rngs):
+        out = original(T, tau_f, rngs)
+        drawn.append(out.shape)
+        return out
+
+    monkeypatch.setattr(analysis, "increment_matrix", recorded)
+    analysis.coupled_terminal_stats(SAVF, [2.0**-k for k in range(6, 11)],
+                                    2.0**-13, 0.25, PRM10, 4, SeedPolicy(2))
+    assert drawn == [(256, 4)] * 8
+
+
 class TestTimeAverage:
     def test_constant_observable(self):
         tr = simulate(State(0.5, 0.5), 1.0, 2.0**-5, PRM10, SAVF, seed=2)

@@ -160,6 +160,17 @@ def test_phase_area_recipe_small(tmp_path):
     assert summary["checks"][0]["pass"] is True
 
 
+def test_phase_area_check_is_against_the_initial_polygon(tmp_path):
+    # A 50-gon inscribed in the unit circle has area 0.9974 pi: measured
+    # against pi, the exactly conformal contraction would be off by 2.7e-3.
+    code, out = run_cli(tmp_path, "phase-area",
+                        "tau = 2^-10\nT = 0.5\nn_vertices = 50\n", seed=1)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metrics"]["rel_err"] < 1e-4
+    assert summary["checks"][0]["pass"] is True
+
+
 def test_dissipation_recipe_small(tmp_path):
     code, out = run_cli(tmp_path, "dissipation-demo",
                         "tau = 2^-7\nT = 0.5\nn_paths = 4000\n", seed=4)
@@ -363,6 +374,9 @@ def test_workers_flag_is_rejected(tmp_path):
     ("strong-order", "tau_levels = 2^-4,2^-5,2^-5\nref_tau = 2^-8\nT = 0.25\n"
                      "n_paths = 20\n"),
     ("msd", "fit_t_min = 3\nfit_t_max = 1\n"),
+    ("phase-area", "n_vertices = 2\n"),
+    ("dissipation-demo", "T = 0.125\nn_paths = 100\n"),
+    ("msd", "T = 0.5\nn_paths = 20\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
@@ -467,6 +481,17 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
     assert code == 0
     assert not pool_modules(), pool_modules()[:3]
 """)
+
+
+def test_import_loads_no_numpy_polynomial():
+    # The Gauss-Legendre rule of the Gibbs bin masses is built on first use.
+    src = str(Path(langsplit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, langsplit.cli; "
+         "assert 'numpy.polynomial' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_scipy_at_run_time(tmp_path):
