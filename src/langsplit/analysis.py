@@ -75,15 +75,32 @@ class OrderFit:
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
-    """Ordinary least squares ``y ~ slope * x + intercept`` with r^2."""
+    """Ordinary least squares ``y ~ slope * x + intercept`` with r^2.
+
+    The line in closed form from centred sums: ``slope = sum(dx * dy) /
+    sum(dx^2)`` and ``intercept = mean(y) - slope * mean(x)``, with ``dx``
+    and ``dy`` the deviations from the means.  It agrees with
+    ``np.polyfit(x, y, 1)`` to rounding, without its LAPACK least-squares
+    solve, whose pages (about 1 MiB) stay resident once loaded.
+
+    Raises
+    ------
+    ValueError
+        If ``x`` holds fewer than two distinct values.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx, dy = x - x_mean, y - y_mean
+    ss_x = float(dx @ dx)
+    if not ss_x > 0:
+        raise ValueError("a line fit needs two distinct x values")
+    slope = float(dx @ dy) / ss_x
+    intercept = float(y_mean) - slope * float(x_mean)
     resid = y - (slope * x + intercept)
-    total = y - y.mean()
-    ss_tot = float(total @ total)
+    ss_tot = float(dy @ dy)
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return slope, intercept, r2
 
 
 def fit_order(levels, std_errors) -> OrderFit:
@@ -140,7 +157,8 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
     ``path_seeds[i]`` in time order, as in one ``increment_matrix`` over the
     ``n_fine`` steps.  They are drawn ``block`` fine steps at a time (by
     default :func:`_fine_block` of ``taus``), and every run crosses a block
-    before the next one is drawn.  ``visit(start, runs)`` is called after
+    before the next one is drawn, in its place: one block is live at a
+    time.  ``visit(start, runs)`` is called after
     each block starting at fine step ``start``.  With ``record_every`` (one
     stride per run), ``runs`` holds each run's records in the block: its
     states at the steps that are multiples of its stride, as one
@@ -183,6 +201,9 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
                 runs.append(State(
                     np.array([s.p for s in kept]).reshape(len(kept), width),
                     np.array([s.q for s in kept]).reshape(len(kept), width)))
+        # Every run has crossed the block: let it go before the next draw,
+        # so that a run holds one block of increments, not two.
+        del fine
         if visit is not None:
             visit(start, runs)
     return states

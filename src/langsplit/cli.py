@@ -19,10 +19,14 @@ the oracle), a bad step or an untiled horizon, a non-conservative
 3 distinct ``tau_levels``, 10 error records or 2 distinct ``times``, an
 empty histogram window, a ``burn_in`` leaving no window before ``T``, fewer
 than 3 ``phase-area`` vertices, a ``dissipation-demo`` ``T`` below its
-check time 0.2, or an ``msd`` ``T`` with fewer than 3 grid times from
-``10 / upsilon`` on), 1 numerical failures (a non-finite figure among them:
+check time 0.2, an ``msd`` ``T`` with fewer than 3 grid times from
+``10 / upsilon`` on, a step so small that the maps' constants such as
+``8 / tau^2`` are not finite floats, or a ``strong-order`` or
+``weak-order`` study with ``sigma = 0`` from the origin, whose every error
+is 0), 1 numerical failures (a non-finite figure among them:
 ``summary.json`` is strict JSON, and a figure it cannot hold is named, not
-written).
+written) and any other error, as one record naming its type, never a
+traceback.  A run stopped by SIGTERM kills its forked workers first.
 
 A recipe over many paths runs them in chunks of ``montecarlo.PATH_CHUNK``
 on up to ``montecarlo.WORKERS`` processes; its ``workers`` and ``n_chunks``
@@ -42,7 +46,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, experiments
-from .errors import LangsplitError
 from .model import PhysParams, State, energy_H0, gibbs_moments
 from .montecarlo import SeedPolicy, chunk_plan, steps_for
 from .splitting import SchemeSpec, scheme_step, simulate
@@ -301,6 +304,11 @@ def _order_recipe(cfg, outdir, weak):
         _valid(("T", "tau_levels"), steps_for, T, tau, minimum=1)
     n_paths = cfg.integer("n_paths", 5000 if weak else 1000, minimum=2)
     initial = _initial(cfg)
+    if prm.sigma == 0 and initial.p == 0 and initial.q == 0:
+        # The origin is a fixed point of the noise-free dynamics.
+        raise ConfigError("config keys 'sigma', 'initial_p', 'initial_q': "
+                          "with no noise a run from the origin stays there, "
+                          "so every level's error is 0")
     g = cfg.choice("observable", OBSERVABLES, "sinsin") if weak else None
     cfg.reject_unread()
     seeds = SeedPolicy(seed)
@@ -685,7 +693,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_record("config", exc), file=sys.stderr)
         return 2
-    except (LangsplitError, ValueError) as exc:
+    except Exception as exc:
+        # A numerical failure, or an error no check foresaw: a record, not a
+        # traceback.  KeyboardInterrupt and SystemExit pass.
         print(_error_record(type(exc).__name__, exc), file=sys.stderr)
         return 1
 

@@ -23,6 +23,7 @@ once per iterate.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Tuple
 
 import numpy as np
@@ -58,9 +59,14 @@ NEWTON_MAX_ITER = 50
 
 def _check_tau(tau: float, prm: PhysParams) -> None:
     # tau == 0 is the identity map and always fine; the upper bound keeps
-    # (1 - tau*u/4) and (1 + tau*u/2) away from 0.
+    # (1 - tau*u/4) and (1 + tau*u/2) away from 0, and the lower one keeps
+    # the cubic's coefficients (8/tau^2 and its like) finite.
     if tau < 0:
         raise ValueError(f"step size must be nonnegative, got {tau}")
+    square = float(tau * tau)
+    if tau > 0 and not (square > 0 and math.isfinite(8.0 / square)):
+        raise ValueError(f"step size {tau} is too small: 8/tau^2 is not a "
+                         "finite float")
     limit = min(1.0, 2.0 / prm.upsilon)
     if tau >= limit and tau > 0:
         raise ValueError(

@@ -1,6 +1,7 @@
 import collections
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -52,6 +53,38 @@ class TestFitOrder:
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):
             fit_order([(0.1, 1.0), (0.05, 0.5)], np.zeros(2))
+
+
+def assert_line_matches_polyfit(x, y):
+    # np.polyfit solves the same two-parameter problem through LAPACK; it
+    # stays the oracle of the closed form.
+    slope, intercept, r2 = linear_fit(x, y)
+    oracle_slope, oracle_intercept = np.polyfit(x, y, 1)
+    assert slope == pytest.approx(oracle_slope, rel=1e-12)
+    # The intercept is mean(y) - slope * mean(x); its rounding is relative
+    # to those two terms, whatever their difference.
+    scale = abs(np.mean(y)) + abs(oracle_slope * np.mean(x))
+    assert abs(intercept - oracle_intercept) <= 1e-12 * scale
+    resid = y - (oracle_slope * x + oracle_intercept)
+    total = y - np.mean(y)
+    assert r2 == pytest.approx(1.0 - (resid @ resid) / (total @ total),
+                               rel=1e-12)
+
+
+class TestLinearFit:
+    def test_noisy_log_log_tables_match_polyfit(self):
+        # Five levels 2^-6..2^-10, as in the order studies.
+        rng = np.random.default_rng(21)
+        log_taus = np.log(2.0 ** -np.arange(6, 11))
+        for _ in range(2000):
+            log_errors = (rng.uniform(-6.0, 2.0)
+                          + rng.uniform(0.5, 2.5) * log_taus
+                          + 0.2 * rng.standard_normal(5))
+            assert_line_matches_polyfit(log_taus, log_errors)
+
+    def test_needs_two_distinct_x(self):
+        with pytest.raises(ValueError):
+            linear_fit(np.full(3, 2.0), np.arange(3.0))
 
 
 class TestCoupledStats:
@@ -178,6 +211,30 @@ def test_default_block_at_the_coupled_order_levels(monkeypatch):
     analysis.coupled_terminal_stats(SAVF, [2.0**-k for k in range(6, 11)],
                                     2.0**-13, 0.25, PRM10, 4, SeedPolicy(2))
     assert drawn == [(256, 4)] * 8
+
+
+def test_one_block_of_increments_is_live_at_each_draw(monkeypatch):
+    # A run lets go of a block before it draws the next: at every draw,
+    # each block drawn before is dead.  Blocks of 32 fine steps make eight
+    # blocks of each study, recorded runs of long-time-error included.
+    monkeypatch.setattr(montecarlo, "WORKERS", 1)
+    monkeypatch.setattr(analysis, "_FINE_BLOCK", 32)
+    blocks = []
+    original = analysis.increment_matrix
+
+    def watched(T, tau_f, rngs):
+        assert all(block() is None for block in blocks)
+        out = original(T, tau_f, rngs)
+        blocks.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(analysis, "increment_matrix", watched)
+    analysis.coupled_terminal_stats(SAVF, [2.0**-4, 2.0**-5, 2.0**-6],
+                                    2.0**-8, 1.0, PRM10, 8, SeedPolicy(2))
+    assert len(blocks) == 8
+    long_time_error(SAVF, 2.0**-6, 2.0**-8, 1.0, PRM10, 8, SeedPolicy(3),
+                    n_records=16)
+    assert len(blocks) == 16
 
 
 class TestTimeAverage:
@@ -461,6 +518,18 @@ class TestMSDFitWindow:
         msd = self.noisy(0.158 * (1 - 1 / (1 + self.TIMES)))
         _, (slope, _, r2) = self.fit(msd)
         assert slope < 0 and r2 < 0.9
+
+    def test_fits_match_polyfit(self):
+        # Both lines of msd_approach, on the windows of both curve shapes.
+        t = self.TIMES
+        for curve in (1 / 30 * (1 - np.exp(-2 * self.UPSILON * t))
+                      + 0.125 * (1 - np.exp(-0.05 * t)),
+                      0.158 * (1 - 1 / (1 + t))):
+            msd = self.noisy(curve)
+            win = msd_fit_window(t, msd, self.UPSILON)
+            log_gap = np.log(msd_plateau(t, msd) - msd[win])
+            for x in (t[win], np.log1p(t[win])):
+                assert_line_matches_polyfit(x, log_gap)
 
     def test_flat_curve_is_empty(self):
         with pytest.raises(EmptyWindow):

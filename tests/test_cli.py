@@ -1,9 +1,12 @@
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +380,10 @@ def test_workers_flag_is_rejected(tmp_path):
     ("phase-area", "n_vertices = 2\n"),
     ("dissipation-demo", "T = 0.125\nn_paths = 100\n"),
     ("msd", "T = 0.5\nn_paths = 20\n"),
+    ("simulate", "tau = 1e-300\n"),
+    ("strong-order", "ref_tau = 1e-300\n"),
+    ("strong-order", "sigma = 0\n"),
+    ("weak-order", "sigma = 0\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
@@ -504,6 +511,118 @@ def test_no_scipy_at_run_time(tmp_path):
                            str(tmp_path)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_NO_LEAST_SQUARES_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    import numpy as np
+
+    def general_solver(*args, **kwargs):
+        raise AssertionError("a line was fitted by a general solver")
+
+    np.linalg.lstsq = general_solver
+    np.polyfit = general_solver
+    import langsplit.cli
+
+    out = Path(sys.argv[1])
+    for name, text in json.loads(sys.argv[2]).items():
+        cfg = out / (name + ".cfg")
+        cfg.write_text(text)
+        code = langsplit.cli.main(["--experiment", name, "--config", str(cfg),
+                                   "--seed", "3", "--out", str(out / name)])
+        assert code == 0, name
+""")
+
+
+def test_line_fits_need_no_least_squares_solver(tmp_path):
+    # The order and msd fits are closed forms: with numpy's least-squares
+    # solvers made to raise, the recipes that fit lines still run.
+    src = str(Path(langsplit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    configs = {name: SMALL_CONFIGS[name]
+               for name in ("strong-order", "weak-order", "msd")}
+    proc = subprocess.run([sys.executable, "-c", _NO_LEAST_SQUARES_SCRIPT,
+                           str(tmp_path), json.dumps(configs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unexpected_error_is_exit_one(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg, outdir):
+        raise MemoryError("no room for the run")
+
+    monkeypatch.setitem(RECIPES, "simulate", exhausted)
+    code, out = run_cli(tmp_path, "simulate", "")
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert record == {"type": "MemoryError", "message": "no room for the run"}
+    assert not (out / "summary.json").exists()
+
+    # An interrupt is no error of the run: it passes through.
+    def interrupted(cfg, outdir):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(RECIPES, "simulate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(tmp_path, "simulate", "")
+
+
+_SIGTERM_SCRIPT = textwrap.dedent("""
+    import os, sys
+    from pathlib import Path
+
+    import langsplit.cli
+    from langsplit import montecarlo
+
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            print(pid, flush=True)
+        return pid
+
+    os.fork = fork
+    montecarlo.PATH_CHUNK = 64
+    montecarlo.WORKERS = 2
+    out = Path(sys.argv[1])
+    cfg = out / "run.cfg"
+    cfg.write_text("times = 0,64\\nn_paths = 4096\\ntau = 2^-8\\n")
+    langsplit.cli.main(["--experiment", "histogram", "--config", str(cfg),
+                        "--seed", "3", "--out", str(out / "run")])
+""")
+
+
+def test_sigterm_leaves_no_worker(tmp_path):
+    # A histogram of 64 chunks on two forked workers, stopped by SIGTERM
+    # once both exist: it kills them before it ends, as by SIGTERM.
+    src = str(Path(langsplit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-c", _SIGTERM_SCRIPT,
+                             str(tmp_path)], env=env, stdout=subprocess.PIPE,
+                            text=True)
+    workers = []
+    try:
+        workers = [int(proc.stdout.readline()) for _ in range(2)]
+        proc.send_signal(signal.SIGTERM)
+        sent = time.monotonic()
+        assert proc.wait(timeout=60) == -signal.SIGTERM
+        time.sleep(max(0.0, sent + 2.0 - time.monotonic()))
+        alive = []
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, 0)
+                alive.append(pid)
+        assert not alive
+    finally:
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 def test_failure_in_a_pooled_chunk_exits_one(tmp_path, capsys, monkeypatch):

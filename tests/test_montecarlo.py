@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestBeside:
         with pytest.raises(ValueError, match="here"):
             montecarlo.beside(lambda: fail("here"), [lambda: fail("there")])
         no_child_left()
+
+    def test_an_interrupt_here_stops_the_workers(self):
+        # The workers are killed, not waited for through their 30 s.
+        def interrupt():
+            raise KeyboardInterrupt
+
+        begun = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            montecarlo.beside(interrupt, [lambda: time.sleep(30)] * 2)
+        no_child_left()
+        assert time.monotonic() - begun < 10
 
     def test_a_worker_that_dies_is_an_error(self):
         with pytest.raises(ChildProcessError):
