@@ -1,32 +1,20 @@
 """Command-line entry point: each experiment is a named recipe.
 
-Every run writes one CSV per measurement plus a ``summary.json`` of the
-form ``{experiment, config, metrics, checks}``.  CSV headers carry a
-provenance comment block (scheme, upsilon, sigma, tau, T, seed) and a
-timestamp line; bodies are byte-reproducible for identical config + seed.
+A recipe is a function of its config alone: it reads every key it uses
+before any work (any other key is a configuration error), runs, and
+returns its tables, metrics and checks.  Then ``main`` writes one CSV per
+table and a ``summary.json`` of the form ``{experiment, config, metrics,
+checks}``.  ``config`` records each key the recipe read, in reading order,
+with the value the run used (defaults included), plus ``experiment`` and
+``seed``; every CSV's comment header is the same record, then a timestamp
+line.  CSV bodies are byte-reproducible for identical config and seed.
 
-Each recipe reads the config keys it uses before any work, and any other
-key is a configuration error.  The recipes' checks hold the acceptance
-bounds; no config key sets one.
-
-Exit codes: 0 success, 2 configuration errors (bad config file, a key set
-twice, unknown experiment, a key the experiment does not read, a value
-that is not a finite number, a count below 1 (2 where it feeds a standard
-error), a negative seed, an unknown choice or scheme, a non-positive
-``upsilon``, a negative ``sigma`` (or a zero one where the Gibbs law is
-the oracle), a bad step or an untiled horizon, a non-conservative
-``lyapunov`` scheme, a level or ``tau`` below twice ``ref_tau``, fewer than
-3 distinct ``tau_levels``, 10 error records or 2 distinct ``times``, an
-empty histogram window, a ``burn_in`` leaving no window before ``T``, fewer
-than 3 ``phase-area`` vertices, a ``dissipation-demo`` ``T`` below its
-check time 0.2, an ``msd`` ``T`` with fewer than 3 grid times from
-``10 / upsilon`` on, a step so small that the maps' constants such as
-``8 / tau^2`` are not finite floats, or a ``strong-order`` or
-``weak-order`` study with ``sigma = 0`` from the origin, whose every error
-is 0), 1 numerical failures (a non-finite figure among them:
-``summary.json`` is strict JSON, and a figure it cannot hold is named, not
-written) and any other error, as one record naming its type, never a
-traceback.  A run stopped by SIGTERM kills its forked workers first.
+Exit codes keep five rules (``test_bad_config_value_is_exit_two`` in
+``tests/test_cli.py`` lists the cases of exit 2).  A run exits 0, 1 (a
+numerical failure or any other error) or 2 (a configuration error).  Every
+error is one JSON record on stderr, never a traceback.  Exit 2 comes
+before any work and names its keys.  Exit 0 writes strict JSON.  A
+non-zero exit writes no file.  SIGTERM kills a run's forked workers first.
 
 A recipe over many paths runs them in chunks of ``montecarlo.PATH_CHUNK``
 on up to ``montecarlo.WORKERS`` processes; its ``workers`` and ``n_chunks``
@@ -37,18 +25,21 @@ number of workers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, experiments
+from . import analysis, experiments, montecarlo
 from .model import PhysParams, State, energy_H0, gibbs_moments
 from .montecarlo import SeedPolicy, chunk_plan, steps_for
 from .splitting import SchemeSpec, scheme_step, simulate
+from .stochflow import require_noise
 
 OBSERVABLES = {
     "sinsin": lambda p, q: np.sin(p) * np.sin(q),
@@ -105,21 +96,26 @@ def parse_config_file(path: str) -> dict:
 class Config:
     """Typed access to string-valued config entries with defaults.
 
-    Every accessor records the key it reads, so that :meth:`reject_unread`
-    can name the entries an experiment never asked for.
+    Every accessor records in ``used`` the key it reads and the value the
+    run uses (a default, a choice's name, a list of numbers or pairs), in
+    reading order; :meth:`reject_unread` names every entry outside it.
     """
 
     def __init__(self, entries: dict):
         self.entries = dict(entries)
-        self.read = {"experiment", "seed"}
+        self.used = {"experiment": self.entries.get("experiment")}
 
     def reject_unread(self):
         """Fail on an entry no accessor has read: a misspelt or foreign key."""
-        unread = sorted(set(self.entries) - self.read)
+        unread = sorted(set(self.entries) - set(self.used))
         if unread:
             raise ConfigError(
                 f"unknown config key {', '.join(map(repr, unread))} for "
-                f"experiment {self.entries.get('experiment')!r}")
+                f"experiment {self.used['experiment']!r}")
+
+    def _use(self, key, value):
+        self.used[key] = value
+        return value
 
     @staticmethod
     def _number(key, text):
@@ -133,8 +129,9 @@ class Config:
         raise ConfigError(f"config key {key!r}: not a finite number: {text!r}")
 
     def num(self, key, default):
-        text = self.text(key)
-        return default if text is None else self._number(key, text)
+        text = self.entries.get(key)
+        return self._use(key,
+                         default if text is None else self._number(key, text))
 
     def integer(self, key, default, minimum=1):
         """An integer of at least ``minimum``: a count is at least 1."""
@@ -144,11 +141,10 @@ class Config:
         if val < minimum:
             raise ConfigError(f"config key {key!r}: must be at least "
                               f"{minimum}, got {int(val)}")
-        return int(val)
+        return self._use(key, int(val))
 
-    def text(self, key, default=None):
-        self.read.add(key)
-        return self.entries.get(key, default)
+    def text(self, key, default):
+        return self._use(key, self.entries.get(key, default))
 
     def choice(self, key, options: dict, default: str):
         """The entry of ``options`` named by the key's value."""
@@ -158,25 +154,23 @@ class Config:
                               f"expected one of {', '.join(options)}")
         return options[name]
 
-    def numbers(self, key, default):
-        text = self.text(key)
-        if text is None:
-            return default
-        return [self._number(key, tok)
-                for tok in text.split(",") if tok.strip()]
+    def numbers(self, key, default: list):
+        text = self.entries.get(key)
+        return self._use(key, default if text is None else [
+            self._number(key, tok) for tok in text.split(",") if tok.strip()])
 
-    def pairs(self, key, default):
-        text = self.text(key)
+    def pairs(self, key, default: list):
+        text = self.entries.get(key)
         if text is None:
-            return default
+            return self._use(key, default)
         out = []
         for tok in text.split(";"):
             parts = tok.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"config key {key!r}: expected pairs "
                                   f"'a,b;c,d', got {tok.strip()!r}")
-            out.append(tuple(self._number(key, t) for t in parts))
-        return out
+            out.append([self._number(key, t) for t in parts])
+        return self._use(key, out)
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +196,6 @@ def write_csv(path: Path, meta: dict, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _meta(cfg, scheme, prm, tau, T, seed):
-    return {
-        "experiment": cfg.text("experiment", "-"),
-        "scheme": scheme.name if isinstance(scheme, SchemeSpec) else scheme,
-        "upsilon": _fmt(prm.upsilon),
-        "sigma": _fmt(prm.sigma),
-        "tau": tau if isinstance(tau, str) else _fmt(tau),
-        "T": _fmt(T),
-        "seed": str(seed),
-    }
-
-
 def _check(name, passed, margin):
     return {"name": name, "pass": bool(passed), "margin": float(margin)}
 
@@ -226,7 +208,9 @@ def _plan(n_paths, beside=False):
 
 
 # ---------------------------------------------------------------------------
-# experiment recipes: read every key, ``cfg.reject_unread()``, then run
+# experiment recipes: read every key, ``cfg.reject_unread()``, then run and
+# return ``(tables, metrics, checks)``; ``tables`` maps each CSV's name to
+# its columns and rows
 
 
 def _valid(keys, check, *args, **kwargs):
@@ -235,6 +219,19 @@ def _valid(keys, check, *args, **kwargs):
         return check(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"config key {', '.join(map(repr, keys))}: {exc}")
+
+
+def _fits(keys, floats):
+    """Fail, naming ``keys``, where the arrays that a run's step counts size
+    (``floats`` float64 entries) exceed physical memory, if it is known."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no figure on this system
+        memory = -1
+    if 0 < memory < 8 * floats:
+        raise ConfigError(f"config keys {', '.join(map(repr, keys))}: "
+                          f"{8 * floats / 2**30:.3g} GiB of arrays, more than "
+                          f"the {memory / 2**30:.3g} GiB of physical memory")
 
 
 def _common(cfg, scheme_default="savf", upsilon=10.0):
@@ -254,11 +251,13 @@ def _initial(cfg, q=0.0):
 
 
 def _step(key, tau, scheme, prm):
-    """``tau``, once one step of ``scheme`` from the origin has run the
-    maps' own step checks (on the half step of a symmetric composition)."""
+    """``tau``, once its sampled sub-step has kept its noise and one step of
+    ``scheme`` from the origin has run the maps' own step checks (on the
+    half step of a symmetric composition)."""
     if not tau > 0:
         raise ConfigError(f"config key {key!r}: step must be positive, "
                           f"got {tau:g}")
+    _valid(("upsilon", key), require_noise, prm, tau)
     _valid((key,), scheme_step, State(0.0, 0.0), tau, prm, scheme, 0.0)
     return tau
 
@@ -271,17 +270,17 @@ def _grid(cfg, scheme, prm, tau, T, minimum=0):
     return tau, T, _valid(("T", "tau"), steps_for, T, tau, minimum=minimum)
 
 
-def run_simulate(cfg: Config, outdir: Path):
+def run_simulate(cfg: Config):
     scheme, prm, seed = _common(cfg)
-    tau, T, _ = _grid(cfg, scheme, prm, 2.0**-8, 1.0)
+    tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 1.0)
+    _fits(("T", "tau"), 3 * (n_steps + 1))  # times, p, q
     initial = _initial(cfg)
     cfg.reject_unread()
     traj = simulate(initial, T, tau, prm, scheme, seed)
-    write_csv(outdir / "trajectory.csv",
-              _meta(cfg, scheme, prm, tau, T, seed), ["t", "p", "q"],
-              zip(traj.times, traj.p, traj.q))
-    return {"n_steps": len(traj) - 1,
-            "final_p": float(traj.p[-1]), "final_q": float(traj.q[-1])}, []
+    tables = {"trajectory.csv": (["t", "p", "q"],
+                                 zip(traj.times, traj.p, traj.q))}
+    return tables, {"n_steps": len(traj) - 1, "final_p": float(traj.p[-1]),
+                    "final_q": float(traj.q[-1])}, []
 
 
 # The weak order of a composition: 1 for the single sweep, 2 for the
@@ -289,7 +288,7 @@ def run_simulate(cfg: Config, outdir: Path):
 WEAK_SLOPE_WINDOWS = {"lie_trotter": (0.8, 1.2), "strang": (1.7, 2.3)}
 
 
-def _order_recipe(cfg, outdir, weak):
+def _order_recipe(cfg, weak):
     scheme, prm, seed = _common(cfg)
     T = cfg.num("T", 1.0)
     levels = cfg.numbers("tau_levels", [2.0**-k for k in range(6, 11)])
@@ -303,6 +302,12 @@ def _order_recipe(cfg, outdir, weak):
         _valid(("tau_levels", "ref_tau"), steps_for, tau, ref, minimum=2)
         _valid(("T", "tau_levels"), steps_for, T, tau, minimum=1)
     n_paths = cfg.integer("n_paths", 5000 if weak else 1000, minimum=2)
+    plan = _plan(n_paths, analysis.levels_beside(
+        levels, ref, _valid(("T", "ref_tau"), steps_for, T, ref), n_paths))
+    # One block of fine increments, a chunk wide, in each process.
+    _fits(("tau_levels", "ref_tau", "n_paths"),
+          plan["workers"] * min(n_paths, montecarlo.PATH_CHUNK)
+          * analysis._fine_block([ref, *levels], ref))
     initial = _initial(cfg)
     if prm.sigma == 0 and initial.p == 0 and initial.q == 0:
         # The origin is a fixed point of the noise-free dynamics.
@@ -319,32 +324,32 @@ def _order_recipe(cfg, outdir, weak):
         fit = analysis.strong_error(scheme, levels, ref, T, prm, n_paths,
                                     seeds, initial=initial)
     lo, hi = WEAK_SLOPE_WINDOWS[scheme.composition] if weak else (0.85, 1.15)
-    meta = _meta(cfg, scheme, prm, ",".join(_fmt(t) for t in levels), T, seed)
-    write_csv(outdir / ("weak_order.csv" if weak else "strong_order.csv"),
-              meta, ["tau", "error", "std_error"],
-              zip(fit.taus, fit.errors, fit.std_errors))
+    tables = {f"{'weak' if weak else 'strong'}_order.csv": (
+        ["tau", "error", "std_error"],
+        zip(fit.taus, fit.errors, fit.std_errors))}
+    # No ratio (null) for a standard error of 0, as in a noise-free study.
+    se = fit.std_errors
+    snr = float(np.min(fit.errors / se)) if np.all(se > 0) else None
     metrics = {"slope": fit.slope, "intercept": fit.intercept,
                "r_squared": fit.r_squared, "n_paths": n_paths,
-               "min_level_snr": float(np.min(fit.errors / fit.std_errors)),
-               **_plan(n_paths, analysis.levels_beside(
-                   levels, ref, steps_for(T, ref), n_paths))}
+               "min_level_snr": snr, **plan}
     checks = [_check("slope_in_window", lo <= fit.slope <= hi,
                      min(fit.slope - lo, hi - fit.slope))]
     if not weak:
         checks.append(_check("r_squared", fit.r_squared > 0.98,
                              fit.r_squared - 0.98))
-    return metrics, checks
+    return tables, metrics, checks
 
 
-def run_strong_order(cfg, outdir):
-    return _order_recipe(cfg, outdir, weak=False)
+def run_strong_order(cfg):
+    return _order_recipe(cfg, weak=False)
 
 
-def run_weak_order(cfg, outdir):
-    return _order_recipe(cfg, outdir, weak=True)
+def run_weak_order(cfg):
+    return _order_recipe(cfg, weak=True)
 
 
-def run_long_time_error(cfg: Config, outdir: Path):
+def run_long_time_error(cfg: Config):
     scheme, prm, seed = _common(cfg)
     tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 100.0, minimum=1)
     ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-11), scheme, prm)
@@ -358,23 +363,26 @@ def run_long_time_error(cfg: Config, outdir: Path):
     if n_rec < 10:
         raise ConfigError(f"config keys 'T', 'tau', 'n_records': {n_rec} "
                           "records after t = 0, need at least 10")
+    plan = _plan(n_paths)
+    # Each chunk's records, their fold, times and errors; a block a process.
+    _fits(("T", "tau", "ref_tau", "n_paths", "n_records"),
+          (plan["n_chunks"] + 3) * (n_rec + 1)
+          + plan["workers"] * min(n_paths, montecarlo.PATH_CHUNK)
+          * analysis._fine_block([ref, tau], ref))
     cfg.reject_unread()
     times, errs = experiments.long_time_error(
         scheme, tau, ref, T, prm, n_paths, SeedPolicy(seed), initial=initial,
         n_records=n_records)
-    write_csv(outdir / "long_time_error.csv",
-              _meta(cfg, scheme, prm, tau, T, seed), ["t", "error"],
-              zip(times, errs))
+    tables = {"long_time_error.csv": (["t", "error"], zip(times, errs))}
     early, late = experiments.window_means(times[1:], errs[1:])
     # No ratio (null) for a first-decade error of 0, as with sigma = 0.
     metrics = {"early_window_mean": early, "late_window_mean": late,
-               "ratio": late / early if early > 0 else None,
-               **_plan(n_paths)}
-    return metrics, [_check("late_window_bounded", late <= 2.0 * early,
-                            2.0 * early - late)]
+               "ratio": late / early if early > 0 else None, **plan}
+    return tables, metrics, [_check("late_window_bounded", late <= 2.0 * early,
+                                    2.0 * early - late)]
 
 
-def run_ergodic_average(cfg: Config, outdir: Path):
+def run_ergodic_average(cfg: Config):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
     tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 512.0)
     burn = cfg.num("burn_in", 64.0)
@@ -383,15 +391,14 @@ def run_ergodic_average(cfg: Config, outdir: Path):
                           f"before T = {T:g}")
     n_seeds = cfg.integer("n_seeds", 100, minimum=2)
     initial = _initial(cfg)
-    oracle = _valid(("sigma",), gibbs_moments, prm)
+    oracle = _valid(("upsilon", "sigma"), gibbs_moments, prm)
     cfg.reject_unread()
     avgs = experiments.ergodic_averages(
         scheme, prm, tau, T, burn, n_seeds, SeedPolicy(seed), initial,
         {"p2": OBSERVABLES["p2"], "q4": OBSERVABLES["q4"]})
-    write_csv(outdir / "ergodic_average.csv",
-              _meta(cfg, scheme, prm, tau, T, seed),
-              ["seed_index", "avg_p2", "avg_q4"],
-              ((i, avgs["p2"][i], avgs["q4"][i]) for i in range(n_seeds)))
+    tables = {"ergodic_average.csv": (
+        ["seed_index", "avg_p2", "avg_q4"],
+        ((i, avgs["p2"][i], avgs["q4"][i]) for i in range(n_seeds)))}
     metrics = {}
     checks = []
     for name, target in (("p2", oracle.Ep2), ("q4", oracle.Eq4)):
@@ -402,17 +409,26 @@ def run_ergodic_average(cfg: Config, outdir: Path):
                         f"target_{name}": target, f"rel_err_{name}": rel})
         checks.append(_check(f"{name}_within_5pct", rel < 0.05, 0.05 - rel))
     metrics.update(_plan(n_seeds))
-    return metrics, checks
+    return tables, metrics, checks
 
 
-def run_histogram(cfg: Config, outdir: Path):
+def _bins(h):
+    """A histogram's CSV rows, made as they are written: each bin's edges
+    and mass, row by row."""
+    mass, pe, qe = h.mass, h.p_edges, h.q_edges
+    for i in range(mass.shape[0]):
+        for j in range(mass.shape[1]):
+            yield pe[i], pe[i + 1], qe[j], qe[j + 1], mass[i, j]
+
+
+def run_histogram(cfg: Config):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
     tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     times = cfg.numbers("times", [0.0, 2.0, 256.0])
     steps = {_valid(("times", "tau"), steps_for, t, tau) for t in times}
     if len(steps) < 2 or len(steps) < len(times):
         raise ConfigError("config key 'times': need at least two distinct "
-                          f"times, got {cfg.text('times')!r}")
+                          f"times, got {cfg.entries.get('times')!r}")
     n_paths = cfg.integer("n_paths", 5000)
     bins = (cfg.integer("bins_p", 40), cfg.integer("bins_q", 40))
     p_range = (cfg.num("p_min", -1.0), cfg.num("p_max", 1.0))
@@ -422,20 +438,17 @@ def run_histogram(cfg: Config, outdir: Path):
             raise ConfigError(f"config keys '{axis}_min', '{axis}_max': "
                               f"[{lo:g}, {hi:g}] is an empty window")
     initial = _initial(cfg)
-    _valid(("sigma",), gibbs_moments, prm)
+    _valid(("upsilon", "sigma"), gibbs_moments, prm)
     cfg.reject_unread()
     hists = experiments.histogram_snapshots(
         scheme, prm, tau, times, n_paths, SeedPolicy(seed), initial,
         bins, p_range, q_range)
+    tables = {}
     metrics = {"n_paths": n_paths, **_plan(n_paths)}
     distances = []
     for t, h in zip(sorted(times), hists):
-        mass, pe, qe = h.mass, h.p_edges, h.q_edges
-        write_csv(outdir / f"histogram_t{t:g}.csv",
-                  _meta(cfg, scheme, prm, tau, t, seed),
-                  ["p_lo", "p_hi", "q_lo", "q_hi", "mass"],
-                  ((pe[i], pe[i + 1], qe[j], qe[j + 1], mass[i, j])
-                   for i in range(bins[0]) for j in range(bins[1])))
+        tables[f"histogram_t{t:g}.csv"] = (
+            ["p_lo", "p_hi", "q_lo", "q_hi", "mass"], _bins(h))
         distances.append(analysis.distribution_distance(h, prm))
         # Samples outside the window are dropped from the histogram.
         metrics.update({f"distance_t{t:g}": distances[-1],
@@ -455,7 +468,7 @@ def run_histogram(cfg: Config, outdir: Path):
                      threshold - distances[-1]),
               _check("final_window_holds_all", final.n_samples == n_paths,
                      final.n_samples - n_paths)]
-    return metrics, checks
+    return tables, metrics, checks
 
 
 def msd_approach(times, msd, plateau, upsilon):
@@ -478,9 +491,13 @@ def msd_approach(times, msd, plateau, upsilon):
                            min(r2 - 0.9, r2 - r2_algebraic))
 
 
-def run_msd(cfg: Config, outdir: Path):
+def run_msd(cfg: Config):
     scheme, prm, seed = _common(cfg, upsilon=15.0)
     tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 512.0)
+    n_paths = cfg.integer("n_paths", 1000)
+    plan = _plan(n_paths)
+    # Each chunk's sums, their fold, the times and the msd.
+    _fits(("T", "tau", "n_paths"), (plan["n_chunks"] + 3) * (n_steps + 1))
     # The fit window opens at t = 10/upsilon and needs 3 grid times.
     start = analysis.msd_window_start(np.arange(n_steps + 1) * tau,
                                       prm.upsilon)
@@ -488,16 +505,14 @@ def run_msd(cfg: Config, outdir: Path):
         raise ConfigError(
             f"config keys 'T', 'upsilon': T = {T:g} holds fewer than 3 grid "
             f"times at or after t = 10/upsilon = {10.0 / prm.upsilon:g}")
-    n_paths = cfg.integer("n_paths", 1000)
     n_records = cfg.integer("n_records", 2048)
     initial = _initial(cfg)
-    mom = _valid(("sigma",), gibbs_moments, prm)
+    mom = _valid(("upsilon", "sigma"), gibbs_moments, prm)
     cfg.reject_unread()
     times, msd = experiments.msd_experiment(
         scheme, prm, tau, T, n_paths, SeedPolicy(seed), initial)
     stride = max(1, len(times) // n_records)
-    write_csv(outdir / "msd.csv", _meta(cfg, scheme, prm, tau, T, seed),
-              ["t", "msd"], zip(times[::stride], msd[::stride]))
+    tables = {"msd.csv": (["t", "msd"], zip(times[::stride], msd[::stride]))}
     plateau = analysis.msd_plateau(times, msd)
     # The stationary law has zero mean, so the displacement plateau is the
     # stationary second moments plus the squared initial offset.
@@ -505,53 +520,56 @@ def run_msd(cfg: Config, outdir: Path):
     rel = abs(plateau - target) / target
     approach, approach_check = msd_approach(times, msd, plateau, prm.upsilon)
     metrics = {"plateau": plateau, "target": target, "rel_err": rel,
-               **approach, **_plan(n_paths)}
-    return metrics, [_check("plateau_within_5pct", rel < 0.05, 0.05 - rel),
-                     approach_check]
+               **approach, **plan}
+    return tables, metrics, [
+        _check("plateau_within_5pct", rel < 0.05, 0.05 - rel), approach_check]
 
 
-def run_exp_moment(cfg: Config, outdir: Path):
+def run_exp_moment(cfg: Config):
     scheme, prm, seed = _common(cfg)
-    tau, T, _ = _grid(cfg, scheme, prm, 2.0**-10, 1.0)
+    tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-10, 1.0)
     n_paths = cfg.integer("n_paths", 10000)
+    plan = _plan(n_paths)
+    # Each chunk's three folds, and seven arrays of the whole run.
+    _fits(("T", "tau", "n_paths"), (3 * plan["n_chunks"] + 7) * (n_steps + 1))
     initial = _initial(cfg)
     cfg.reject_unread()
     rep = analysis.exp_moment_monitor(scheme, prm, tau, T, n_paths,
                                       SeedPolicy(seed), initial=initial)
-    write_csv(outdir / "exp_moment.csv", _meta(cfg, scheme, prm, tau, T, seed),
-              ["t", "estimate", "max_exponent"],
-              zip(rep.times, rep.estimates, rep.max_exponents))
+    tables = {"exp_moment.csv": (
+        ["t", "estimate", "max_exponent"],
+        zip(rep.times, rep.estimates, rep.max_exponents))}
     log_max = float(np.max(rep.log_estimates))
     headroom = rep.envelope_log - log_max
     metrics = {"envelope_log": rep.envelope_log, "flagged": rep.flagged,
-               "log_max_estimate": log_max, "log_headroom": headroom,
-               **_plan(n_paths)}
-    return metrics, [_check("exp_moment_bounded", not rep.flagged, headroom)]
+               "log_max_estimate": log_max, "log_headroom": headroom, **plan}
+    return tables, metrics, [_check("exp_moment_bounded", not rep.flagged,
+                                    headroom)]
 
 
-def run_lyapunov(cfg: Config, outdir: Path):
+def run_lyapunov(cfg: Config):
     scheme, prm, seed = _common(cfg)
     tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     n_draws = cfg.integer("n_draws", 100000, minimum=2)
     states = [State(p, q) for p, q in
-              cfg.pairs("states", [(0.0, 0.0), (1.0, 1.0), (2.0, -1.0)])]
+              cfg.pairs("states", [[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]])]
     if scheme.map_kind not in analysis.CONSERVATIVE_KINDS:
         raise ConfigError("config key 'scheme': lyapunov checks the "
                           f"conservative maps only, got {scheme.name!r}")
     cfg.reject_unread()
     records = analysis.lyapunov_check(scheme, prm, tau, states, n_draws,
                                       seed=seed)
-    write_csv(outdir / "lyapunov.csv", _meta(cfg, scheme, prm, tau, tau, seed),
-              ["p0", "q0", "mc_mean", "std_error", "bound", "margin", "passed"],
-              ((r.state.p, r.state.q, r.mc_mean, r.std_error, r.bound,
-                r.margin, r.passed) for r in records))
+    tables = {"lyapunov.csv": (
+        ["p0", "q0", "mc_mean", "std_error", "bound", "margin", "passed"],
+        ((r.state.p, r.state.q, r.mc_mean, r.std_error, r.bound, r.margin,
+          r.passed) for r in records))}
     worst = min(r.margin for r in records)
-    return ({"n_states": len(records), "worst_margin": worst},
+    return (tables, {"n_states": len(records), "worst_margin": worst},
             [_check("lyapunov_contraction", all(r.passed for r in records),
                     worst)])
 
 
-def run_jacobian(cfg: Config, outdir: Path):
+def run_jacobian(cfg: Config):
     scheme, prm, seed = _common(cfg, scheme_default="sympl-euler", upsilon=2.0)
     tau = _step("tau", cfg.num("tau", 1e-4), scheme, prm)
     n_states = cfg.integer("n_states", 1000)
@@ -566,52 +584,59 @@ def run_jacobian(cfg: Config, outdir: Path):
         det = analysis.jacobian_det(
             lambda x: scheme_step(x, tau, prm, scheme, z), s)
         worst = np.maximum(worst, np.abs(det / target - 1.0))
-    write_csv(outdir / "jacobian.csv", _meta(cfg, scheme, prm, tau, tau, seed),
-              ["p", "q", "max_rel_err"], zip(s.p, s.q, worst))
+    tables = {"jacobian.csv": (["p", "q", "max_rel_err"],
+                               zip(s.p, s.q, worst))}
     metrics = {"target_det": target, "max_rel_err": float(worst.max())}
-    return metrics, [_check("conformal_det", worst.max() <= 1e-6,
-                            1e-6 - float(worst.max()))]
+    return tables, metrics, [_check("conformal_det", worst.max() <= 1e-6,
+                                    1e-6 - float(worst.max()))]
 
 
-def run_phase_area(cfg: Config, outdir: Path):
+def run_phase_area(cfg: Config):
     scheme, prm, seed = _common(cfg, scheme_default="sympl-euler", upsilon=2.0)
-    tau, T, _ = _grid(cfg, scheme, prm, 1e-4, 1.0)
+    tau, T, n_steps = _grid(cfg, scheme, prm, 1e-4, 1.0)
+    _fits(("T", "tau"), 2 * (n_steps + 1))  # times, areas
     # Fewer than 3 vertices span no area.
     n_vertices = cfg.integer("n_vertices", 10000, minimum=3)
     n_records = cfg.integer("n_records", 1024)
     cfg.reject_unread()
     times, areas = analysis.phase_area(scheme, prm, tau, T, n_vertices, seed)
     stride = max(1, len(times) // n_records)
-    write_csv(outdir / "phase_area.csv", _meta(cfg, scheme, prm, tau, T, seed),
-              ["t", "area"], zip(times[::stride], areas[::stride]))
+    tables = {"phase_area.csv": (["t", "area"],
+                                 zip(times[::stride], areas[::stride]))}
     ratio = areas[-1] / math.pi
     target = math.exp(-prm.upsilon * T)
     # Against the polygon's own initial area: an inscribed n-gon's is below pi.
     rel = abs(areas[-1] / areas[0] / target - 1.0)
     metrics = {"final_area": float(areas[-1]), "area_over_pi": float(ratio),
                "target": target, "rel_err": float(rel)}
-    return metrics, [_check("area_contraction", rel <= 1e-3, 1e-3 - rel)]
+    return tables, metrics, [_check("area_contraction", rel <= 1e-3,
+                                    1e-3 - rel)]
 
 
-def run_dissipation_demo(cfg: Config, outdir: Path):
+def run_dissipation_demo(cfg: Config):
     _, prm, seed = _common(cfg, scheme_default=None)
     tau = cfg.num("tau", 2.0**-8)
     T = cfg.num("T", 1.0)
     # The dissipative check reads the curve from t = 0.2 on.
-    if _valid(("T", "tau"), steps_for, T, tau) * tau < 0.2:
+    n_steps = _valid(("T", "tau"), steps_for, T, tau)
+    if n_steps * tau < 0.2:
         raise ConfigError(f"config key 'T': {T:g} ends before the check "
                           "time 0.2")
+    _valid(("upsilon", "tau"), require_noise, prm, tau, naive=True)
     n_paths = cfg.integer("n_paths", 20000)
+    plan = _plan(n_paths)
+    # Each chunk's three folds of two curves, their merge, the times, and
+    # the means, variances and standard errors.
+    _fits(("T", "tau", "n_paths"), (6 * plan["n_chunks"] + 13) * (n_steps + 1))
     initial = _initial(cfg, q=2.0)
     cfg.reject_unread()
     curves = analysis.h0_dissipation_compare(prm, tau, T, initial, n_paths,
                                              SeedPolicy(seed))
-    write_csv(outdir / "dissipation.csv",
-              _meta(cfg, "substeps", prm, tau, T, seed),
-              ["t", "h0_naive", "h0_naive_se", "h0_dissipative",
-               "h0_dissipative_se"],
-              zip(curves.times, curves.naive_mean, curves.naive_se,
-                  curves.dissipative_mean, curves.dissipative_se))
+    tables = {"dissipation.csv": (
+        ["t", "h0_naive", "h0_naive_se", "h0_dissipative",
+         "h0_dissipative_se"],
+        zip(curves.times, curves.naive_mean, curves.naive_se,
+            curves.dissipative_mean, curves.dissipative_se))}
     h0_start = float(energy_H0(initial))
     half = 0.5 * h0_start
     naive_ok = bool(np.all(curves.naive_mean
@@ -622,8 +647,8 @@ def run_dissipation_demo(cfg: Config, outdir: Path):
                "naive_min": float(curves.naive_mean.min()),
                "naive_final": float(curves.naive_mean[-1]),
                "dissipative_at_0.2": float(curves.dissipative_mean[idx]),
-               **_plan(n_paths)}
-    return metrics, [
+               **plan}
+    return tables, metrics, [
         _check("naive_never_dissipates", naive_ok,
                float(np.min(curves.naive_mean + 3.0 * curves.naive_se
                             - h0_start))),
@@ -653,6 +678,10 @@ EXPERIMENTS = tuple(RECIPES)
 # entry point
 
 
+class NonFiniteMetric(Exception):
+    """A metric or check margin that strict JSON cannot hold: a bug."""
+
+
 def _error_record(kind, exc):
     record = {"type": kind, "message": str(exc)}
     for attr in ("step_index", "path_index", "iterations", "residual"):
@@ -660,6 +689,32 @@ def _error_record(kind, exc):
         if val is not None:
             record[attr] = val
     return json.dumps({"error": record}, default=float)
+
+
+def _write_run(outdir: Path, summary: dict, tables: dict):
+    """Write the tables' CSVs under the summary's config record, then
+    ``summary.json``.  A failure removes what was written."""
+    figures = {**summary["metrics"], **{
+        f"margin of {c['name']}": c["margin"] for c in summary["checks"]}}
+    non_finite = [name for name, val in figures.items()
+                  if isinstance(val, (float, np.floating))
+                  and not math.isfinite(val)]
+    if non_finite:
+        raise NonFiniteMetric("not finite: " + ", ".join(non_finite))
+    text = json.dumps(summary, indent=2, default=float, allow_nan=False)
+    header = {key: json.dumps(val) for key, val in summary["config"].items()}
+    written = []
+    try:
+        for name, (columns, rows) in tables.items():
+            written.append(outdir / name)
+            write_csv(written[-1], header, columns, rows)
+        written.append(outdir / "summary.json")
+        written[-1].write_text(text + "\n")
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):  # also one it could not make
+                path.unlink()
+        raise
 
 
 def main(argv=None) -> int:
@@ -689,7 +744,11 @@ def main(argv=None) -> int:
         cfg = Config(entries)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        metrics, checks = RECIPES[experiment](cfg, outdir)
+        tables, metrics, checks = RECIPES[experiment](cfg)
+        _write_run(outdir, {"experiment": experiment, "config": cfg.used,
+                            "metrics": metrics, "checks": checks}, tables)
+        print(json.dumps({"experiment": experiment, "metrics": metrics,
+                          "checks": checks}, default=float, allow_nan=False))
     except ConfigError as exc:
         print(_error_record("config", exc), file=sys.stderr)
         return 2
@@ -698,28 +757,6 @@ def main(argv=None) -> int:
         # traceback.  KeyboardInterrupt and SystemExit pass.
         print(_error_record(type(exc).__name__, exc), file=sys.stderr)
         return 1
-
-    summary = {
-        "experiment": experiment,
-        "config": cfg.entries,
-        "metrics": metrics,
-        "checks": checks,
-    }
-    figures = {**metrics, **{f"margin of {c['name']}": c["margin"]
-                             for c in checks}}
-    non_finite = [name for name, val in figures.items()
-                  if isinstance(val, (float, np.floating))
-                  and not math.isfinite(val)]
-    if non_finite:
-        # Strict JSON holds no NaN or Infinity: a non-finite figure is a bug.
-        print(_error_record("NonFiniteMetric", "not finite: "
-                            + ", ".join(non_finite)), file=sys.stderr)
-        return 1
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=float, allow_nan=False)
-        fh.write("\n")
-    print(json.dumps({"experiment": experiment, "metrics": metrics,
-                      "checks": checks}, default=float, allow_nan=False))
     return 0
 
 

@@ -87,9 +87,10 @@ class PhysParams:
     upsilon : float
         Friction coefficient, strictly positive and finite.
     sigma : float
-        Noise amplitude, finite.  The model of interest has ``sigma > 0``;
-        ``sigma = 0`` is accepted as the deterministic limit so the
-        noise-free identities of the sub-flows can be checked directly.
+        Noise amplitude, with a finite square.  The model of interest has
+        ``sigma > 0``; ``sigma = 0`` is accepted as the deterministic limit
+        so the noise-free identities of the sub-flows can be checked
+        directly.
     """
 
     upsilon: float
@@ -101,8 +102,10 @@ class PhysParams:
     def __post_init__(self):
         if not 0 < self.upsilon < math.inf:
             raise ValueError(f"upsilon must be finite and > 0, got {self.upsilon}")
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        # sigma enters as sigma^2, which must be a float too.
+        if not (0 <= self.sigma and math.isfinite(self.sigma * self.sigma)):
+            raise ValueError("sigma must be >= 0 with a finite square, got "
+                             f"{self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,19 @@ def energy_H(s: State, prm: PhysParams) -> ArrayLike:
 
 
 def _position_weight_scale(prm: PhysParams) -> float:
-    """Decay coefficient c in the position marginal ``exp(-c q^4)``."""
-    if prm.sigma == 0:
-        raise ValueError("the invariant density needs sigma > 0")
-    return prm.upsilon / (2.0 * prm.sigma**2)
+    """Decay coefficient c in the position marginal ``exp(-c q^4)``.
+
+    The invariant density needs c positive and finite: ``sigma = 0`` has
+    none, and a ``sigma`` or ``upsilon`` so small that c overflows or
+    underflows has none in floats.
+    """
+    two_s2 = 2.0 * prm.sigma**2
+    c = prm.upsilon / two_s2 if two_s2 > 0 else math.inf
+    if not 0 < c < math.inf:
+        raise ValueError("the invariant density needs sigma > 0 and a "
+                         "positive finite c = upsilon / (2 sigma^2), got "
+                         f"upsilon = {prm.upsilon}, sigma = {prm.sigma}")
+    return c
 
 
 def position_marginal_normalizer(prm: PhysParams) -> float:

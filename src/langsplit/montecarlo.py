@@ -216,27 +216,35 @@ def beside(here: Callable[[], _R], theres: Sequence[Callable[[], object]]
         try:
             for there in theres:
                 read, write = os.pipe()
+                # SIGTERM waits until the new worker is among ``started``,
+                # so that the handler's unwinding finds it to kill.
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                              {signal.SIGTERM})
                 try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read)
-                    os.close(write)
-                    raise
-                if pid == 0:  # the worker: report, never return to the caller
                     try:
-                        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-                        WORKERS = 1
+                        pid = os.fork()
+                    except OSError:
+                        os.close(read)
+                        os.close(write)
+                        raise
+                    if pid == 0:  # the worker: report, never return
                         try:
-                            outcome = True, there()
-                        except BaseException as exc:
-                            outcome = False, exc
-                        with os.fdopen(write, "wb") as pipe:
-                            pickle.dump(outcome, pipe)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                os.close(write)
-                started.append((pid, os.fdopen(read, "rb")))
+                            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                            WORKERS = 1
+                            try:
+                                outcome = True, there()
+                            except BaseException as exc:
+                                outcome = False, exc
+                            with os.fdopen(write, "wb") as pipe:
+                                pickle.dump(outcome, pipe)
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
+                    os.close(write)
+                    started.append((pid, os.fdopen(read, "rb")))
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             mine = here()
             while started:
                 pid, pipe = started[0]

@@ -36,6 +36,7 @@ __all__ = [
     "ou_substep_exact",
     "ou_substep_coupled",
     "naive_increment",
+    "require_noise",
 ]
 
 
@@ -153,3 +154,23 @@ def naive_increment(prm: PhysParams, tau: float):
         (1.0 - decay * decay) / (2.0 * prm.upsilon))
     return decay, noise_std
 
+
+def require_noise(prm: PhysParams, tau: float, naive: bool = False) -> None:
+    """Raise a ValueError where the sampled sub-step at ``tau`` (with
+    ``naive``, the naive one too) would lose its noise.
+
+    Both form their noise variance from ``1 - decay^2``, which cancels
+    digits as upsilon * tau falls: at 3.9e-16 (upsilon 1e-13 at tau 2^-8)
+    it is 14% off, and below about 1.1e-16 it is 0.  Against ``-expm1`` it
+    must keep more than half its digits (a relative error of at most 1e-8).
+    The sub-steps keep the plain form, which every run's bits rest on.
+    """
+    checks = [(OUIncrement.from_params(prm, tau).decay, prm.upsilon * tau)]
+    if naive:
+        checks.append((naive_increment(prm, tau)[0], 2.0 * prm.upsilon * tau))
+    for decay, rate in checks:
+        direct = 1.0 - decay * decay
+        exact = -math.expm1(-rate)
+        if not (exact > 0 and abs(direct - exact) <= 1e-8 * exact):
+            raise ValueError(f"upsilon * tau is too small: 1 - exp(-{rate:g})"
+                             f" cancels to {direct:g}, not {exact:g}")

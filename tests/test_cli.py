@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import langsplit
-from langsplit import analysis, montecarlo
-from langsplit.cli import (RECIPES, main, msd_approach, parse_config_file,
-                           _parse_number)
+import langsplit.cli
+from langsplit import analysis, experiments, montecarlo
+from langsplit.cli import (RECIPES, Config, ConfigError, main, msd_approach,
+                           parse_config_file, _parse_number)
 
 from helpers import no_child_left
 
@@ -384,6 +385,20 @@ def test_workers_flag_is_rejected(tmp_path):
     ("strong-order", "ref_tau = 1e-300\n"),
     ("strong-order", "sigma = 0\n"),
     ("weak-order", "sigma = 0\n"),
+    # Model constants whose square, or whose Gibbs scale upsilon/(2 sigma^2),
+    # is not a positive finite float.
+    ("histogram", "sigma = 1e-300\n"),
+    ("histogram", "sigma = 5e-324\n"),
+    ("histogram", "upsilon = 5e-324\n"),
+    ("msd", "sigma = 1e-300\n"),
+    ("histogram", "sigma = 1e300\n"),
+    ("ergodic-average", "sigma = 1e300\n"),
+    ("exp-moment", "sigma = 1e300\n"),
+    ("lyapunov", "sigma = 1e300\n"),
+    # A friction so small that the sampled sub-step would lose its noise.
+    ("simulate", "upsilon = 1e-14\n"),
+    ("dissipation-demo", "upsilon = 1e-14\n"),
+    ("exp-moment", "upsilon = 1e-14\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
@@ -550,7 +565,7 @@ def test_line_fits_need_no_least_squares_solver(tmp_path):
 
 
 def test_unexpected_error_is_exit_one(tmp_path, capsys, monkeypatch):
-    def exhausted(cfg, outdir):
+    def exhausted(cfg):
         raise MemoryError("no room for the run")
 
     monkeypatch.setitem(RECIPES, "simulate", exhausted)
@@ -558,10 +573,10 @@ def test_unexpected_error_is_exit_one(tmp_path, capsys, monkeypatch):
     assert code == 1
     record = json.loads(capsys.readouterr().err)["error"]
     assert record == {"type": "MemoryError", "message": "no room for the run"}
-    assert not (out / "summary.json").exists()
+    assert not any(out.iterdir())
 
     # An interrupt is no error of the run: it passes through.
-    def interrupted(cfg, outdir):
+    def interrupted(cfg):
         raise KeyboardInterrupt
 
     monkeypatch.setitem(RECIPES, "simulate", interrupted)
@@ -725,9 +740,10 @@ def test_exp_moment_overflow_is_measured_in_log_space(tmp_path):
 
 def test_non_finite_figure_exits_one_naming_it(tmp_path, capsys,
                                                monkeypatch):
-    def recipe(cfg, outdir):
+    def recipe(cfg):
         cfg.reject_unread()
-        return {"fine": 1.0, "broken": float("nan")}, [
+        tables = {"table.csv": (["x"], [(1.0,)])}
+        return tables, {"fine": 1.0, "broken": float("nan")}, [
             {"name": "bounded", "pass": False, "margin": -math.inf}]
 
     monkeypatch.setitem(RECIPES, "simulate", recipe)
@@ -737,4 +753,225 @@ def test_non_finite_figure_exits_one_naming_it(tmp_path, capsys,
     assert record["type"] == "NonFiniteMetric"
     assert "broken" in record["message"] and "fine" not in record["message"]
     assert "margin of bounded" in record["message"]
-    assert not (out / "summary.json").exists()
+    # Its tables were measured, but a failed run writes no file.
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name, step_key", [
+    ("simulate", "tau"), ("dissipation-demo", "tau"), ("exp-moment", "tau"),
+    ("histogram", "tau"), ("lyapunov", "tau"), ("strong-order", "ref_tau"),
+    ("long-time-error", "tau"),
+])
+def test_small_friction_names_upsilon_and_its_step(tmp_path, capsys, name,
+                                                   step_key):
+    # 1 - exp(-upsilon tau) cancels to 0 at upsilon = 1e-14, tau = 2^-8:
+    # simulate, dissipation-demo and exp-moment exited 0 with no noise.
+    code, out = run_cli(tmp_path, name, "upsilon = 1e-14\n")
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "'upsilon'" in message and f"'{step_key}'" in message
+    assert not any(out.iterdir())
+
+
+def _header(path):
+    """The comment record of a recipe CSV, its timestamp line left out."""
+    record = {}
+    for line in path.read_text().splitlines():
+        if not line.startswith("# "):
+            break
+        key, value = line[2:].split(": ", 1)
+        if key != "generated":
+            record[key] = json.loads(value)
+    return record
+
+
+# Every key each recipe reads, in reading order.
+RECORD_KEYS = {
+    "simulate": "scheme upsilon sigma seed tau T initial_p initial_q",
+    "strong-order": "scheme upsilon sigma seed T tau_levels ref_tau n_paths "
+                    "initial_p initial_q",
+    "weak-order": "scheme upsilon sigma seed T tau_levels ref_tau n_paths "
+                  "initial_p initial_q observable",
+    "long-time-error": "scheme upsilon sigma seed tau T ref_tau n_paths "
+                       "initial_p initial_q n_records",
+    "ergodic-average": "scheme upsilon sigma seed tau T burn_in n_seeds "
+                       "initial_p initial_q",
+    "histogram": "scheme upsilon sigma seed tau times n_paths bins_p bins_q "
+                 "p_min p_max q_min q_max initial_p initial_q",
+    "msd": "scheme upsilon sigma seed tau T n_paths n_records initial_p "
+           "initial_q",
+    "exp-moment": "scheme upsilon sigma seed tau T n_paths initial_p "
+                  "initial_q",
+    "lyapunov": "scheme upsilon sigma seed tau n_draws states",
+    "jacobian": "scheme upsilon sigma seed tau n_states n_draws",
+    "phase-area": "scheme upsilon sigma seed tau T n_vertices n_records",
+    "dissipation-demo": "upsilon sigma seed tau T n_paths initial_p "
+                        "initial_q",
+}
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_one_record_heads_every_csv_and_the_summary(tmp_path, name):
+    code, out = run_cli(tmp_path, name, SMALL_CONFIGS[name], seed=3)
+    assert code == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert list(config) == ["experiment", *RECORD_KEYS[name].split()]
+    assert config["experiment"] == name and config["seed"] == 3
+    # Each value is the one the run used: a set entry parsed, a default
+    # as it stands.
+    for line in SMALL_CONFIGS[name].splitlines():
+        key, value = (part.strip() for part in line.split("="))
+        if key not in ("times", "tau_levels", "states"):
+            assert config[key] == _parse_number(value), key
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for csv in csvs:
+        assert list(_header(csv).items()) == list(config.items()), csv.name
+
+
+def test_record_holds_defaults_names_and_lists(tmp_path):
+    code, out = run_cli(tmp_path, "simulate", "tau = 2^-6\nT = 0.25\n")
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config == {"experiment": "simulate", "scheme": "savf",
+                      "upsilon": 10.0, "sigma": 1.0, "seed": 12345,
+                      "tau": 2.0**-6, "T": 0.25, "initial_p": 0.0,
+                      "initial_q": 0.0}
+    code, out = run_cli(tmp_path, "lyapunov",
+                        "scheme = sdg\nn_draws = 100\nstates = 1,2;-0.5,2^-2\n")
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config["scheme"] == "sdg"
+    assert config["states"] == [[1.0, 2.0], [-0.5, 0.25]]
+    code, out = run_cli(tmp_path, "weak-order", SMALL_CONFIGS["weak-order"]
+                        + "observable = p2\n")
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config["tau_levels"] == [2.0**-4, 2.0**-5, 2.0**-6]
+    assert config["observable"] == "p2"
+    # A message that quotes an entry leaves the record of its value.
+    cfg = Config({"experiment": "histogram", "times": "2"})
+    with pytest.raises(ConfigError, match="got '2'"):
+        RECIPES["histogram"](cfg)
+    assert cfg.used["times"] == [2.0]
+
+
+def test_failed_run_writes_no_file(tmp_path, capsys):
+    # At T = 1 the fit window holds fewer than 3 points: the run fails after
+    # its paths have run, and its msd.csv was once left behind.
+    code, out = run_cli(tmp_path, "msd", "T = 1\nn_paths = 2\n", seed=3)
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == \
+        "EmptyWindow"
+    assert out.is_dir() and not any(out.iterdir())
+
+
+def test_failed_write_removes_what_it_wrote(tmp_path, capsys, monkeypatch):
+    def rows():
+        yield (1.0,)
+        raise OSError("disk full")
+
+    def recipe(cfg):
+        cfg.reject_unread()
+        tables = {"first.csv": (["x"], [(1.0,)]),
+                  "second.csv": (["x"], rows())}
+        return tables, {"fine": 1.0}, []
+
+    monkeypatch.setitem(RECIPES, "simulate", recipe)
+    code, out = run_cli(tmp_path, "simulate", "")
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert record == {"type": "OSError", "message": "disk full"}
+    assert not any(out.iterdir())
+
+
+def test_summary_write_error_is_a_record(tmp_path, capsys):
+    # summary.json is a directory: its write fails inside the run's error
+    # handling, the CSV written before it is removed, the directory stays.
+    (tmp_path / "out" / "summary.json").mkdir(parents=True)
+    code, out = run_cli(tmp_path, "simulate", "tau = 2^-6\nT = 0.25\n")
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert record["type"] == "IsADirectoryError"
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+
+
+@pytest.mark.parametrize("name, config_text, keys", [
+    ("simulate", "T = 1e12\n", ("T", "tau")),
+    ("simulate", "tau = 1e-12\n", ("tau",)),
+    ("strong-order", "ref_tau = 1e-12\nn_paths = 20\n", ("ref_tau",)),
+    ("strong-order", "tau_levels = 2^-4,2^-5,2^-6\nref_tau = 2^-24\n"
+                     "T = 0.25\nn_paths = 2000\n",
+     ("tau_levels", "ref_tau", "n_paths")),
+    ("weak-order", "tau_levels = 2^-4,2^-5,2^-6\nref_tau = 2^-24\n"
+                   "T = 0.25\nn_paths = 2000\n",
+     ("tau_levels", "ref_tau", "n_paths")),
+    ("long-time-error", "tau = 2^-4\nref_tau = 2^-24\nT = 2\nn_paths = 2048\n",
+     ("tau", "ref_tau", "n_paths")),
+    ("msd", "tau = 1e-12\n", ("tau",)),
+    ("msd", "T = 1e12\n", ("T", "tau", "n_paths")),
+    ("exp-moment", "T = 1e6\nn_paths = 20\n", ("T", "tau", "n_paths")),
+    ("phase-area", "T = 1e12\n", ("T", "tau")),
+    ("dissipation-demo", "T = 1e9\n", ("T", "tau", "n_paths")),
+])
+def test_oversized_run_is_exit_two_before_any_work(tmp_path, capsys,
+                                                   monkeypatch, name,
+                                                   config_text, keys):
+    # These once ended in a MemoryError after asking for TiB, or were killed
+    # once their overcommitted arrays were touched.  On a box of 8 GiB they
+    # exit 2 before any work: the drivers are made to fail if reached.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for module, attr in [(langsplit.cli, "simulate"),
+                         (analysis, "strong_error"), (analysis, "weak_error"),
+                         (experiments, "long_time_error"),
+                         (experiments, "msd_experiment"),
+                         (analysis, "exp_moment_monitor"),
+                         (analysis, "phase_area"),
+                         (analysis, "h0_dissipation_compare")]:
+        monkeypatch.setattr(module, attr, no_work)
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 2**12}.get(name)
+        or sysconf(name))
+    code, out = run_cli(tmp_path, name, config_text)
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert record["type"] == "config"
+    assert all(repr(key) in record["message"] for key in keys)
+    assert not any(out.iterdir())
+
+
+def test_size_check_needs_a_memory_figure(tmp_path, monkeypatch):
+    # Where the system gives no figure for physical memory, nothing is
+    # rejected for its size.
+    monkeypatch.delattr(os, "sysconf")
+    code, _ = run_cli(tmp_path, "simulate", "tau = 2^-6\nT = 0.25\n")
+    assert code == 0
+
+
+def test_noise_free_study_has_no_level_snr(tmp_path):
+    # Every path of a noise-free study is one path: a level's standard error
+    # is 0, and the ratio of error to standard error is undefined (null),
+    # without numpy's division warning.
+    script = textwrap.dedent("""
+        import json, sys, warnings
+        from pathlib import Path
+        warnings.simplefilter("error", RuntimeWarning)
+        import langsplit.cli
+        out = Path(sys.argv[1])
+        cfg = out / "run.cfg"
+        cfg.write_text("sigma = 0\\ninitial_q = 1\\n"
+                       "tau_levels = 2^-4,2^-5,2^-6\\nref_tau = 2^-8\\n"
+                       "T = 0.25\\nn_paths = 20\\n")
+        code = langsplit.cli.main(["--experiment", "strong-order", "--config",
+                                   str(cfg), "--out", str(out / "o")])
+        assert code == 0
+        summary = json.loads((out / "o" / "summary.json").read_text())
+        assert summary["metrics"]["min_level_snr"] is None
+    """)
+    src = str(Path(langsplit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert not proc.stderr

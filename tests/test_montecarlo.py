@@ -1,6 +1,12 @@
+import contextlib
 import math
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +165,44 @@ class TestBeside:
                               [lambda: None, lambda: None, lambda: None])
         assert len(calls) == 2
         no_child_left()
+
+    def test_sigterm_just_after_a_fork_stops_that_worker(self):
+        # SIGTERM sent from the parent's own fork call, before the new
+        # worker is on the list of those to kill: it waits until it is.
+        script = textwrap.dedent("""
+            import os, signal, time
+            from langsplit import montecarlo
+
+            real_fork = os.fork
+
+            def fork():
+                pid = real_fork()
+                if pid:
+                    print(pid, flush=True)
+                    os.kill(os.getpid(), signal.SIGTERM)
+                return pid
+
+            os.fork = fork
+            montecarlo.beside(lambda: time.sleep(30), [lambda: time.sleep(30)])
+        """)
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.PIPE, text=True)
+        worker = None
+        try:
+            worker = int(proc.stdout.readline())
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+            time.sleep(1.0)
+            with pytest.raises(ProcessLookupError):
+                os.kill(worker, 0)
+        finally:
+            if worker is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(worker, signal.SIGKILL)
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
     def test_workers_fork_no_workers(self, monkeypatch):
         # A worker has one process, itself: its chunks run in it.

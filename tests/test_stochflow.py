@@ -8,7 +8,8 @@ from langsplit import stochflow
 from langsplit.errors import NonIntegralGrid
 from langsplit.model import PhysParams, State, energy_H, energy_H0
 from langsplit.stochflow import (FineWindow, OUIncrement, naive_increment,
-                                 ou_substep_coupled, ou_substep_exact)
+                                 ou_substep_coupled, ou_substep_exact,
+                                 require_noise)
 
 from helpers import naive_substep_exact
 
@@ -32,6 +33,37 @@ class TestOUIncrement:
     def test_bad_tau(self):
         with pytest.raises(ValueError):
             OUIncrement.from_params(PRM10, 0.0)
+
+
+class TestRequireNoise:
+    """``1 - decay^2`` cancels as upsilon * tau falls; where it has lost
+    more than half its digits a run is refused before it starts."""
+
+    @pytest.mark.parametrize("upsilon", [1e-10, 1e-13, 1e-14, 1e-300])
+    def test_cancelled_noise_is_an_error(self, upsilon):
+        # At tau = 2^-8: 6.2e-5 relative off in amplitude at 1e-10, 6.6% at
+        # 1e-13, and no noise at all at 1e-14, where the runs reported a
+        # noise-free run.
+        prm = PhysParams(upsilon, 1.0)
+        with pytest.raises(ValueError, match="upsilon \\* tau"):
+            require_noise(prm, 2.0**-8)
+        with pytest.raises(ValueError, match="upsilon \\* tau"):
+            require_noise(prm, 2.0**-8, naive=True)
+
+    def test_naive_substep_is_checked_with_naive(self, monkeypatch):
+        # A naive sub-step whose decay rounds to 1 has no noise left, while
+        # the dissipative one at the same step keeps its own.
+        monkeypatch.setattr(stochflow, "naive_increment",
+                            lambda prm, tau: (1.0, 0.0))
+        require_noise(PRM10, 2.0**-8)
+        with pytest.raises(ValueError, match="upsilon \\* tau"):
+            require_noise(PRM10, 2.0**-8, naive=True)
+
+    @pytest.mark.parametrize("upsilon", [2.0, 4.0, 10.0, 15.0])
+    def test_every_gate_and_test_step_passes(self, upsilon):
+        prm = PhysParams(upsilon, 1.0)
+        for tau in [1e-4, 1e-3, *(2.0**-k for k in range(3, 14))]:
+            require_noise(prm, tau, naive=True)
 
 
 class TestOUSubstepExact:
