@@ -12,9 +12,10 @@ line.  CSV bodies are byte-reproducible for identical config and seed.
 Exit codes keep five rules (``test_bad_config_value_is_exit_two`` in
 ``tests/test_cli.py`` lists the cases of exit 2).  A run exits 0, 1 (a
 numerical failure or any other error) or 2 (a configuration error).  Every
-error is one JSON record on stderr, never a traceback.  Exit 2 comes
-before any work and names its keys.  Exit 0 writes strict JSON.  A
-non-zero exit writes no file.  SIGTERM kills a run's forked workers first.
+error is one JSON record on stderr, never a traceback, and a successful run
+writes nothing there.  Exit 2 comes before any work and names its keys.
+Exit 0 writes strict JSON.  A non-zero exit writes no file.  SIGTERM kills
+a run's forked workers first.
 
 A recipe over many paths runs them in chunks of ``montecarlo.PATH_CHUNK``
 on up to ``montecarlo.WORKERS`` processes; its ``workers`` and ``n_chunks``
@@ -39,7 +40,7 @@ from . import analysis, experiments, montecarlo
 from .model import PhysParams, State, energy_H0, gibbs_moments
 from .montecarlo import SeedPolicy, chunk_plan, steps_for
 from .splitting import SchemeSpec, scheme_step, simulate
-from .stochflow import require_noise
+from .stochflow import OUIncrement, naive_increment
 
 OBSERVABLES = {
     "sinsin": lambda p, q: np.sin(p) * np.sin(q),
@@ -221,6 +222,16 @@ def _valid(keys, check, *args, **kwargs):
         raise ConfigError(f"config key {', '.join(map(repr, keys))}: {exc}")
 
 
+def _target(prm, key, x):
+    """``exp(-upsilon x)``, the figure a recipe is measured against."""
+    target = math.exp(-prm.upsilon * x)
+    if not target >= sys.float_info.min:
+        raise ConfigError(f"config keys 'upsilon', {key!r}: the target "
+                          f"exp(-upsilon {key}) = {target:g} is below the "
+                          "smallest normal float")
+    return target
+
+
 def _fits(keys, floats):
     """Fail, naming ``keys``, where the arrays that a run's step counts size
     (``floats`` float64 entries) exceed physical memory, if it is known."""
@@ -257,7 +268,7 @@ def _step(key, tau, scheme, prm):
     if not tau > 0:
         raise ConfigError(f"config key {key!r}: step must be positive, "
                           f"got {tau:g}")
-    _valid(("upsilon", key), require_noise, prm, tau)
+    _valid(("upsilon", key), OUIncrement.from_params, prm, tau)
     _valid((key,), scheme_step, State(0.0, 0.0), tau, prm, scheme, 0.0)
     return tau
 
@@ -309,7 +320,7 @@ def _order_recipe(cfg, weak):
           plan["workers"] * min(n_paths, montecarlo.PATH_CHUNK)
           * analysis._fine_block([ref, *levels], ref))
     initial = _initial(cfg)
-    if prm.sigma == 0 and initial.p == 0 and initial.q == 0:
+    if prm.sigma * prm.sigma == 0 and initial.p == 0 and initial.q == 0:
         # The origin is a fixed point of the noise-free dynamics.
         raise ConfigError("config keys 'sigma', 'initial_p', 'initial_q': "
                           "with no noise a run from the origin stays there, "
@@ -574,10 +585,10 @@ def run_jacobian(cfg: Config):
     tau = _step("tau", cfg.num("tau", 1e-4), scheme, prm)
     n_states = cfg.integer("n_states", 1000)
     n_draws = cfg.integer("n_draws", 100)
+    target = _target(prm, "tau", tau)
     cfg.reject_unread()
     rng = np.random.default_rng(seed)
     s = State(rng.uniform(-2, 2, n_states), rng.uniform(-2, 2, n_states))
-    target = math.exp(-prm.upsilon * tau)
     worst = np.zeros(n_states)
     for _ in range(n_draws):
         z = rng.standard_normal()
@@ -598,13 +609,13 @@ def run_phase_area(cfg: Config):
     # Fewer than 3 vertices span no area.
     n_vertices = cfg.integer("n_vertices", 10000, minimum=3)
     n_records = cfg.integer("n_records", 1024)
+    target = _target(prm, "T", T)
     cfg.reject_unread()
     times, areas = analysis.phase_area(scheme, prm, tau, T, n_vertices, seed)
     stride = max(1, len(times) // n_records)
     tables = {"phase_area.csv": (["t", "area"],
                                  zip(times[::stride], areas[::stride]))}
     ratio = areas[-1] / math.pi
-    target = math.exp(-prm.upsilon * T)
     # Against the polygon's own initial area: an inscribed n-gon's is below pi.
     rel = abs(areas[-1] / areas[0] / target - 1.0)
     metrics = {"final_area": float(areas[-1]), "area_over_pi": float(ratio),
@@ -622,7 +633,8 @@ def run_dissipation_demo(cfg: Config):
     if n_steps * tau < 0.2:
         raise ConfigError(f"config key 'T': {T:g} ends before the check "
                           "time 0.2")
-    _valid(("upsilon", "tau"), require_noise, prm, tau, naive=True)
+    for build in (OUIncrement.from_params, naive_increment):
+        _valid(("upsilon", "tau"), build, prm, tau)
     n_paths = cfg.integer("n_paths", 20000)
     plan = _plan(n_paths)
     # Each chunk's three folds of two curves, their merge, the times, and
@@ -744,9 +756,11 @@ def main(argv=None) -> int:
         cfg = Config(entries)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        tables, metrics, checks = RECIPES[experiment](cfg)
-        _write_run(outdir, {"experiment": experiment, "config": cfg.used,
-                            "metrics": metrics, "checks": checks}, tables)
+        # No numpy warning: a non-finite state or figure has its own record.
+        with np.errstate(all="ignore"):
+            tables, metrics, checks = RECIPES[experiment](cfg)
+            _write_run(outdir, {"experiment": experiment, "config": cfg.used,
+                                "metrics": metrics, "checks": checks}, tables)
         print(json.dumps({"experiment": experiment, "metrics": metrics,
                           "checks": checks}, default=float, allow_nan=False))
     except ConfigError as exc:

@@ -7,7 +7,8 @@ The noise consumed by the stochastic flow is always an explicit argument,
 either a standard normal draw (standalone and ergodic runs) or a
 :class:`~langsplit.stochflow.FineWindow` of shared fine Brownian increments
 (convergence studies), so reproducibility and path coupling are entirely
-caller-controlled.
+caller-controlled.  Every sampled step of a run shares the one cached
+``OUIncrement.from_params`` of its ``(prm, tau)``.
 """
 
 from __future__ import annotations
@@ -101,43 +102,36 @@ class Trajectory:
         return self.times.shape[0]
 
 
-def _apply_noise(s: State, tau: float, prm: PhysParams, noise: Noise,
-                 ou: OUIncrement = None) -> State:
+def _apply_noise(s: State, tau: float, prm: PhysParams, noise: Noise) -> State:
     if isinstance(noise, FineWindow):
         return ou_substep_coupled(s, noise, prm, tau=tau)
-    if ou is None:
-        ou = OUIncrement.from_params(prm, tau)
-    return ou.apply(s, noise)
+    return OUIncrement.from_params(prm, tau).apply(s, noise)
 
 
 def lie_trotter_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
-                     noise: Noise, ou: OUIncrement = None) -> State:
-    """One single-sweep step: conservative map, then stochastic flow.
-
-    ``ou`` is the sampled sub-step of (prm, tau) when the caller has built
-    it already; it is built here otherwise.
-    """
+                     noise: Noise) -> State:
+    """One single-sweep step: conservative map, then stochastic flow."""
     if tau == 0:
         return s
     mid = conservative_step(spec.map_kind, s, tau, prm)
-    return _apply_noise(mid, tau, prm, noise, ou)
+    return _apply_noise(mid, tau, prm, noise)
 
 
 def strang_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
-                noise: Noise, ou: OUIncrement = None) -> State:
+                noise: Noise) -> State:
     """One symmetric step: half map, full stochastic flow, half map."""
     if tau == 0:
         return s
     half = conservative_step(spec.map_kind, s, 0.5 * tau, prm)
-    mid = _apply_noise(half, tau, prm, noise, ou)
+    mid = _apply_noise(half, tau, prm, noise)
     return conservative_step(spec.map_kind, mid, 0.5 * tau, prm)
 
 
 def scheme_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
-                noise: Noise, ou: OUIncrement = None) -> State:
+                noise: Noise) -> State:
     if spec.composition == "strang":
-        return strang_step(s, tau, prm, spec, noise, ou)
-    return lie_trotter_step(s, tau, prm, spec, noise, ou)
+        return strang_step(s, tau, prm, spec, noise)
+    return lie_trotter_step(s, tau, prm, spec, noise)
 
 
 def require_finite(p: np.ndarray, q: np.ndarray, step_index=None) -> None:
@@ -177,12 +171,11 @@ def _evolve(initial: State, shape: tuple, tau: float, prm: PhysParams,
     """
     cur = State(np.broadcast_to(np.asarray(initial.p, float), shape).astype(float),
                 np.broadcast_to(np.asarray(initial.q, float), shape).astype(float))
-    ou = OUIncrement.from_params(prm, tau) if tau > 0 else None
     _check_finite(cur, 0)
     visit(0, cur)
     for n, dw in enumerate(noise, 1):
         try:
-            cur = scheme_step(cur, tau, prm, spec, dw, ou)
+            cur = scheme_step(cur, tau, prm, spec, dw)
         except NonConvergence as exc:
             exc.step_index = n - 1
             raise
@@ -217,6 +210,8 @@ def simulate(initial: State, T: float, tau: float, prm: PhysParams,
     NonConvergence
         From the ``dg`` solver, annotated with the failing step index, or
         at the first non-finite state, naming its step and path.
+    ValueError
+        From ``OUIncrement.from_params``, where its noise would cancel.
     """
     n_steps = steps_for(T, tau)
     p0 = np.asarray(initial.p, dtype=float)

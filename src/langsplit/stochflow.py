@@ -8,15 +8,15 @@ The dissipative stochastic subsystem contracts both coordinates at rate
 It is solved exactly in two interchangeable forms: distribution-exact
 sampling from a single standard normal draw, and path-coupled evaluation of
 the stochastic convolution on a window of fine Brownian increments (so a
-coarse run and a fine reference run can share one Wiener path).  The
-path-coupled form weights the window's increments with quadrature weights
-that are built once per level (step size and fine spacing) and shared by
-every step of it.
+coarse run and a fine reference run can share one Wiener path).  Each is
+built once and shared by every step: the sampled sub-step once per
+``(prm, tau)``, the path-coupled quadrature weights once per level.
 
 The constants of the naive sub-step (full-rate Ornstein-Uhlenbeck momentum,
 frozen position) are kept for the non-dissipation comparison; that sub-step
 is exactly the sub-flow whose failure to damp the physical energy motivates
-the dissipative splitting.
+the dissipative splitting.  Both sampled constructors refuse a step whose
+noise variance ``1 - decay^2`` has cancelled.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "ou_substep_exact",
     "ou_substep_coupled",
     "naive_increment",
-    "require_noise",
 ]
 
 
@@ -53,12 +52,11 @@ class OUIncrement:
     noise_std: float
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def from_params(cls, prm: PhysParams, tau: float) -> "OUIncrement":
-        if tau <= 0:
-            raise ValueError(f"step size must be positive, got {tau}")
         decay = math.exp(-0.5 * prm.upsilon * tau)
-        noise_std = prm.sigma * math.sqrt((1.0 - decay * decay) / prm.upsilon)
-        return cls(decay=decay, noise_std=noise_std)
+        var = _keeps_noise(decay, prm.upsilon * tau) / prm.upsilon
+        return cls(decay=decay, noise_std=prm.sigma * math.sqrt(var))
 
     def apply(self, s: State, z: ArrayLike) -> State:
         return State(self.decay * s.p + self.noise_std * z, self.decay * s.q)
@@ -150,27 +148,18 @@ def ou_substep_coupled(s: State, window: FineWindow, prm: PhysParams,
 def naive_increment(prm: PhysParams, tau: float):
     """(decay, noise_std) of the full-rate OU momentum sub-step."""
     decay = math.exp(-prm.upsilon * tau)
-    noise_std = prm.sigma * math.sqrt(
-        (1.0 - decay * decay) / (2.0 * prm.upsilon))
-    return decay, noise_std
+    var = _keeps_noise(decay, 2.0 * prm.upsilon * tau) / (2.0 * prm.upsilon)
+    return decay, prm.sigma * math.sqrt(var)
 
 
-def require_noise(prm: PhysParams, tau: float, naive: bool = False) -> None:
-    """Raise a ValueError where the sampled sub-step at ``tau`` (with
-    ``naive``, the naive one too) would lose its noise.
-
-    Both form their noise variance from ``1 - decay^2``, which cancels
-    digits as upsilon * tau falls: at 3.9e-16 (upsilon 1e-13 at tau 2^-8)
-    it is 14% off, and below about 1.1e-16 it is 0.  Against ``-expm1`` it
-    must keep more than half its digits (a relative error of at most 1e-8).
-    The sub-steps keep the plain form, which every run's bits rest on.
-    """
-    checks = [(OUIncrement.from_params(prm, tau).decay, prm.upsilon * tau)]
-    if naive:
-        checks.append((naive_increment(prm, tau)[0], 2.0 * prm.upsilon * tau))
-    for decay, rate in checks:
-        direct = 1.0 - decay * decay
-        exact = -math.expm1(-rate)
-        if not (exact > 0 and abs(direct - exact) <= 1e-8 * exact):
-            raise ValueError(f"upsilon * tau is too small: 1 - exp(-{rate:g})"
-                             f" cancels to {direct:g}, not {exact:g}")
+def _keeps_noise(decay: float, rate: float) -> float:
+    """``1 - decay^2``, where ``decay^2`` is ``exp(-rate)``.  The plain form,
+    which every run's bits rest on, cancels as the rate falls (14% off at
+    3.9e-16, 0 below 1.1e-16): a ValueError where it is more than 1e-8
+    relative off ``-expm1(-rate)``, as at any rate <= 0 (tau <= 0)."""
+    direct = 1.0 - decay * decay
+    exact = -math.expm1(-rate)
+    if not (exact > 0 and abs(direct - exact) <= 1e-8 * exact):
+        raise ValueError(f"upsilon * tau is too small: 1 - exp({-rate:g}) "
+                         f"cancels to {direct:g}, not {exact:g}")
+    return direct

@@ -647,6 +647,13 @@ class TestDissipationCompare:
         idx = np.searchsorted(curves.times, 0.2)
         assert np.all(curves.dissipative_mean[idx:] < 0.5 * h0)
 
+    def test_cancelled_noise_is_an_error(self):
+        # At upsilon 1e-14 both sub-steps' noise cancels to 0: no noise-free
+        # curves pass as noisy ones.
+        with pytest.raises(ValueError, match="upsilon \\* tau"):
+            h0_dissipation_compare(PhysParams(1e-14, 1.0), 2.0**-8, 0.25,
+                                   State(0.0, 2.0), n_paths=4)
+
 
 class TestLyapunovCheck:
     def test_noise_free_passes_deterministically(self):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,15 @@ def test_workers_flag_is_rejected(tmp_path):
     ("simulate", "upsilon = 1e-14\n"),
     ("dissipation-demo", "upsilon = 1e-14\n"),
     ("exp-moment", "upsilon = 1e-14\n"),
+    # A target that underflows below the smallest normal float.
+    ("phase-area", "upsilon = 1e6\ntau = 2^-10\nT = 2^-4\n"
+                   "n_vertices = 500\n"),
+    ("jacobian", "upsilon = 1e300\nn_states = 10\nn_draws = 2\n"),
+    # A noise amplitude whose square underflows, from the origin.
+    ("strong-order", "sigma = 1e-300\ntau_levels = 2^-4,2^-5,2^-6\n"
+                     "ref_tau = 2^-8\nT = 0.25\nn_paths = 20\n"),
+    ("weak-order", "sigma = 1e-300\ntau_levels = 2^-4,2^-5,2^-6\n"
+                   "ref_tau = 2^-8\nT = 0.25\nn_paths = 20\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
@@ -432,15 +442,43 @@ SMALL_CONFIGS = {
 }
 
 
+@pytest.mark.parametrize("name, config_text, exit_code", [
+    # The first step overflows in the maps, where numpy would warn.
+    ("simulate", "tau = 2^-6\nT = 0.25\ninitial_q = 1e300\n", 1),
+    ("phase-area", "upsilon = 1e6\ntau = 2^-10\nT = 2^-4\n"
+                   "n_vertices = 500\n", 2),
+    ("jacobian", "upsilon = 1e300\nn_states = 10\nn_draws = 2\n", 2),
+])
+def test_failed_run_writes_one_record_to_stderr(tmp_path, name, config_text,
+                                                exit_code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text)
+    src = str(Path(langsplit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "langsplit.cli", "--experiment", name,
+         "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == exit_code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "error" in json.loads(lines[0])
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
 @pytest.mark.parametrize("name", RECIPES)
-def test_summary_is_strict_json(tmp_path, name):
+def test_summary_is_strict_json(tmp_path, capfd, name):
     # json.dump writes NaN and Infinity, which no strict JSON parser reads.
-    code, out = run_cli(tmp_path, name, SMALL_CONFIGS[name], seed=3)
+    # A successful run writes nothing to stderr (forked workers share its
+    # descriptor), and a warning would be an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, name, SMALL_CONFIGS[name], seed=3)
     assert code == 0
+    assert capfd.readouterr().err == ""
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=_reject_constant)
     assert summary["experiment"] == name

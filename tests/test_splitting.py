@@ -147,6 +147,13 @@ class TestSimulate:
         assert len(tr) == 1
         assert tr.p[0] == 0.3 and tr.q[0] == 0.4
 
+    def test_cancelled_noise_is_an_error(self):
+        # At upsilon 1e-14, tau 2^-8 the sampled sub-step's noise cancels to
+        # 0: the run raises instead of returning a noise-free path.
+        with pytest.raises(ValueError, match="upsilon \\* tau"):
+            simulate(State(0.0, 0.0), 0.25, 2.0**-8, PhysParams(1e-14, 1.0),
+                     SAVF, seed=1)
+
     def test_initial_state_recorded(self):
         tr = simulate(State(1.0, -1.0), 0.25, 2.0**-6, PRM10, SAVF, seed=1)
         assert tr.p[0] == 1.0 and tr.q[0] == -1.0
@@ -202,20 +209,15 @@ class TestSimulate:
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.vdot(tr.p[-1], tr.q[-1]))
 
-    def test_sampled_substep_is_built_once_per_run(self, monkeypatch):
-        calls = []
-        build = OUIncrement.from_params.__func__
-
-        def counted(cls, prm, tau):
-            calls.append(tau)
-            return build(cls, prm, tau)
-
-        monkeypatch.setattr(OUIncrement, "from_params", classmethod(counted))
+    def test_sampled_substep_is_built_once_per_run(self):
+        # Every step asks for the sub-step; only the first computes it.
+        cache = OUIncrement.from_params.__func__
         for spec in (SAVF, SchemeSpec.from_name("strang-savf")):
-            calls.clear()
+            cache.cache_clear()
             simulate(State(np.zeros(3), np.zeros(3)), 0.5, 2.0**-6, PRM10,
                      spec, seed=[1, 2, 3])
-            assert calls == [2.0**-6]
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (1, 31)
 
     def test_moment_averages_stay_bounded(self):
         prm = PhysParams(15.0, 1.0)

@@ -8,8 +8,7 @@ from langsplit import stochflow
 from langsplit.errors import NonIntegralGrid
 from langsplit.model import PhysParams, State, energy_H, energy_H0
 from langsplit.stochflow import (FineWindow, OUIncrement, naive_increment,
-                                 ou_substep_coupled, ou_substep_exact,
-                                 require_noise)
+                                 ou_substep_coupled, ou_substep_exact)
 
 from helpers import naive_substep_exact
 
@@ -31,13 +30,15 @@ class TestOUIncrement:
             sigma**2 * (1 - inc.decay**2) / upsilon, rel=1e-12, abs=1e-300)
 
     def test_bad_tau(self):
-        with pytest.raises(ValueError):
-            OUIncrement.from_params(PRM10, 0.0)
+        for build in (OUIncrement.from_params, naive_increment):
+            for tau in (0.0, -0.0, -2.0**-8, math.nan):
+                with pytest.raises(ValueError, match="upsilon \\* tau"):
+                    build(PRM10, tau)
 
 
 class TestRequireNoise:
     """``1 - decay^2`` cancels as upsilon * tau falls; where it has lost
-    more than half its digits a run is refused before it starts."""
+    more than half its digits, both constructors refuse the step."""
 
     @pytest.mark.parametrize("upsilon", [1e-10, 1e-13, 1e-14, 1e-300])
     def test_cancelled_noise_is_an_error(self, upsilon):
@@ -46,24 +47,25 @@ class TestRequireNoise:
         # noise-free run.
         prm = PhysParams(upsilon, 1.0)
         with pytest.raises(ValueError, match="upsilon \\* tau"):
-            require_noise(prm, 2.0**-8)
+            OUIncrement.from_params(prm, 2.0**-8)
         with pytest.raises(ValueError, match="upsilon \\* tau"):
-            require_noise(prm, 2.0**-8, naive=True)
+            naive_increment(prm, 2.0**-8)
 
-    def test_naive_substep_is_checked_with_naive(self, monkeypatch):
-        # A naive sub-step whose decay rounds to 1 has no noise left, while
-        # the dissipative one at the same step keeps its own.
-        monkeypatch.setattr(stochflow, "naive_increment",
-                            lambda prm, tau: (1.0, 0.0))
-        require_noise(PRM10, 2.0**-8)
+    def test_naive_substep_is_checked_with_naive(self):
+        # Each sub-step rounds on its own: at upsilon 2.9e-7, tau 2^-8 the
+        # naive 1 - decay^2 is 1.04e-8 relative off, just over the bound,
+        # and the dissipative one 9.8e-9, just under it.
+        prm = PhysParams(2.9e-7, 1.0)
+        OUIncrement.from_params(prm, 2.0**-8)
         with pytest.raises(ValueError, match="upsilon \\* tau"):
-            require_noise(PRM10, 2.0**-8, naive=True)
+            naive_increment(prm, 2.0**-8)
 
     @pytest.mark.parametrize("upsilon", [2.0, 4.0, 10.0, 15.0])
     def test_every_gate_and_test_step_passes(self, upsilon):
         prm = PhysParams(upsilon, 1.0)
         for tau in [1e-4, 1e-3, *(2.0**-k for k in range(3, 14))]:
-            require_noise(prm, tau, naive=True)
+            OUIncrement.from_params(prm, tau)
+            naive_increment(prm, tau)
 
 
 class TestOUSubstepExact:
@@ -75,9 +77,15 @@ class TestOUSubstepExact:
         assert out.q == pytest.approx(-3.0 * d, rel=1e-15)
 
     def test_small_step_limit(self):
-        out = ou_substep_exact(State(1.0, 1.0), 1e-14, PRM10, z=0.8)
-        assert out.p == pytest.approx(1.0, abs=1e-6)
-        assert out.q == pytest.approx(1.0, abs=1e-6)
+        # At tau = 1e-14 the plain 1 - decay^2 is 8e-4 off: no sub-step.
+        with pytest.raises(ValueError, match="upsilon \\* tau"):
+            ou_substep_exact(State(1.0, 1.0), 1e-14, PRM10, z=0.8)
+        # At a step the rule accepts, decay -> 1 and noise_std -> sigma
+        # sqrt(tau), each to O(upsilon tau) = 1e-7.
+        tau = 1e-8
+        inc = OUIncrement.from_params(PhysParams(10.0, 2.0), tau)
+        assert inc.decay == pytest.approx(1.0, abs=1e-7)
+        assert inc.noise_std == pytest.approx(2.0 * math.sqrt(tau), rel=1e-7)
 
     def test_ito_isometry(self):
         tau = 2.0**-10
