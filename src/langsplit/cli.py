@@ -135,13 +135,17 @@ class Config:
                          default if text is None else self._number(key, text))
 
     def integer(self, key, default, minimum=1):
-        """An integer of at least ``minimum``: a count is at least 1."""
+        """An integer of at least ``minimum`` (a count is at least 1) and at
+        most 2^53, above which floats skip integers."""
         val = self.num(key, default)
         if val != int(val):
             raise ConfigError(f"config key {key!r}: not an integer: {val!r}")
         if val < minimum:
             raise ConfigError(f"config key {key!r}: must be at least "
                               f"{minimum}, got {int(val)}")
+        if val > 2**53:
+            raise ConfigError(f"config key {key!r}: must be at most 2^53, "
+                              f"got {val:g}")
         return self._use(key, int(val))
 
     def text(self, key, default):
@@ -186,15 +190,35 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _row_format(kinds) -> str:
+    """The ``%`` format of a row whose values have the types ``kinds``, as
+    :func:`_fmt` writes each; None where a value is a bool."""
+    out = []
+    for kind in kinds:
+        if issubclass(kind, (bool, np.bool_)):
+            return None
+        out.append("%d" if issubclass(kind, (int, np.integer)) else "%.17g")
+    return ",".join(out) + "\n"
+
+
 def write_csv(path: Path, meta: dict, columns, rows):
-    """Write a CSV with a provenance comment block, LF endings, 17-digit floats."""
+    """Write a CSV with a provenance comment block, LF endings, 17-digit floats.
+
+    A row is formatted in one ``%`` call, by the format of its value types.
+    """
     with open(path, "w", newline="\n") as fh:
         for key, val in meta.items():
             fh.write(f"# {key}: {val}\n")
         fh.write(f"# generated: {datetime.datetime.now().isoformat()}\n")
         fh.write(",".join(columns) + "\n")
+        formats = {}
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = _row_format(kinds)
+            fmt = formats[kinds]
+            fh.write(fmt % tuple(row) if fmt else
+                     ",".join(map(_fmt, row)) + "\n")
 
 
 def _check(name, passed, margin):
@@ -442,6 +466,7 @@ def run_histogram(cfg: Config):
                           f"times, got {cfg.entries.get('times')!r}")
     n_paths = cfg.integer("n_paths", 5000)
     bins = (cfg.integer("bins_p", 40), cfg.integer("bins_q", 40))
+    _fits(("bins_p", "bins_q", "times"), len(times) * bins[0] * bins[1])
     p_range = (cfg.num("p_min", -1.0), cfg.num("p_max", 1.0))
     q_range = (cfg.num("q_min", -1.5), cfg.num("q_max", 1.5))
     for axis, (lo, hi) in zip("pq", (p_range, q_range)):
@@ -562,6 +587,8 @@ def run_lyapunov(cfg: Config):
     scheme, prm, seed = _common(cfg)
     tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     n_draws = cfg.integer("n_draws", 100000, minimum=2)
+    # The batch, its step and the step kernels' work arrays.
+    _fits(("n_draws",), 64 * n_draws)
     states = [State(p, q) for p, q in
               cfg.pairs("states", [[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]])]
     if scheme.map_kind not in analysis.CONSERVATIVE_KINDS:
@@ -585,6 +612,7 @@ def run_jacobian(cfg: Config):
     tau = _step("tau", cfg.num("tau", 1e-4), scheme, prm)
     n_states = cfg.integer("n_states", 1000)
     n_draws = cfg.integer("n_draws", 100)
+    _fits(("n_states",), 64 * n_states)  # as lyapunov's n_draws
     target = _target(prm, "tau", tau)
     cfg.reject_unread()
     rng = np.random.default_rng(seed)

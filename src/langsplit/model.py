@@ -15,11 +15,14 @@ deterministic half of the dissipative splitting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
+
+from .kernel import FRESH, Work, fixed
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -48,6 +51,15 @@ class State(NamedTuple):
     q: ArrayLike
 
 
+# ``State(p, q)`` runs the named tuple's Python-level ``__new__``; the step
+# kernels build their results with the tuple constructor, at half the cost.
+new_state = functools.partial(tuple.__new__, State)
+
+
+_THREE, _QUARTER = fixed(3.0), fixed(0.25)
+_GRAD_WORK, _HESS_WORK, _AVG_GRAD_WORK = Work(1), Work(1), Work(3)
+
+
 class QuarticPotential:
     """The potential ``U(q) = q^4 / 4``.
 
@@ -57,21 +69,30 @@ class QuarticPotential:
     """
 
     # Integer powers are written as products: numpy sends ``q**3`` and
-    # ``q**4`` through ``pow``, many times slower than multiplying.
+    # ``q**4`` through ``pow``, many times slower than multiplying.  The
+    # step maps pass their kernel (see :mod:`langsplit.kernel`), and the
+    # result is then in its work buffer; without one, each pass allocates.
 
-    def grad(self, q: ArrayLike) -> ArrayLike:
-        return q * q * q
+    def grad(self, q: ArrayLike, k=FRESH) -> ArrayLike:
+        (t,) = k.work[_GRAD_WORK]
+        return k.mul(k.mul(q, q, t), q, t)
 
-    def hess(self, q: ArrayLike) -> ArrayLike:
-        return 3.0 * q**2
+    def hess(self, q: ArrayLike, k=FRESH) -> ArrayLike:
+        three, = _THREE[k.form]
+        (t,) = k.work[_HESS_WORK]
+        return k.mul(three, k.square(q, t), t)
 
-    def avg_grad(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
+    def avg_grad(self, a: ArrayLike, b: ArrayLike, k=FRESH) -> ArrayLike:
         """Average of the gradient along the segment from ``a`` to ``b``.
 
         Closed form of ``int_0^1 (a + lam*(b-a))^3 dlam``; the factored
         form ``(a+b)(a^2+b^2)/4`` has no removable singularity at a == b.
         """
-        return 0.25 * (a + b) * (a * a + b * b)
+        quarter, = _QUARTER[k.form]
+        s, a2, b2 = k.work[_AVG_GRAD_WORK]
+        s = k.mul(quarter, k.add(a, b, s), s)
+        a2 = k.add(k.mul(a, a, a2), k.mul(b, b, b2), a2)
+        return k.mul(s, a2, s)
 
     def avg_grad_db(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
         """Derivative of :meth:`avg_grad` with respect to its endpoint ``b``."""

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonIntegralGrid
-from .model import ArrayLike, PhysParams, State
+from .kernel import SCALAR, Work, constants, fixed, kernel
+from .model import ArrayLike, PhysParams, State, new_state
 
 __all__ = [
     "OUIncrement",
@@ -37,6 +38,9 @@ __all__ = [
     "ou_substep_coupled",
     "naive_increment",
 ]
+
+
+_OU_WORK, _OU_COUPLED_WORK = Work(2), Work(2)
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,12 @@ class OUIncrement:
 
     decay: float
     noise_std: float
+    # Both, as the kernel of a state takes them.
+    _constants: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_constants",
+                           fixed(self.decay, self.noise_std))
 
     @classmethod
     @functools.lru_cache(maxsize=64)
@@ -59,7 +69,13 @@ class OUIncrement:
         return cls(decay=decay, noise_std=prm.sigma * math.sqrt(var))
 
     def apply(self, s: State, z: ArrayLike) -> State:
-        return State(self.decay * s.p + self.noise_std * z, self.decay * s.q)
+        """``(decay p + noise_std z, decay q)``, in fresh arrays."""
+        p, q = s
+        k = kernel(p.shape) if isinstance(p, np.ndarray) else SCALAR
+        decay, noise_std = self._constants[k.form]
+        dp, dz = k.work[_OU_WORK]
+        p = k.add(k.mul(decay, p, dp), k.mul(noise_std, z, dz), None)
+        return new_state((p, k.mul(decay, q, None)))
 
 
 @dataclass(frozen=True)
@@ -137,12 +153,19 @@ def ou_substep_coupled(s: State, window: FineWindow, prm: PhysParams,
             f"window spans {span:g} but the step is {tau:g}; fine spacing "
             f"{window.tau_f:g} must tile the step exactly")
     u = prm.upsilon
-    decay = math.exp(-0.5 * u * span)
-    w = _midpoint_weights(u, span, window.increments.shape[0], window.tau_f)
-    conv = w @ window.increments
-    if np.ndim(conv) == 0:
-        conv = float(conv)
-    return State(decay * s.p + prm.sigma * conv, decay * s.q)
+    increments = window.increments
+    w = _midpoint_weights(u, span, increments.shape[0], window.tau_f)
+    k = kernel(increments.shape[1:])
+    decay, sigma = _coupled_constants(u, span, prm.sigma)[k.form]
+    conv, dp = k.work[_OU_COUPLED_WORK]
+    conv = k.matmul(w, increments, conv)
+    p = k.add(k.mul(decay, s.p, dp), k.mul(sigma, conv, conv), None)
+    return new_state((p, k.mul(decay, s.q, None)))
+
+
+@constants
+def _coupled_constants(upsilon: float, span: float, sigma: float) -> tuple:
+    return math.exp(-0.5 * upsilon * span), sigma
 
 
 def naive_increment(prm: PhysParams, tau: float):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from typing import NamedTuple, Tuple
 
@@ -207,3 +208,173 @@ def long_time_error_whole(scheme, tau, tau_f, T, prm, n_paths, seeds,
         acc += part
     times = np.arange(n_rec + 1) * (stride * tau)
     return times, np.sqrt(acc / n_paths)
+
+
+# The step kernels' expression forms: every pass allocates its result, with
+# Python-float constants, as the maps and sub-steps were written before
+# they took work buffers.  Each lane of a kernel must equal its oracle bit
+# for bit.  The potential's terms are written out, not called.
+
+
+def _oracle_state(p, q) -> State:
+    return State(p if p.ndim else float(p), q if q.ndim else float(q))
+
+
+def _oracle_cubic_increment(q0, k, c0):
+    q2 = q0 * q0
+    c1 = 6.0 * q2
+    c1 += k
+    r = (2.0 / 3.0) * q2
+    r += k
+    r /= 3.0
+    r = np.sqrt(r)
+    t = (88.0 / 27.0) * q2
+    t += (4.0 / 3.0) * k
+    t *= q0
+    t = c0 - t
+    r3 = 2.0 * r
+    r3 *= r
+    r3 *= r
+    t /= r3
+    t = np.arcsinh(t)
+    t /= 3.0
+    d = np.sinh(t)
+    r *= -2.0
+    d *= r
+    d -= (4.0 / 3.0) * q0
+    f = 4.0 * q0
+    f += d
+    f *= d
+    f += c1
+    f *= d
+    f += c0
+    df = 3.0 * d
+    df += 8.0 * q0
+    df *= d
+    df += c1
+    f /= df
+    d -= f
+    return d
+
+
+def _oracle_cubic_map(p0, q0, tau, k, c_p, c_q, keep, scale) -> State:
+    c0 = 4.0 * q0
+    c0 *= q0
+    c0 *= q0
+    c0 -= c_p * p0
+    c0 -= c_q * q0
+    q1 = _oracle_cubic_increment(q0, k, c0)
+    q1 += q0
+    p1 = -tau * (0.25 * (q0 + q1) * (q0 * q0 + q1 * q1))
+    p1 += p0 if keep == 1.0 else keep * p0
+    p1 /= scale
+    return _oracle_state(p1, q1)
+
+
+def oracle_avf_step(s: State, tau: float, prm: PhysParams) -> State:
+    p0, q0 = np.asarray(s.p, dtype=float), np.asarray(s.q, dtype=float)
+    a4 = 0.25 * tau * prm.upsilon
+    return _oracle_cubic_map(p0, q0, tau, 8.0 * (1.0 - a4 * a4) / (tau * tau),
+                             8.0 / tau, 16.0 * a4 * (1.0 + a4) / (tau * tau),
+                             1.0 - a4, 1.0 + a4)
+
+
+def oracle_pavf_step(s: State, tau: float, prm: PhysParams) -> State:
+    p0, q0 = np.asarray(s.p, dtype=float), np.asarray(s.q, dtype=float)
+    a2 = 0.5 * tau * prm.upsilon
+    return _oracle_cubic_map(p0, q0, tau, 8.0 * (1.0 + a2) / (tau * tau),
+                             4.0 * (2.0 + a2) / tau,
+                             8.0 * a2 * (1.0 + a2) / (tau * tau), 1.0, 1.0 + a2)
+
+
+def oracle_newton(residual, jacobian, guess: State) -> Tuple[State, int]:
+    """The 2-D Newton solve, with its iteration count."""
+    p = np.asarray(guess.p, dtype=float)
+    q = np.asarray(guess.q, dtype=float)
+    scale = np.maximum(np.abs(p), np.abs(q))
+    tol = 1e-14 + 1e-12 * scale
+
+    def check(x):
+        f1, f2 = residual(x)
+        norm = np.maximum(np.abs(f1), np.abs(f2))
+        active = ~(norm <= tol)
+        return f1, f2, active, np.count_nonzero(active)
+
+    x = State(p, q)
+    f1, f2, active, n_active = check(x)
+    iterations = 0
+    while n_active and iterations < 50:
+        j11, j12, j21, j22 = jacobian(x)
+        det = j11 * j22 - j12 * j21
+        if n_active == active.size:
+            p = p - (j22 * f1 - j12 * f2) / det
+            q = q - (j11 * f2 - j21 * f1) / det
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p = np.where(active, p - (j22 * f1 - j12 * f2) / det, p)
+                q = np.where(active, q - (j11 * f2 - j21 * f1) / det, q)
+        x = State(p, q)
+        f1, f2, active, n_active = check(x)
+        iterations += 1
+    assert not n_active, "the oracle did not converge"
+    return _oracle_state(p, q), iterations
+
+
+def oracle_dg_step(s: State, tau: float, prm: PhysParams):
+    """The dg map and its Newton iteration count."""
+    p0, q0 = np.asarray(s.p, dtype=float), np.asarray(s.q, dtype=float)
+    a = 0.25 * tau * prm.upsilon
+    up, down = 1.0 + a, 1.0 - a
+    e1 = (2.0 * a) * p0
+    e2 = tau * p0 + (2.0 * a) * q0
+
+    def terms(x):
+        dp = x.p - p0
+        dq = x.q - q0
+        h = 0.5 * dq
+        mq = q0 + h
+        dd = dp * dp + dq * dq
+        inv = np.divide(1.0, dd, out=np.zeros_like(dd), where=dd >= 1e-28)
+        w = h * h * inv
+        return dp, dq, h, mq, inv, w, mq * dq * w
+
+    def residual(x):
+        dp, dq, h, mq, inv, w, c = terms(x)
+        return (up * dp + e1 + tau * (mq * mq * mq + c * dq),
+                down * dq - e2 - tau * ((0.5 + c) * dp))
+
+    def jacobian(x):
+        dp, dq, h, mq, inv, w, c = terms(x)
+        m2c = -2.0 * c * inv
+        dc_dp1 = m2c * dp
+        dc_dq1 = (h + 3.0 * mq) * w + m2c * dq
+        return (up + tau * (dc_dp1 * dq),
+                tau * (0.5 * (3.0 * mq**2) + dc_dq1 * dq + c),
+                -tau * (0.5 + c + dc_dp1 * dp),
+                down - tau * (dc_dq1 * dp))
+
+    guess = State(p0 - e1 - tau * (q0 * q0 * q0), q0 + e2)
+    return oracle_newton(residual, jacobian, guess)
+
+
+def oracle_sympl_euler_step(s: State, tau: float, prm: PhysParams) -> State:
+    u = prm.upsilon
+    p1 = (s.p - tau * (s.q * s.q * s.q)) / (1.0 + 0.5 * tau * u)
+    return State(p1, s.q + tau * (p1 + 0.5 * u * s.q))
+
+
+def oracle_ou_apply(decay: float, noise_std: float, s: State,
+                    z: ArrayLike) -> State:
+    return State(decay * s.p + noise_std * z, decay * s.q)
+
+
+def oracle_ou_coupled(s: State, increments: np.ndarray, tau_f: float,
+                      prm: PhysParams) -> State:
+    span = increments.shape[0] * tau_f
+    decay = math.exp(-0.5 * prm.upsilon * span)
+    k = np.arange(increments.shape[0])
+    w = np.exp(-0.5 * prm.upsilon * (span - (k + 0.5) * tau_f))
+    conv = w @ increments
+    if np.ndim(conv) == 0:
+        conv = float(conv)
+    return State(decay * s.p + prm.sigma * conv, decay * s.q)

@@ -8,6 +8,17 @@ passes, so each bound lives in one place: the recipe's checks in
 ``langsplit.cli`` (see the README for what each one compares).  Runs are
 desk-scaled as specified; fixed master seeds make the gate deterministic.
 
+Every line is also compared with ``acceptance.json``, which holds the
+gate's lines under the numpy version and SIMD dispatch target that printed
+them (the platform key of ``test_golden.py``), so a change that moves a
+printed figure fails on a platform the fixture names.  Rewrite it from a
+full gate run on such a platform:
+
+    PYTHONPATH=src python -m pytest -q -s tests/test_acceptance.py | \
+        grep "^ACCEPTANCE" > lines.txt
+
+and put those lines, in order, under the platform's key.
+
 Two criteria are more than recipe runs.  Criterion 04 is a property of the
 conservative maps, with no recipe, and is tested on the library.
 Criterion 07 runs ``ergodic-average`` from two initial values: the run from
@@ -30,11 +41,25 @@ from langsplit.cli import main
 from langsplit.detflow import conservative_step
 from langsplit.model import PhysParams, State, energy_H
 
+from test_golden import platform_key
+
 pytestmark = pytest.mark.acceptance
+
+FIXTURE = Path(__file__).with_name("acceptance.json")
+
+
+def _fixture_lines():
+    """The committed line of each criterion on this platform ({} where the
+    fixture does not name it)."""
+    lines = json.loads(FIXTURE.read_text())["lines"].get(platform_key(), [])
+    return {line.split(":")[0]: line for line in lines}
 
 
 def report(criterion, passed, detail):
-    print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
+    line = f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})"
+    print(line)
+    expected = _fixture_lines().get(f"ACCEPTANCE {criterion}")
+    assert expected in (None, line), f"{line!r} != fixture {expected!r}"
 
 
 def run_recipe(tmp_path, recipe, overrides, seed):

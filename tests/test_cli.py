@@ -409,6 +409,13 @@ def test_workers_flag_is_rejected(tmp_path):
                      "ref_tau = 2^-8\nT = 0.25\nn_paths = 20\n"),
     ("weak-order", "sigma = 1e-300\ntau_levels = 2^-4,2^-5,2^-6\n"
                    "ref_tau = 2^-8\nT = 0.25\nn_paths = 20\n"),
+    # Counts past 2^53, and counts that size arrays past memory.
+    ("histogram", "bins_p = 1e300\n"),
+    ("lyapunov", "n_draws = 1e300\n"),
+    ("jacobian", "n_draws = 1e300\nn_states = 2\n"),
+    ("histogram", "bins_p = 2^53\n"),
+    ("lyapunov", "n_draws = 2^53\n"),
+    ("jacobian", "n_states = 2^53\nn_draws = 1\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)
