@@ -17,7 +17,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .detflow import CONSERVATIVE_KINDS
-from .errors import EmptyWindow, NonConvergence, NonPositiveError
+from .errors import EmptyWindow, NonPositiveError
 from .model import (ArrayLike, EnergyConstants, PhysParams, State,
                     _position_weight_scale, energy_H, energy_H0,
                     exp_moment_rate_constant, position_marginal_normalizer)
@@ -145,12 +145,15 @@ def _fine_block(taus: Sequence[float], tau_f: float) -> int:
     return -(-_FINE_BLOCK // grain) * grain
 
 
+def _ignore(n: int, s: State) -> None:
+    pass
+
+
 def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
                   n_fine: int, prm: PhysParams, initial: State,
                   path_seeds: Sequence[int],
-                  record_every: Optional[Sequence[int]] = None,
-                  visit: Optional[Callable[[int, List[State]], None]] = None,
-                  block: Optional[int] = None) -> List[State]:
+                  visits: Optional[Sequence[Callable[[int, State], None]]]
+                  = None, block: Optional[int] = None) -> List[State]:
     """Run the scheme at each step of ``taus`` on shared fine Wiener paths.
 
     Path i's fine increments are the N(0, tau_f) draws of the stream of
@@ -158,19 +161,15 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
     ``n_fine`` steps.  They are drawn ``block`` fine steps at a time (by
     default :func:`_fine_block` of ``taus``), and every run crosses a block
     before the next one is drawn, in its place: one block is live at a
-    time.  ``visit(start, runs)`` is called after
-    each block starting at fine step ``start``.  With ``record_every`` (one
-    stride per run), ``runs`` holds each run's records in the block: its
-    states at the steps that are multiples of its stride, as one
-    :class:`State` of ``(records, width)`` arrays.  A block holds the
-    records after its first step, and the first block also step 0, so a
-    record can fall in any block and is visited once.  Returns the final
-    state of each run.  A :class:`NonConvergence` leaves its block with the
-    step index of the whole run.
+    time.  Run i is one :func:`_evolve` loop cut into blocks:
+    ``visits[i](n, state)`` sees its steps n = 0 through the last once
+    each, counted over the whole run, and a ``NonConvergence`` names the
+    step of the whole run.  Returns the final state of each run.
     """
     ratios = [steps_for(tau, tau_f, minimum=1) for tau in taus]
     if block is None:
         block = _fine_block(taus, tau_f)
+    visits = visits or [_ignore] * len(taus)
     width = len(path_seeds)
     rngs = [np.random.default_rng(seed) for seed in path_seeds]
     states = [initial] * len(taus)
@@ -178,34 +177,13 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
         # A Generator passed as a seed continues its stream.
         fine = increment_matrix(min(block, n_fine - start) * tau_f, tau_f,
                                 rngs)
-        runs = []
         for i, (tau, ratio) in enumerate(zip(taus, ratios)):
-            step0 = start // ratio
-            kept = []
-            if record_every is None:
-                def keep(n, s):
-                    pass
-            else:
-                # The step count runs on across blocks; a block's first
-                # state is the previous block's last.
-                def keep(n, s, every=record_every[i]):
-                    if (step0 + n) % every == 0 and (n > 0 or step0 == 0):
-                        kept.append(s)
-            try:
-                states[i] = _evolve(states[i], (width,), tau, prm, scheme,
-                                    _fine_windows(fine, ratio, tau_f), keep)
-            except NonConvergence as exc:
-                exc.step_index += step0
-                raise
-            if record_every is not None:
-                runs.append(State(
-                    np.array([s.p for s in kept]).reshape(len(kept), width),
-                    np.array([s.q for s in kept]).reshape(len(kept), width)))
+            states[i] = _evolve(states[i], (width,), tau, prm, scheme,
+                                _fine_windows(fine, ratio, tau_f), visits[i],
+                                start=start // ratio)
         # Every run has crossed the block: let it go before the next draw,
         # so that a run holds one block of increments, not two.
         del fine
-        if visit is not None:
-            visit(start, runs)
     return states
 
 
@@ -237,16 +215,25 @@ def _reference_and_levels(scheme: SchemeSpec, tau_levels: Sequence[float],
         return _coupled_runs(scheme, taus, tau_f, n_fine, prm, initial,
                              path_seeds)
 
+    block = _fine_block(taus, tau_f)
+
     def run(part):
-        # (final states, None), or (None, (blocks done, the exception)).
-        done = []
+        # (final states, None), or (None, (blocks crossed, the exception)).
+        # A part's last run crosses each block last, so the fine step that
+        # it has reached counts the blocks that the part has crossed.
+        reached = [0]
+
+        def count(n, s):
+            reached[0] = n
+
         try:
             return _coupled_runs(scheme, part, tau_f, n_fine, prm, initial,
-                                 path_seeds, block=_fine_block(taus, tau_f),
-                                 visit=lambda start, _: done.append(start)
+                                 path_seeds, block=block,
+                                 visits=[_ignore] * (len(part) - 1) + [count]
                                  ), None
         except Exception as exc:
-            return None, (len(done), exc)
+            ratio = steps_for(part[-1], tau_f, minimum=1)
+            return None, (reached[0] * ratio // block, exc)
 
     (ref, ref_failure), [(ok, theirs)] = beside(lambda: run(taus[:1]),
                                                 [lambda: run(taus[1:])])

@@ -182,22 +182,16 @@ class Config:
 # output helpers
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
 def _row_format(kinds) -> str:
-    """The ``%`` format of a row whose values have the types ``kinds``, as
-    :func:`_fmt` writes each; None where a value is a bool."""
+    """The ``%`` format of a row whose values have the types ``kinds``:
+    text as it is, integers in full and floats to 17 digits.  A bool has no
+    format of its own: a table writes it as text."""
     out = []
     for kind in kinds:
         if issubclass(kind, (bool, np.bool_)):
-            return None
-        out.append("%d" if issubclass(kind, (int, np.integer)) else "%.17g")
+            raise TypeError("a CSV value is a bool; write it as text")
+        out.append("%s" if issubclass(kind, str) else
+                   "%d" if issubclass(kind, (int, np.integer)) else "%.17g")
     return ",".join(out) + "\n"
 
 
@@ -216,9 +210,7 @@ def write_csv(path: Path, meta: dict, columns, rows):
             kinds = tuple(map(type, row))
             if kinds not in formats:
                 formats[kinds] = _row_format(kinds)
-            fmt = formats[kinds]
-            fh.write(fmt % tuple(row) if fmt else
-                     ",".join(map(_fmt, row)) + "\n")
+            fh.write(formats[kinds] % tuple(row))
 
 
 def _check(name, passed, margin):
@@ -600,7 +592,7 @@ def run_lyapunov(cfg: Config):
     tables = {"lyapunov.csv": (
         ["p0", "q0", "mc_mean", "std_error", "bound", "margin", "passed"],
         ((r.state.p, r.state.q, r.mc_mean, r.std_error, r.bound, r.margin,
-          r.passed) for r in records))}
+          "true" if r.passed else "false") for r in records))}
     worst = min(r.margin for r in records)
     return (tables, {"n_states": len(records), "worst_margin": worst},
             [_check("lyapunov_contraction", all(r.passed for r in records),

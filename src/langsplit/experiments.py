@@ -174,17 +174,23 @@ def long_time_error(scheme: SchemeSpec, tau: float, reference_tau_f: float,
 
     def work(path_seeds):
         part = np.zeros(n_rec + 1)
+        # The reference crosses each block first: its records wait here, by
+        # record index, for the numerical run's.
+        waiting = {}
 
-        def add_block(start, runs):
-            # A block after the first holds the records after its first step.
-            ref, num = runs
-            err = (num.p - ref.p) ** 2 + (num.q - ref.q) ** 2
-            first_rec = 0 if start == 0 else start // fine_stride + 1
-            part[first_rec:first_rec + len(err)] += err.sum(axis=1)
+        def reference(n, s):
+            if n % fine_stride == 0:
+                waiting[n // fine_stride] = s
+
+        def numerical(n, s):
+            if n % stride == 0:
+                ref = waiting.pop(n // stride)
+                err = (s.p - ref.p) ** 2 + (s.q - ref.q) ** 2
+                part[n // stride] += err.sum()
 
         _coupled_runs(scheme, [reference_tau_f, tau], reference_tau_f,
                       n_steps * ratio, prm, initial, path_seeds,
-                      record_every=[fine_stride, stride], visit=add_block)
+                      visits=[reference, numerical])
         return part
 
     acc = np.zeros(n_rec + 1)

@@ -93,10 +93,14 @@ def steps_for(T: float, tau: float, minimum: int = 0) -> int:
 
     Raises :class:`NonIntegralGrid` unless ``T`` is a finite integer
     multiple of a finite ``tau`` (to a relative 1e-9) of at least
-    ``minimum`` steps.
+    ``minimum`` and at most 2^53 steps: above 2^53, ``n * tau`` can no
+    longer name an integer n.
     """
     ratio = T / tau if tau > 0 else math.nan
     n = int(round(ratio)) if math.isfinite(ratio) else -1
+    if n > 2**53:
+        raise NonIntegralGrid(
+            f"{T:g} is {ratio:.3g} steps of {tau:g}, more than 2^53")
     # Written so that a NaN (an infinite step) fails the test.
     if n < minimum or not abs(n * tau - T) <= 1e-9 * max(abs(T), tau):
         raise NonIntegralGrid(
@@ -127,7 +131,11 @@ def map_chunks(work: Callable[[np.ndarray], _R], n_paths: int,
     ``k, k + w, ...`` up to its first failure while this process waits.
     The first failing chunk's exception is raised, as in a run of the
     chunks in turn, once every worker has ended: it stops no other worker.
+    An ensemble of no paths raises ``ValueError``.
     """
+    if n_paths < 1:
+        raise ValueError(f"an ensemble needs at least one path, got {n_paths}")
+
     def chunk(first: int) -> _R:
         try:
             return work(seeds.path_seeds(min(PATH_CHUNK, n_paths - first),

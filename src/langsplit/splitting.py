@@ -158,22 +158,25 @@ def _check_finite(s: State, step_index: int) -> None:
 
 def _evolve(initial: State, shape: tuple, tau: float, prm: PhysParams,
             spec: SchemeSpec, noise: Iterable[Noise],
-            visit: Callable[[int, State], None]) -> State:
+            visit: Callable[[int, State], None], start: int = 0) -> State:
     """The stepping loop of every run: one scheme step per item of ``noise``.
 
-    ``initial`` is copied out to a batch of the given shape; ``visit(n,
-    state)`` sees step n = 0 through the last step, and the final state is
+    ``initial`` is copied out to a batch of the given shape: the state at
+    step ``start``, which is 0 or, for a run cut into time blocks, the step
+    that the previous block ended at and visited.  ``visit(n, state)`` sees
+    each new step n, from 0 through the last, and the final state is
     returned.  Every state is checked before it is visited, so a non-finite
     state raises :class:`NonConvergence` naming its step and its lane; a
     solver failure names the step it was taking and, for a batch, its first
-    unconverged lane.  Steps and lanes count from the batch's own start:
-    the code that cuts a run into chunks or blocks offsets them.
+    unconverged lane.  Lanes count from the batch's own start: the code
+    that cuts a run into chunks offsets them.
     """
     cur = State(np.broadcast_to(np.asarray(initial.p, float), shape).astype(float),
                 np.broadcast_to(np.asarray(initial.q, float), shape).astype(float))
-    _check_finite(cur, 0)
-    visit(0, cur)
-    for n, dw in enumerate(noise, 1):
+    if start == 0:
+        _check_finite(cur, 0)
+        visit(0, cur)
+    for n, dw in enumerate(noise, start + 1):
         try:
             cur = scheme_step(cur, tau, prm, spec, dw)
         except NonConvergence as exc:
@@ -182,6 +185,22 @@ def _evolve(initial: State, shape: tuple, tau: float, prm: PhysParams,
         _check_finite(cur, n)
         visit(n, cur)
     return cur
+
+
+def _recorder(n_steps: int, every: int, tau: float, shape: tuple):
+    """A visitor that records the states at the steps that are multiples of
+    ``every``, and the :class:`Trajectory` it fills."""
+    n_rec = n_steps // every
+    traj = Trajectory(times=np.arange(n_rec + 1) * (tau * every),
+                      p=np.empty((n_rec + 1,) + shape),
+                      q=np.empty((n_rec + 1,) + shape))
+
+    def record(n, s):
+        if n % every == 0:
+            traj.p[n // every] = s.p
+            traj.q[n // every] = s.q
+
+    return record, traj
 
 
 def simulate(initial: State, T: float, tau: float, prm: PhysParams,
@@ -224,17 +243,10 @@ def simulate(initial: State, T: float, tau: float, prm: PhysParams,
                 f"per-path seeds (n={len(seed)}) require a matching 1-D batch "
                 f"of initial states, got batch shape {batch_shape}")
 
-    p_out = np.empty((n_steps + 1,) + batch_shape)
-    q_out = np.empty_like(p_out)
-
-    def record(n, s):
-        p_out[n] = s.p
-        q_out[n] = s.q
-
+    record, traj = _recorder(n_steps, 1, tau, batch_shape)
     _evolve(initial, batch_shape, tau, prm, spec, path_noise(seed, n_steps),
             record)
-    times = np.arange(n_steps + 1) * tau
-    return Trajectory(times=times, p=p_out, q=q_out)
+    return traj
 
 
 def _fine_windows(increments: np.ndarray, ratio: int,
@@ -281,15 +293,6 @@ def simulate_on_grid(initial: State, tau: float, prm: PhysParams,
 
     if n_steps % record_every != 0:
         raise ValueError("record_every must tile the number of steps")
-    n_rec = n_steps // record_every
-    p_out = np.empty((n_rec + 1,) + batch_shape)
-    q_out = np.empty_like(p_out)
-
-    def record(n, s):
-        if n % record_every == 0:
-            p_out[n // record_every] = s.p
-            q_out[n // record_every] = s.q
-
+    record, traj = _recorder(n_steps, record_every, tau, batch_shape)
     _evolve(initial, batch_shape, tau, prm, spec, windows, record)
-    times = np.arange(n_rec + 1) * (tau * record_every)
-    return Trajectory(times=times, p=p_out, q=q_out)
+    return traj

@@ -896,6 +896,38 @@ POOLED_RUNS = {**CHUNKED_RUNS, "histogram_snapshots": _histogram,
                "ergodic_averages": _ergodic}
 
 
+# Every driver that runs its paths through ``map_chunks``, at no paths.
+EMPTY_ENSEMBLE_RUNS = {
+    "ergodic_averages": lambda: ergodic_averages(
+        SAVF, PRM10, 2.0**-6, 0.5, 0.125, 0, SeedPolicy(5), ORIGIN,
+        {"p2": lambda p, q: p * p}),
+    "msd_experiment": lambda: msd_experiment(
+        SAVF, PRM10, 2.0**-6, 0.5, 0, SeedPolicy(5), ORIGIN),
+    "histogram_snapshots": lambda: histogram_snapshots(
+        SAVF, PRM15, 2.0**-6, [0.0, 0.25], 0, SeedPolicy(5), ORIGIN,
+        (12, 12), (-2, 2), (-2, 2)),
+    "long_time_error": lambda: long_time_error(
+        SAVF, 2.0**-5, 2.0**-7, 1.0, PRM10, 0, SeedPolicy(5), n_records=8),
+    "strong_error": lambda: analysis.strong_error(
+        SAVF, [2.0**-3, 2.0**-4, 2.0**-5], 2.0**-7, 0.5, PRM10, 0,
+        SeedPolicy(5)),
+    "weak_error": lambda: analysis.weak_error(
+        SAVF, lambda p, q: np.sin(p) * np.sin(q),
+        [2.0**-3, 2.0**-4, 2.0**-5], 2.0**-7, 0.5, PRM10, 0, SeedPolicy(5)),
+    "exp_moment_monitor": lambda: exp_moment_monitor(
+        SAVF, PRM10, 2.0**-6, 0.5, 0, SeedPolicy(5)),
+    "h0_dissipation_compare": lambda: h0_dissipation_compare(
+        PRM10, 2.0**-6, 0.5, State(0.0, 2.0), 0, SeedPolicy(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_ENSEMBLE_RUNS))
+def test_an_empty_ensemble_raises(name):
+    # Not a NaN, nor an error that blames the math or the window.
+    with pytest.raises(ValueError, match="at least one path"):
+        EMPTY_ENSEMBLE_RUNS[name]()
+
+
 @pytest.mark.parametrize("name", sorted(POOLED_RUNS))
 def test_worker_count_keeps_the_bits(name, monkeypatch):
     # Five chunks: workers return each chunk's partial result and the
@@ -982,16 +1014,17 @@ def test_small_levels_stay_in_one_process(monkeypatch):
 
 def _planted(failures):
     """``_evolve`` whose run at step tau fails in block ``failures[tau]``
-    (its k-th call is its k-th block), naming the run in the message."""
+    (its k-th call is its k-th block), naming the run in the message and,
+    as ``_evolve`` does, the step of the whole run."""
     calls = collections.Counter()
 
-    def evolve(initial, shape, tau, *args):
+    def evolve(initial, shape, tau, *args, start=0):
         block = calls[tau]
         calls[tau] += 1
         if failures.get(tau) == block:
-            raise NonConvergence(f"planted at tau {tau:g}", step_index=1,
-                                 path_index=2)
-        return _evolve(initial, shape, tau, *args)
+            raise NonConvergence(f"planted at tau {tau:g}",
+                                 step_index=start + 1, path_index=2)
+        return _evolve(initial, shape, tau, *args, start=start)
     return evolve
 
 

@@ -17,7 +17,7 @@ import langsplit
 import langsplit.cli
 from langsplit import analysis, experiments, montecarlo
 from langsplit.cli import (RECIPES, Config, ConfigError, main, msd_approach,
-                           parse_config_file, _parse_number)
+                           parse_config_file, write_csv, _parse_number)
 
 from helpers import no_child_left
 
@@ -153,6 +153,18 @@ def test_lyapunov_recipe(tmp_path):
             if l and not l.startswith("#")]
     assert rows[0] == "p0,q0,mc_mean,std_error,bound,margin,passed"
     assert len(rows) == 3
+    assert all(row.endswith((",true", ",false")) for row in rows[1:])
+
+
+def test_csv_rows_have_one_format(tmp_path):
+    # Text as it is, integers in full, floats to 17 digits, in one format
+    # per row; a bool is refused, not printed as 1.
+    path = tmp_path / "t.csv"
+    write_csv(path, {}, ["a", "b", "c"], [(0.1, np.int64(3), "true")])
+    assert path.read_text().splitlines()[-1] == "0.10000000000000001,3,true"
+    for flag in (True, np.bool_(False)):
+        with pytest.raises(TypeError):
+            write_csv(path, {}, ["a", "b"], [(0.1, flag)])
 
 
 def test_phase_area_recipe_small(tmp_path):
@@ -416,6 +428,11 @@ def test_workers_flag_is_rejected(tmp_path):
     ("histogram", "bins_p = 2^53\n"),
     ("lyapunov", "n_draws = 2^53\n"),
     ("jacobian", "n_states = 2^53\nn_draws = 1\n"),
+    # Horizons of more than 2^53 steps, which would run for ever.
+    ("strong-order", "T = 1e300\nn_paths = 2\n"),
+    ("long-time-error", "T = 1e15\nn_paths = 2\n"),
+    ("histogram", "times = 0,1e300\n"),
+    ("ergodic-average", "T = 1e300\n"),
 ])
 def test_bad_config_value_is_exit_two(tmp_path, capsys, name, config_text):
     code, out = run_cli(tmp_path, name, config_text)

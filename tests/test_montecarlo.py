@@ -223,6 +223,19 @@ def test_non_finite_horizon_or_step_is_no_grid():
     assert montecarlo.steps_for(1.0, 0.125) == 8
 
 
+def test_more_than_2_to_the_53_steps_is_no_grid():
+    # Above 2^53 steps, n * tau can no longer name an integer n.
+    assert montecarlo.steps_for(2.0**53, 1.0) == 2**53
+    for T, tau in ((2.0**54, 1.0), (1e300, 2.0**-6), (1e15, 2.0**-8)):
+        with pytest.raises(NonIntegralGrid, match="2\\^53"):
+            montecarlo.steps_for(T, tau)
+
+
+def test_an_empty_ensemble_raises():
+    with pytest.raises(ValueError, match="at least one path"):
+        montecarlo.map_chunks(lambda seeds: len(seeds), 0, SeedPolicy(1))
+
+
 class TestGenerateGrid:
     """Fine Brownian grids as built by ``increment_matrix``."""
 
