@@ -153,22 +153,21 @@ def _coupled_runs(scheme: SchemeSpec, taus: Sequence[float], tau_f: float,
                   n_fine: int, prm: PhysParams, initial: State,
                   path_seeds: Sequence[int],
                   visits: Optional[Sequence[Callable[[int, State], None]]]
-                  = None, block: Optional[int] = None) -> List[State]:
+                  = None) -> List[State]:
     """Run the scheme at each step of ``taus`` on shared fine Wiener paths.
 
     Path i's fine increments are the N(0, tau_f) draws of the stream of
     ``path_seeds[i]`` in time order, as in one ``increment_matrix`` over the
-    ``n_fine`` steps.  They are drawn ``block`` fine steps at a time (by
-    default :func:`_fine_block` of ``taus``), and every run crosses a block
-    before the next one is drawn, in its place: one block is live at a
-    time.  Run i is one :func:`_evolve` loop cut into blocks:
-    ``visits[i](n, state)`` sees its steps n = 0 through the last once
-    each, counted over the whole run, and a ``NonConvergence`` names the
-    step of the whole run.  Returns the final state of each run.
+    ``n_fine`` steps.  They are drawn :func:`_fine_block` of ``taus`` fine
+    steps at a time, and every run crosses a block before the next one is
+    drawn, in its place: one block is live at a time.  Run i is one
+    :func:`_evolve` loop cut into blocks: ``visits[i](n, state)`` sees its
+    steps n = 0 through the last once each, counted over the whole run, and
+    a ``NonConvergence`` names the step of the whole run.  Returns the final
+    state of each run.
     """
     ratios = [steps_for(tau, tau_f, minimum=1) for tau in taus]
-    if block is None:
-        block = _fine_block(taus, tau_f)
+    block = _fine_block(taus, tau_f)
     visits = visits or [_ignore] * len(taus)
     width = len(path_seeds)
     rngs = [np.random.default_rng(seed) for seed in path_seeds]
@@ -205,46 +204,32 @@ def _reference_and_levels(scheme: SchemeSpec, tau_levels: Sequence[float],
     Given the Wiener paths the reference and the levels are independent
     runs.  Where :func:`levels_beside` says so, the levels run in a worker
     beside the reference, drawing the same fine increments from the same
-    seeds in the same blocks, so every state has the bits of the joint
-    :func:`_coupled_runs`, run otherwise.
-    A failure raises what the joint run raises: the failure of the
-    earliest block, the reference's before the levels'.
+    seeds in blocks of their own, so every state has the bits of the joint
+    :func:`_coupled_runs`, run otherwise.  If either part raises, the joint
+    run is made again in this process and raises what a run in one process
+    raises.
     """
-    taus = [tau_f, *tau_levels]
-    if not levels_beside(tau_levels, tau_f, n_fine, len(path_seeds)):
-        return _coupled_runs(scheme, taus, tau_f, n_fine, prm, initial,
+    def run(part):
+        return _coupled_runs(scheme, part, tau_f, n_fine, prm, initial,
                              path_seeds)
 
-    block = _fine_block(taus, tau_f)
+    taus = [tau_f, *tau_levels]
+    if not levels_beside(tau_levels, tau_f, n_fine, len(path_seeds)):
+        return run(taus)
 
-    def run(part):
-        # (final states, None), or (None, (blocks crossed, the exception)).
-        # A part's last run crosses each block last, so the fine step that
-        # it has reached counts the blocks that the part has crossed.
-        reached = [0]
-
-        def count(n, s):
-            reached[0] = n
-
+    def reference():
         try:
-            return _coupled_runs(scheme, part, tau_f, n_fine, prm, initial,
-                                 path_seeds, block=block,
-                                 visits=[_ignore] * (len(part) - 1) + [count]
-                                 ), None
-        except Exception as exc:
-            ratio = steps_for(part[-1], tau_f, minimum=1)
-            return None, (reached[0] * ratio // block, exc)
+            return run(taus[:1])
+        except Exception:
+            return None  # the joint run below fails in its place
 
-    (ref, ref_failure), [(ok, theirs)] = beside(lambda: run(taus[:1]),
-                                                [lambda: run(taus[1:])])
-    if not ok:
-        raise theirs
-    levels, level_failure = theirs
-    failures = [f for f in (ref_failure, level_failure) if f is not None]
-    if failures:
-        # Of two failures in one block, min keeps the first: the reference's.
-        raise min(failures, key=lambda f: f[0])[1]
-    return ref + levels
+    ref, [(ok, levels)] = beside(reference, [lambda: run(taus[1:])])
+    if ok and ref is not None:
+        return ref + levels
+    if not ok and not isinstance(levels, Exception):
+        raise levels
+    # A part failed: the joint run, made here, fails as one process does.
+    return run(taus)
 
 
 class _ChunkMoments:

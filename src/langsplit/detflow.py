@@ -70,17 +70,17 @@ NEWTON_MAX_ITER = 50
 
 
 def _check_tau(tau: float, prm: PhysParams) -> None:
-    # tau == 0 is the identity map and always fine; the upper bound keeps
+    # A step is > 0, so 0 and NaN are refused; the upper bound keeps
     # (1 - tau*u/4) and (1 + tau*u/2) away from 0, and the lower one keeps
     # the cubic's coefficients (8/tau^2 and its like) finite.
-    if tau < 0:
-        raise ValueError(f"step size must be nonnegative, got {tau}")
+    if not tau > 0:
+        raise ValueError(f"step size must be positive, got {tau}")
     square = float(tau * tau)
-    if tau > 0 and not (square > 0 and math.isfinite(8.0 / square)):
+    if not (square > 0 and math.isfinite(8.0 / square)):
         raise ValueError(f"step size {tau} is too small: 8/tau^2 is not a "
                          "finite float")
     limit = min(1.0, 2.0 / prm.upsilon)
-    if tau >= limit and tau > 0:
+    if tau >= limit:
         raise ValueError(
             f"step size {tau} outside (0, {limit}) for upsilon={prm.upsilon}; "
             "the implicit solves are not well-conditioned there")
@@ -322,8 +322,6 @@ def avf_step(s: State, tau: float, prm: PhysParams) -> State:
     """
     _check_tau(tau, prm)
     k, p0, q0 = _load(s)
-    if tau == 0:
-        return State(p0, q0)
     return _cubic_map(k, p0, q0, prm, _avf_constants(tau, prm.upsilon))
 
 
@@ -447,8 +445,6 @@ def pavf_step(s: State, tau: float, prm: PhysParams) -> State:
     """
     _check_tau(tau, prm)
     k, p0, q0 = _load(s)
-    if tau == 0:
-        return State(p0, q0)
     return _cubic_map(k, p0, q0, prm, _pavf_constants(tau, prm.upsilon))
 
 
@@ -469,8 +465,8 @@ def sympl_euler_step(s: State, tau: float, prm: PhysParams) -> State:
 
     Does not conserve ``H`` (the defect is O(tau^2) per step).
     """
-    if tau < 0:
-        raise ValueError(f"step size must be nonnegative, got {tau}")
+    if not tau > 0:
+        raise ValueError(f"step size must be positive, got {tau}")
     k, p0, q0 = _load(s)
     tau_c, scale, half_u = _sympl_euler_constants(tau, prm.upsilon)[k.form]
     mul, add = k.mul, k.add

@@ -92,17 +92,23 @@ def steps_for(T: float, tau: float, minimum: int = 0) -> int:
     """Number of steps of size ``tau`` that tile ``[0, T]`` exactly.
 
     Raises :class:`NonIntegralGrid` unless ``T`` is a finite integer
-    multiple of a finite ``tau`` (to a relative 1e-9) of at least
-    ``minimum`` and at most 2^53 steps: above 2^53, ``n * tau`` can no
-    longer name an integer n.
+    multiple of a finite ``tau`` of at least ``minimum`` and at most 2^53
+    steps: above 2^53, ``n * tau`` can no longer name an integer n.  The
+    horizon may be off the grid by a relative 1e-9 and by less than half
+    a step, the tighter bound above 5e8 steps.  An exact grid whose ``T``
+    and ``tau`` are each rounded to a float is recognised up to 2^50 steps
+    (about 1.1e15), where the roundings of ``T``, ``tau`` and ``T / tau``
+    together stay below 0.375 of a step.
     """
     ratio = T / tau if tau > 0 else math.nan
     n = int(round(ratio)) if math.isfinite(ratio) else -1
     if n > 2**53:
         raise NonIntegralGrid(
             f"{T:g} is {ratio:.3g} steps of {tau:g}, more than 2^53")
+    off = abs(n * tau - T)
     # Written so that a NaN (an infinite step) fails the test.
-    if n < minimum or not abs(n * tau - T) <= 1e-9 * max(abs(T), tau):
+    if n < minimum or not (off <= 1e-9 * max(abs(T), tau)
+                           and off < 0.5 * tau):
         raise NonIntegralGrid(
             f"{T:g} is not an integer multiple of the step {tau:g}")
     return n

@@ -111,8 +111,6 @@ def _apply_noise(s: State, tau: float, prm: PhysParams, noise: Noise) -> State:
 def lie_trotter_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
                      noise: Noise) -> State:
     """One single-sweep step: conservative map, then stochastic flow."""
-    if tau == 0:
-        return s
     mid = conservative_step(spec.map_kind, s, tau, prm)
     return _apply_noise(mid, tau, prm, noise)
 
@@ -120,8 +118,6 @@ def lie_trotter_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
 def strang_step(s: State, tau: float, prm: PhysParams, spec: SchemeSpec,
                 noise: Noise) -> State:
     """One symmetric step: half map, full stochastic flow, half map."""
-    if tau == 0:
-        return s
     half = conservative_step(spec.map_kind, s, 0.5 * tau, prm)
     mid = _apply_noise(half, tau, prm, noise)
     return conservative_step(spec.map_kind, mid, 0.5 * tau, prm)

@@ -1,4 +1,3 @@
-import collections
 import math
 import os
 import weakref
@@ -1013,15 +1012,13 @@ def test_small_levels_stay_in_one_process(monkeypatch):
 
 
 def _planted(failures):
-    """``_evolve`` whose run at step tau fails in block ``failures[tau]``
-    (its k-th call is its k-th block), naming the run in the message and,
-    as ``_evolve`` does, the step of the whole run."""
-    calls = collections.Counter()
-
+    """``_evolve`` whose run at step tau fails in block ``failures[tau]`` of
+    8 fine steps of ``REF``, the block that its ``start`` opens, naming the
+    run in the message and, as ``_evolve`` does, the step of the whole run.
+    As a real failure, it depends on the state alone: a run made again
+    fails again."""
     def evolve(initial, shape, tau, *args, start=0):
-        block = calls[tau]
-        calls[tau] += 1
-        if failures.get(tau) == block:
+        if failures.get(tau) == start * tau / (8 * REF):
             raise NonConvergence(f"planted at tau {tau:g}",
                                  step_index=start + 1, path_index=2)
         return _evolve(initial, shape, tau, *args, start=start)
@@ -1088,3 +1085,40 @@ def test_split_names_the_step_and_path_of_a_divergence(name, monkeypatch):
         no_child_left()
     assert len(forks) == 1
     assert raised[1] == raised[2]
+
+
+def _die():
+    os._exit(3)
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("end, raised", [(_die, ChildProcessError),
+                                         (_interrupt, KeyboardInterrupt)],
+                         ids=["dies", "interrupted"])
+def test_a_levels_worker_without_a_result_starts_no_joint_run(
+        end, raised, monkeypatch):
+    # A worker that dies without an outcome, or reports one that is no
+    # Exception, raises that at once: the joint run is not made again.
+    monkeypatch.setattr(analysis, "_SPLIT_MIN_LANE_STEPS", 100)
+    monkeypatch.setattr(montecarlo, "WORKERS", 2)
+    parent = os.getpid()
+    runs = []
+    original = analysis._coupled_runs
+
+    def stand_in(scheme, taus, *args):
+        if os.getpid() != parent:
+            end()
+        runs.append(list(taus))
+        return original(scheme, taus, *args)
+
+    monkeypatch.setattr(analysis, "_coupled_runs", stand_in)
+    forks = _forks(monkeypatch)
+    with pytest.raises(raised):
+        analysis.coupled_terminal_stats(SAVF, [COARSE, FINE], REF, 0.5,
+                                        PRM10, 40, SeedPolicy(5))
+    assert forks == [parent]
+    assert runs == [[REF]]
+    no_child_left()

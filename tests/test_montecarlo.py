@@ -223,6 +223,16 @@ def test_non_finite_horizon_or_step_is_no_grid():
     assert montecarlo.steps_for(1.0, 0.125) == 8
 
 
+def test_half_a_step_off_is_no_grid_on_a_long_horizon():
+    # At 2.56e9 steps a relative 1e-9 is 2.56 steps wide: half a step off
+    # the grid is refused all the same, and an exact grid still passes.
+    with pytest.raises(NonIntegralGrid, match="not an integer multiple"):
+        montecarlo.steps_for(1e7 + 2**-9, 2**-8)
+    assert montecarlo.steps_for(1e7, 2**-8) == 2_560_000_000
+    assert montecarlo.steps_for(2.0**40, 2.0**-8) == 2**48
+    assert montecarlo.steps_for(1e14, 0.1) == 10**15
+
+
 def test_more_than_2_to_the_53_steps_is_no_grid():
     # Above 2^53 steps, n * tau can no longer name an integer n.
     assert montecarlo.steps_for(2.0**53, 1.0) == 2**53

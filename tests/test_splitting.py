@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from langsplit import detflow
-from langsplit.detflow import avf_step
+from langsplit.detflow import avf_step, dg_step, pavf_step, sympl_euler_step
 from langsplit.errors import NonConvergence, NonIntegralGrid
 from langsplit.model import PhysParams, State, energy_H
 from langsplit.montecarlo import SeedPolicy, increment_matrix
@@ -50,12 +50,28 @@ class TestSchemeSpec:
             assert SchemeSpec.from_name(name).name == name
 
 
-class TestLieTrotterStep:
-    def test_zero_step_identity(self):
-        s = State(0.7, -0.2)
-        out = lie_trotter_step(s, 0.0, PRM10, SAVF, 1.3)
-        assert out == s
+# Every map and both compositions, one step of size tau from one state.
+STEP_TAKERS = {
+    "avf": lambda s, tau: avf_step(s, tau, PRM10),
+    "dg": lambda s, tau: dg_step(s, tau, PRM10),
+    "pavf": lambda s, tau: pavf_step(s, tau, PRM10),
+    "sympl_euler": lambda s, tau: sympl_euler_step(s, tau, PRM10),
+    "lie_trotter": lambda s, tau: lie_trotter_step(s, tau, PRM10, SAVF, 1.3),
+    "strang": lambda s, tau: strang_step(
+        s, tau, PRM10, SchemeSpec.from_name("strang-savf"), 0.4),
+}
 
+
+@pytest.mark.parametrize("tau", [0.0, -2.0**-8, math.nan],
+                         ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("name", sorted(STEP_TAKERS))
+def test_a_step_that_is_not_positive_is_refused(name, tau):
+    # Not an identity map, nor a NaN state or a failure of a later stage.
+    with pytest.raises(ValueError, match="step size must be positive, got "):
+        STEP_TAKERS[name](State(0.3, -1.7), tau)
+
+
+class TestLieTrotterStep:
     def test_noise_free_sympl_euler_composition(self):
         prm = PhysParams(2.0, 0.0)
         spec = SchemeSpec.from_name("sympl-euler")
@@ -85,11 +101,6 @@ class TestLieTrotterStep:
 
 
 class TestStrangStep:
-    def test_zero_step_identity(self):
-        s = State(0.7, -0.2)
-        spec = SchemeSpec.from_name("strang-savf")
-        assert strang_step(s, 0.0, PRM10, spec, 0.4) == s
-
     def test_noise_free_half_steps_conserve_energy(self):
         prm = PhysParams(10.0, 0.0)
         tau = 2.0**-6
