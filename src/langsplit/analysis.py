@@ -9,7 +9,6 @@ boundedness, and the conformal contraction of phase-space volume.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -365,13 +364,27 @@ class Histogram2D:
         return self.counts / self.n_samples
 
 
-@functools.cache
-def _gauss_legendre_20() -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1],
-    built on first use so that importing the package loads no
-    ``numpy.polynomial``."""
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(20)
+# The 20-point Gauss-Legendre rule on [-1, 1]: exactly the floats of
+# numpy's ``leggauss(20)`` (numpy 2.4.6), as a table, so that no run loads
+# ``numpy.polynomial`` or calls LAPACK's eigensolver for 40 fixed numbers.
+# ``tests/test_analysis.py`` pins it to ``leggauss``.
+_GL20_NODES = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326,
+    -0.8391169718222188, -0.7463319064601508, -0.636053680726515,
+    -0.5108670019508271, -0.37370608871541955, -0.22778585114164507,
+    -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+    0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.993128599185095])
+_GL20_WEIGHTS = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879,
+    0.08327674157670471, 0.1019301198172407, 0.1181945319615186,
+    0.1316886384491769, 0.1420961093183824, 0.14917298647260424,
+    0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+    0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+    0.040601429800386446, 0.017614007139150893])
+_GL20_NODES.flags.writeable = _GL20_WEIGHTS.flags.writeable = False
 
 
 def gibbs_bin_masses(prm: PhysParams, p_edges: np.ndarray,
@@ -385,9 +398,10 @@ def gibbs_bin_masses(prm: PhysParams, p_edges: np.ndarray,
     clipped to ``|q| <= (45/c)^(1/4)``, beyond which the integrand is below
     1e-19, and split into equal panels no wider than ``c^(-1/4) / 2``, on
     which the integrand is smooth enough for the rule to reach rounding.
+    The rule is the table ``_GL20_NODES``, ``_GL20_WEIGHTS``: the floats of
+    numpy's ``leggauss(20)``, fixed at import, with no solver run.
     """
     c = _position_weight_scale(prm)
-    nodes, weights = _gauss_legendre_20()
     sd = prm.sigma / math.sqrt(2.0 * prm.upsilon)
     p_cdf = np.array([0.5 * (1.0 + math.erf(e / (sd * math.sqrt(2.0))))
                       for e in p_edges])
@@ -403,9 +417,9 @@ def gibbs_bin_masses(prm: PhysParams, p_edges: np.ndarray,
     owner = np.repeat(np.arange(len(lo)), n_panels)
     k = np.arange(len(owner)) - (np.cumsum(n_panels) - n_panels)[owner]
     half = 0.5 * width[owner] / n_panels[owner]
-    q = (lo[owner] + (2 * k + 1) * half)[:, None] + half[:, None] * nodes
+    q = (lo[owner] + (2 * k + 1) * half)[:, None] + half[:, None] * _GL20_NODES
     q2 = q * q
-    panel = half * (np.exp(-c * (q2 * q2)) @ weights)
+    panel = half * (np.exp(-c * (q2 * q2)) @ _GL20_WEIGHTS)
     q_mass = np.bincount(owner, weights=panel, minlength=len(lo))
     return np.outer(p_mass, q_mass / position_marginal_normalizer(prm))
 

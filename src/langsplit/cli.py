@@ -261,6 +261,22 @@ def _fits(keys, floats):
                           f"the {memory / 2**30:.3g} GiB of physical memory")
 
 
+# The most lane-steps (one path advanced one step) a run may take: on a
+# two-core x86_64 box, about 13 hours of a histogram run at 23M lane-steps/s
+# and 3 days of path-coupled order studies at 4.4M.  The largest gate run,
+# criterion 08's histogram, takes 3.3e8.
+MAX_LANE_STEPS = 2**40
+
+
+def _bounded(keys, lane_steps):
+    """Fail, naming ``keys``, where a run would take more than
+    ``MAX_LANE_STEPS`` lane-steps: paths times steps, summed over runs."""
+    if lane_steps > MAX_LANE_STEPS:
+        raise ConfigError(f"config keys {', '.join(map(repr, keys))}: "
+                          f"{lane_steps:.3g} lane-steps, more than the "
+                          f"{MAX_LANE_STEPS:.3g} that a run may take")
+
+
 def _common(cfg, scheme_default="savf", upsilon=10.0):
     """Scheme (``None`` without a default), parameters and master seed."""
     scheme = None
@@ -301,6 +317,7 @@ def run_simulate(cfg: Config):
     scheme, prm, seed = _common(cfg)
     tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 1.0)
     _fits(("T", "tau"), 3 * (n_steps + 1))  # times, p, q
+    _bounded(("T", "tau"), n_steps)
     initial = _initial(cfg)
     cfg.reject_unread()
     traj = simulate(initial, T, tau, prm, scheme, seed)
@@ -323,18 +340,22 @@ def _order_recipe(cfg, weak):
         raise ConfigError(f"config key 'tau_levels': an order fit needs at "
                           f"least 3 distinct levels, got {len(set(levels))}")
     ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-13), scheme, prm)
+    n_steps = [_valid(("T", "ref_tau"), steps_for, T, ref)]
     for tau in levels:
         _step("tau_levels", tau, scheme, prm)
         # A level of the reference's own step has no error to fit.
         _valid(("tau_levels", "ref_tau"), steps_for, tau, ref, minimum=2)
-        _valid(("T", "tau_levels"), steps_for, T, tau, minimum=1)
+        n_steps.append(_valid(("T", "tau_levels"), steps_for, T, tau,
+                              minimum=1))
     n_paths = cfg.integer("n_paths", 5000 if weak else 1000, minimum=2)
-    plan = _plan(n_paths, analysis.levels_beside(
-        levels, ref, _valid(("T", "ref_tau"), steps_for, T, ref), n_paths))
+    plan = _plan(n_paths, analysis.levels_beside(levels, ref, n_steps[0],
+                                                 n_paths))
     # One block of fine increments, a chunk wide, in each process.
     _fits(("tau_levels", "ref_tau", "n_paths"),
           plan["workers"] * min(n_paths, montecarlo.PATH_CHUNK)
           * analysis._fine_block([ref, *levels], ref))
+    _bounded(("T", "tau_levels", "ref_tau", "n_paths"),
+             n_paths * sum(n_steps))
     initial = _initial(cfg)
     if prm.sigma * prm.sigma == 0 and initial.p == 0 and initial.q == 0:
         # The origin is a fixed point of the noise-free dynamics.
@@ -381,8 +402,12 @@ def run_long_time_error(cfg: Config):
     tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 100.0, minimum=1)
     ref = _step("ref_tau", cfg.num("ref_tau", 2.0**-11), scheme, prm)
     # A run at the reference's own step has no error to track.
-    _valid(("tau", "ref_tau"), steps_for, tau, ref, minimum=2)
+    ratio = _valid(("tau", "ref_tau"), steps_for, tau, ref, minimum=2)
     n_paths = cfg.integer("n_paths", 200)
+    # The run at tau and the reference, on each path; before the record
+    # rule, whose search for a stride grows with the steps.
+    _bounded(("T", "tau", "ref_tau", "n_paths"),
+             n_paths * n_steps * (1 + ratio))
     initial = _initial(cfg)
     n_records = cfg.integer("n_records", 1024)
     # The first tenth of the horizon must hold a record after t = 0.
@@ -417,6 +442,7 @@ def run_ergodic_average(cfg: Config):
         raise ConfigError(f"config key 'burn_in': {burn:g} leaves no window "
                           f"before T = {T:g}")
     n_seeds = cfg.integer("n_seeds", 100, minimum=2)
+    _bounded(("T", "tau", "n_seeds"), n_seeds * n_steps)
     initial = _initial(cfg)
     oracle = _valid(("upsilon", "sigma"), gibbs_moments, prm)
     cfg.reject_unread()
@@ -459,6 +485,7 @@ def run_histogram(cfg: Config):
     n_paths = cfg.integer("n_paths", 5000)
     bins = (cfg.integer("bins_p", 40), cfg.integer("bins_q", 40))
     _fits(("bins_p", "bins_q", "times"), len(times) * bins[0] * bins[1])
+    _bounded(("times", "tau", "n_paths"), n_paths * max(steps))
     p_range = (cfg.num("p_min", -1.0), cfg.num("p_max", 1.0))
     q_range = (cfg.num("q_min", -1.5), cfg.num("q_max", 1.5))
     for axis, (lo, hi) in zip("pq", (p_range, q_range)):
@@ -526,6 +553,7 @@ def run_msd(cfg: Config):
     plan = _plan(n_paths)
     # Each chunk's sums, their fold, the times and the msd.
     _fits(("T", "tau", "n_paths"), (plan["n_chunks"] + 3) * (n_steps + 1))
+    _bounded(("T", "tau", "n_paths"), n_paths * n_steps)
     # The fit window opens at t = 10/upsilon and needs 3 grid times.
     start = analysis.msd_window_start(np.arange(n_steps + 1) * tau,
                                       prm.upsilon)
@@ -560,6 +588,7 @@ def run_exp_moment(cfg: Config):
     plan = _plan(n_paths)
     # Each chunk's three folds, and seven arrays of the whole run.
     _fits(("T", "tau", "n_paths"), (3 * plan["n_chunks"] + 7) * (n_steps + 1))
+    _bounded(("T", "tau", "n_paths"), n_paths * n_steps)
     initial = _initial(cfg)
     cfg.reject_unread()
     rep = analysis.exp_moment_monitor(scheme, prm, tau, T, n_paths,
@@ -583,6 +612,7 @@ def run_lyapunov(cfg: Config):
     _fits(("n_draws",), 64 * n_draws)
     states = [State(p, q) for p, q in
               cfg.pairs("states", [[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]])]
+    _bounded(("n_draws", "states"), n_draws * len(states))
     if scheme.map_kind not in analysis.CONSERVATIVE_KINDS:
         raise ConfigError("config key 'scheme': lyapunov checks the "
                           f"conservative maps only, got {scheme.name!r}")
@@ -605,6 +635,8 @@ def run_jacobian(cfg: Config):
     n_states = cfg.integer("n_states", 1000)
     n_draws = cfg.integer("n_draws", 100)
     _fits(("n_states",), 64 * n_states)  # as lyapunov's n_draws
+    # Four steps of the batch a draw: the central differences.
+    _bounded(("n_states", "n_draws"), 4 * n_states * n_draws)
     target = _target(prm, "tau", tau)
     cfg.reject_unread()
     rng = np.random.default_rng(seed)
@@ -628,6 +660,7 @@ def run_phase_area(cfg: Config):
     _fits(("T", "tau"), 2 * (n_steps + 1))  # times, areas
     # Fewer than 3 vertices span no area.
     n_vertices = cfg.integer("n_vertices", 10000, minimum=3)
+    _bounded(("T", "tau", "n_vertices"), n_vertices * n_steps)
     n_records = cfg.integer("n_records", 1024)
     target = _target(prm, "T", T)
     cfg.reject_unread()
@@ -660,6 +693,7 @@ def run_dissipation_demo(cfg: Config):
     # Each chunk's three folds of two curves, their merge, the times, and
     # the means, variances and standard errors.
     _fits(("T", "tau", "n_paths"), (6 * plan["n_chunks"] + 13) * (n_steps + 1))
+    _bounded(("T", "tau", "n_paths"), 2 * n_paths * n_steps)  # two flows
     initial = _initial(cfg, q=2.0)
     cfg.reject_unread()
     curves = analysis.h0_dissipation_compare(prm, tau, T, initial, n_paths,

@@ -336,6 +336,28 @@ def _sample_gibbs(prm, n, seed):
     return State(p, q)
 
 
+class TestGaussLegendreTable:
+    TABLE = (analysis._GL20_NODES, analysis._GL20_WEIGHTS)
+
+    def test_table_is_leggauss(self):
+        # The table holds the floats of numpy's leggauss(20): every bit on
+        # the numpy it was taken from, within 1 ulp on another.
+        from numpy.polynomial.legendre import leggauss
+        for table, built in zip(self.TABLE, leggauss(20)):
+            assert not table.flags.writeable
+            if np.__version__ == "2.4.6":
+                assert table.tobytes() == built.tobytes()
+            else:
+                np.testing.assert_array_max_ulp(table, built, maxulp=1)
+
+    @pytest.mark.parametrize("k", range(40))
+    def test_rule_integrates_monomials_to_rounding(self, k):
+        # 20 nodes integrate x^k exactly for k <= 39 (x^40 is off by 2.8e-12).
+        nodes, weights = self.TABLE
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights @ nodes**k - exact) <= 32 * np.finfo(float).eps
+
+
 class TestDistributionDistance:
     BINS = (40, 40)
     P_RANGE = (-1.0, 1.0)

@@ -567,13 +567,39 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_import_loads_no_numpy_polynomial():
-    # The Gauss-Legendre rule of the Gibbs bin masses is built on first use.
+_NO_POLYNOMIAL_SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    import numpy as np
+
+    def eigensolver(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built by an eigensolver")
+
+    np.linalg.eigvalsh = np.linalg.eigh = eigensolver
+    import langsplit.cli
+    assert 'numpy.polynomial' not in sys.modules
+
+    out = Path(sys.argv[1])
+    cfg = out / "run.cfg"
+    cfg.write_text(sys.argv[2])
+    code = langsplit.cli.main(["--experiment", "histogram", "--config",
+                               str(cfg), "--seed", "3", "--out",
+                               str(out / "run")])
+    assert code == 0
+    assert 'numpy.polynomial' not in sys.modules
+""")
+
+
+def test_import_loads_no_numpy_polynomial(tmp_path):
+    # The Gauss-Legendre rule of the Gibbs bin masses is a table: neither
+    # importing the package nor a histogram run, which compares with the
+    # Gibbs law, loads numpy.polynomial or runs an eigensolver.
     src = str(Path(langsplit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, langsplit.cli; "
-         "assert 'numpy.polynomial' not in sys.modules"],
+        [sys.executable, "-c", _NO_POLYNOMIAL_SCRIPT, str(tmp_path),
+         SMALL_CONFIGS["histogram"]],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -972,21 +998,36 @@ def test_summary_write_error_is_a_record(tmp_path, capsys):
     ("exp-moment", "T = 1e6\nn_paths = 20\n", ("T", "tau", "n_paths")),
     ("phase-area", "T = 1e12\n", ("T", "tau")),
     ("dissipation-demo", "T = 1e9\n", ("T", "tau", "n_paths")),
+    # Runs whose arrays fit but whose lane-steps exceed 2^40, days of work.
+    ("strong-order", "T = 1e12\nn_paths = 2\n",
+     ("T", "tau_levels", "ref_tau", "n_paths")),
+    ("weak-order", "T = 1e12\nn_paths = 2\n",
+     ("T", "tau_levels", "ref_tau", "n_paths")),
+    ("long-time-error", "T = 1e12\n", ("T", "tau", "ref_tau", "n_paths")),
+    ("ergodic-average", "T = 1e12\n", ("T", "tau", "n_seeds")),
+    ("histogram", "times = 0,1e12\n", ("times", "tau", "n_paths")),
+    ("jacobian", "n_states = 2\nn_draws = 2^53\n", ("n_states", "n_draws")),
+    ("phase-area", "T = 1e4\nn_vertices = 100000\n",
+     ("T", "tau", "n_vertices")),
 ])
 def test_oversized_run_is_exit_two_before_any_work(tmp_path, capsys,
                                                    monkeypatch, name,
                                                    config_text, keys):
-    # These once ended in a MemoryError after asking for TiB, or were killed
-    # once their overcommitted arrays were touched.  On a box of 8 GiB they
-    # exit 2 before any work: the drivers are made to fail if reached.
+    # These once ended in a MemoryError after asking for TiB, were killed
+    # once their overcommitted arrays were touched, or ran for days.  On a
+    # box of 8 GiB they exit 2 before any work: the drivers are made to
+    # fail if reached.
     def no_work(*args, **kwargs):
         raise AssertionError("the run started")
 
     for module, attr in [(langsplit.cli, "simulate"),
                          (analysis, "strong_error"), (analysis, "weak_error"),
                          (experiments, "long_time_error"),
+                         (experiments, "ergodic_averages"),
+                         (experiments, "histogram_snapshots"),
                          (experiments, "msd_experiment"),
                          (analysis, "exp_moment_monitor"),
+                         (analysis, "jacobian_det"),
                          (analysis, "phase_area"),
                          (analysis, "h0_dissipation_compare")]:
         monkeypatch.setattr(module, attr, no_work)
