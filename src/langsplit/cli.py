@@ -248,19 +248,6 @@ def _target(prm, key, x):
     return target
 
 
-def _fits(keys, floats):
-    """Fail, naming ``keys``, where the arrays that a run's step counts size
-    (``floats`` float64 entries) exceed physical memory, if it is known."""
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no figure on this system
-        memory = -1
-    if 0 < memory < 8 * floats:
-        raise ConfigError(f"config keys {', '.join(map(repr, keys))}: "
-                          f"{8 * floats / 2**30:.3g} GiB of arrays, more than "
-                          f"the {memory / 2**30:.3g} GiB of physical memory")
-
-
 # The most lane-steps (one path advanced one step) a run may take: on a
 # two-core x86_64 box, about 13 hours of a histogram run at 23M lane-steps/s
 # and 3 days of path-coupled order studies at 4.4M.  The largest gate run,
@@ -268,13 +255,24 @@ def _fits(keys, floats):
 MAX_LANE_STEPS = 2**40
 
 
-def _bounded(keys, lane_steps):
-    """Fail, naming ``keys``, where a run would take more than
-    ``MAX_LANE_STEPS`` lane-steps: paths times steps, summed over runs."""
+def _fits(keys, lane_steps, floats=0):
+    """Fail, naming ``keys``, where the arrays a run holds (``floats``
+    float64 entries) exceed physical memory, if it is known, or where it
+    would take more than ``MAX_LANE_STEPS`` lane-steps: paths times steps,
+    summed over runs."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no figure on this system
+        memory = -1
+    names = ", ".join(map(repr, keys))
+    if 0 < memory < 8 * floats:
+        raise ConfigError(f"config keys {names}: {8 * floats / 2**30:.3g} GiB "
+                          f"of arrays, more than the {memory / 2**30:.3g} GiB "
+                          "of physical memory")
     if lane_steps > MAX_LANE_STEPS:
-        raise ConfigError(f"config keys {', '.join(map(repr, keys))}: "
-                          f"{lane_steps:.3g} lane-steps, more than the "
-                          f"{MAX_LANE_STEPS:.3g} that a run may take")
+        raise ConfigError(f"config keys {names}: {lane_steps:.3g} lane-steps, "
+                          f"more than the {MAX_LANE_STEPS:.3g} that a run may "
+                          "take")
 
 
 def _common(cfg, scheme_default="savf", upsilon=10.0):
@@ -316,8 +314,7 @@ def _grid(cfg, scheme, prm, tau, T, minimum=0):
 def run_simulate(cfg: Config):
     scheme, prm, seed = _common(cfg)
     tau, T, n_steps = _grid(cfg, scheme, prm, 2.0**-8, 1.0)
-    _fits(("T", "tau"), 3 * (n_steps + 1))  # times, p, q
-    _bounded(("T", "tau"), n_steps)
+    _fits(("T", "tau"), n_steps, 3 * (n_steps + 1))  # times, p, q
     initial = _initial(cfg)
     cfg.reject_unread()
     traj = simulate(initial, T, tau, prm, scheme, seed)
@@ -351,11 +348,9 @@ def _order_recipe(cfg, weak):
     plan = _plan(n_paths, analysis.levels_beside(levels, ref, n_steps[0],
                                                  n_paths))
     # One block of fine increments, a chunk wide, in each process.
-    _fits(("tau_levels", "ref_tau", "n_paths"),
+    _fits(("T", "tau_levels", "ref_tau", "n_paths"), n_paths * sum(n_steps),
           plan["workers"] * min(n_paths, montecarlo.PATH_CHUNK)
           * analysis._fine_block([ref, *levels], ref))
-    _bounded(("T", "tau_levels", "ref_tau", "n_paths"),
-             n_paths * sum(n_steps))
     initial = _initial(cfg)
     if prm.sigma * prm.sigma == 0 and initial.p == 0 and initial.q == 0:
         # The origin is a fixed point of the noise-free dynamics.
@@ -404,10 +399,10 @@ def run_long_time_error(cfg: Config):
     # A run at the reference's own step has no error to track.
     ratio = _valid(("tau", "ref_tau"), steps_for, tau, ref, minimum=2)
     n_paths = cfg.integer("n_paths", 200)
-    # The run at tau and the reference, on each path; before the record
-    # rule, whose search for a stride grows with the steps.
-    _bounded(("T", "tau", "ref_tau", "n_paths"),
-             n_paths * n_steps * (1 + ratio))
+    # The run at tau and the reference, on each path; its lane-steps before
+    # the record rule, whose search for a stride grows with the steps.
+    lane_steps = n_paths * n_steps * (1 + ratio)
+    _fits(("T", "tau", "ref_tau", "n_paths"), lane_steps)
     initial = _initial(cfg)
     n_records = cfg.integer("n_records", 1024)
     # The first tenth of the horizon must hold a record after t = 0.
@@ -417,7 +412,7 @@ def run_long_time_error(cfg: Config):
                           "records after t = 0, need at least 10")
     plan = _plan(n_paths)
     # Each chunk's records, their fold, times and errors; a block a process.
-    _fits(("T", "tau", "ref_tau", "n_paths", "n_records"),
+    _fits(("T", "tau", "ref_tau", "n_paths", "n_records"), lane_steps,
           (plan["n_chunks"] + 3) * (n_rec + 1)
           + plan["workers"] * min(n_paths, montecarlo.PATH_CHUNK)
           * analysis._fine_block([ref, tau], ref))
@@ -442,7 +437,8 @@ def run_ergodic_average(cfg: Config):
         raise ConfigError(f"config key 'burn_in': {burn:g} leaves no window "
                           f"before T = {T:g}")
     n_seeds = cfg.integer("n_seeds", 100, minimum=2)
-    _bounded(("T", "tau", "n_seeds"), n_seeds * n_steps)
+    # Each chunk's per-seed sums, their concatenation and the averages.
+    _fits(("T", "tau", "n_seeds"), n_seeds * n_steps, 6 * n_seeds)
     initial = _initial(cfg)
     oracle = _valid(("upsilon", "sigma"), gibbs_moments, prm)
     cfg.reject_unread()
@@ -484,8 +480,11 @@ def run_histogram(cfg: Config):
                           f"times, got {cfg.entries.get('times')!r}")
     n_paths = cfg.integer("n_paths", 5000)
     bins = (cfg.integer("bins_p", 40), cfg.integer("bins_q", 40))
-    _fits(("bins_p", "bins_q", "times"), len(times) * bins[0] * bins[1])
-    _bounded(("times", "tau", "n_paths"), n_paths * max(steps))
+    plan = _plan(n_paths)
+    # Each chunk's grids and their fold, one of each a snapshot.
+    _fits(("bins_p", "bins_q", "times", "tau", "n_paths"),
+          n_paths * max(steps),
+          (plan["n_chunks"] + 1) * len(times) * bins[0] * bins[1])
     p_range = (cfg.num("p_min", -1.0), cfg.num("p_max", 1.0))
     q_range = (cfg.num("q_min", -1.5), cfg.num("q_max", 1.5))
     for axis, (lo, hi) in zip("pq", (p_range, q_range)):
@@ -499,7 +498,7 @@ def run_histogram(cfg: Config):
         scheme, prm, tau, times, n_paths, SeedPolicy(seed), initial,
         bins, p_range, q_range)
     tables = {}
-    metrics = {"n_paths": n_paths, **_plan(n_paths)}
+    metrics = {"n_paths": n_paths, **plan}
     distances = []
     for t, h in zip(sorted(times), hists):
         tables[f"histogram_t{t:g}.csv"] = (
@@ -552,8 +551,8 @@ def run_msd(cfg: Config):
     n_paths = cfg.integer("n_paths", 1000)
     plan = _plan(n_paths)
     # Each chunk's sums, their fold, the times and the msd.
-    _fits(("T", "tau", "n_paths"), (plan["n_chunks"] + 3) * (n_steps + 1))
-    _bounded(("T", "tau", "n_paths"), n_paths * n_steps)
+    _fits(("T", "tau", "n_paths"), n_paths * n_steps,
+          (plan["n_chunks"] + 3) * (n_steps + 1))
     # The fit window opens at t = 10/upsilon and needs 3 grid times.
     start = analysis.msd_window_start(np.arange(n_steps + 1) * tau,
                                       prm.upsilon)
@@ -587,8 +586,8 @@ def run_exp_moment(cfg: Config):
     n_paths = cfg.integer("n_paths", 10000)
     plan = _plan(n_paths)
     # Each chunk's three folds, and seven arrays of the whole run.
-    _fits(("T", "tau", "n_paths"), (3 * plan["n_chunks"] + 7) * (n_steps + 1))
-    _bounded(("T", "tau", "n_paths"), n_paths * n_steps)
+    _fits(("T", "tau", "n_paths"), n_paths * n_steps,
+          (3 * plan["n_chunks"] + 7) * (n_steps + 1))
     initial = _initial(cfg)
     cfg.reject_unread()
     rep = analysis.exp_moment_monitor(scheme, prm, tau, T, n_paths,
@@ -608,11 +607,10 @@ def run_lyapunov(cfg: Config):
     scheme, prm, seed = _common(cfg)
     tau = _step("tau", cfg.num("tau", 2.0**-8), scheme, prm)
     n_draws = cfg.integer("n_draws", 100000, minimum=2)
-    # The batch, its step and the step kernels' work arrays.
-    _fits(("n_draws",), 64 * n_draws)
     states = [State(p, q) for p, q in
               cfg.pairs("states", [[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]])]
-    _bounded(("n_draws", "states"), n_draws * len(states))
+    # The batch, its step and the step kernels' work arrays.
+    _fits(("n_draws", "states"), n_draws * len(states), 64 * n_draws)
     if scheme.map_kind not in analysis.CONSERVATIVE_KINDS:
         raise ConfigError("config key 'scheme': lyapunov checks the "
                           f"conservative maps only, got {scheme.name!r}")
@@ -634,9 +632,9 @@ def run_jacobian(cfg: Config):
     tau = _step("tau", cfg.num("tau", 1e-4), scheme, prm)
     n_states = cfg.integer("n_states", 1000)
     n_draws = cfg.integer("n_draws", 100)
-    _fits(("n_states",), 64 * n_states)  # as lyapunov's n_draws
-    # Four steps of the batch a draw: the central differences.
-    _bounded(("n_states", "n_draws"), 4 * n_states * n_draws)
+    # Four steps of the batch a draw, the central differences; its arrays
+    # as lyapunov's n_draws.
+    _fits(("n_states", "n_draws"), 4 * n_states * n_draws, 64 * n_states)
     target = _target(prm, "tau", tau)
     cfg.reject_unread()
     rng = np.random.default_rng(seed)
@@ -657,10 +655,11 @@ def run_jacobian(cfg: Config):
 def run_phase_area(cfg: Config):
     scheme, prm, seed = _common(cfg, scheme_default="sympl-euler", upsilon=2.0)
     tau, T, n_steps = _grid(cfg, scheme, prm, 1e-4, 1.0)
-    _fits(("T", "tau"), 2 * (n_steps + 1))  # times, areas
     # Fewer than 3 vertices span no area.
     n_vertices = cfg.integer("n_vertices", 10000, minimum=3)
-    _bounded(("T", "tau", "n_vertices"), n_vertices * n_steps)
+    # The times and areas, and the polygon as lyapunov's n_draws.
+    _fits(("T", "tau", "n_vertices"), n_vertices * n_steps,
+          2 * (n_steps + 1) + 64 * n_vertices)
     n_records = cfg.integer("n_records", 1024)
     target = _target(prm, "T", T)
     cfg.reject_unread()
@@ -692,8 +691,8 @@ def run_dissipation_demo(cfg: Config):
     plan = _plan(n_paths)
     # Each chunk's three folds of two curves, their merge, the times, and
     # the means, variances and standard errors.
-    _fits(("T", "tau", "n_paths"), (6 * plan["n_chunks"] + 13) * (n_steps + 1))
-    _bounded(("T", "tau", "n_paths"), 2 * n_paths * n_steps)  # two flows
+    _fits(("T", "tau", "n_paths"), 2 * n_paths * n_steps,  # two flows
+          (6 * plan["n_chunks"] + 13) * (n_steps + 1))
     initial = _initial(cfg, q=2.0)
     cfg.reject_unread()
     curves = analysis.h0_dissipation_compare(prm, tau, T, initial, n_paths,

@@ -187,6 +187,15 @@ def coupled_terminal_stats_whole(scheme, tau_levels, tau_f, T, prm, n_paths,
     return np.abs(mean), se_mean
 
 
+def record_stride_linear(n_steps: int, n_records: int) -> int:
+    """``experiments.record_stride`` as a search down from the cap, one
+    candidate stride at a time."""
+    stride = max(1, n_steps // n_records)
+    while n_steps % stride != 0:
+        stride -= 1
+    return stride
+
+
 def long_time_error_whole(scheme, tau, tau_f, T, prm, n_paths, seeds,
                           initial=State(0.0, 0.0), n_records=1024):
     """``experiments.long_time_error`` with each chunk's whole fine grid."""

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ from langsplit.errors import (DegenerateRange, EmptyWindow, NonConvergence,
                               NonIntegralGrid, NonPositiveError)
 from langsplit.experiments import (ergodic_averages, histogram_snapshots,
                                    long_time_error, msd_experiment,
-                                   window_means)
+                                   record_stride, window_means)
 from langsplit.model import (EnergyConstants, PhysParams, State, energy_H0)
 from langsplit.montecarlo import SeedPolicy, increment_matrix
 from langsplit.splitting import (SchemeSpec, _evolve, scheme_step, simulate,
@@ -25,7 +26,7 @@ from langsplit.stochflow import OUIncrement
 
 from helpers import (coupled_terminal_stats_whole, empirical_distribution,
                      long_time_error_whole, msd_curve, no_child_left,
-                     time_average)
+                     record_stride_linear, time_average)
 
 PRM10 = PhysParams(10.0, 1.0)
 PRM15 = PhysParams(15.0, 1.0)
@@ -738,6 +739,23 @@ class TestStreamingDrivers:
                                       SeedPolicy(3), n_records=16)
         assert errs[0] == 0.0
         assert np.all(errs[1:] > 0)
+
+    def test_record_stride_matches_the_linear_search(self):
+        rng = np.random.default_rng(29)
+        cases = [(0, 1), (1, 1), (1, 5), (7, 1), (36, 2), (49, 7), (6, -3),
+                 (2**40, 1024), (25_600, 1024)]
+        cases += zip(rng.integers(0, 10**6, 2000).tolist(),
+                     rng.integers(1, 5000, 2000).tolist())
+        for n_steps, n_records in cases:
+            assert record_stride(n_steps, n_records) == \
+                record_stride_linear(n_steps, n_records), (n_steps, n_records)
+
+    def test_record_stride_of_a_prime_step_count_is_quick(self):
+        # 365,999,999,993 steps, a prime: a linear search tests 3.6e8
+        # strides, some 20 s, before it settles on 1.
+        start = time.perf_counter()
+        assert record_stride(365_999_999_993, 1024) == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_window_means(self):
         times = np.linspace(0, 10, 101)

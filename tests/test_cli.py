@@ -981,6 +981,35 @@ def test_summary_write_error_is_a_record(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["summary.json"]
 
 
+class RunStarted(Exception):
+    """A recipe reached its driver: its pre-flight checks passed."""
+
+
+@pytest.fixture
+def drivers_on_eight_gib(monkeypatch):
+    """Every recipe's driver raises :class:`RunStarted`, on a box that
+    reports 8 GiB of physical memory."""
+    def no_work(*args, **kwargs):
+        raise RunStarted("the run started")
+
+    for module, attr in [(langsplit.cli, "simulate"),
+                         (analysis, "strong_error"), (analysis, "weak_error"),
+                         (experiments, "long_time_error"),
+                         (experiments, "ergodic_averages"),
+                         (experiments, "histogram_snapshots"),
+                         (experiments, "msd_experiment"),
+                         (analysis, "exp_moment_monitor"),
+                         (analysis, "lyapunov_check"),
+                         (analysis, "jacobian_det"),
+                         (analysis, "phase_area"),
+                         (analysis, "h0_dissipation_compare")]:
+        monkeypatch.setattr(module, attr, no_work)
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 2**12}.get(name)
+        or sysconf(name))
+
+
 @pytest.mark.parametrize("name, config_text, keys", [
     ("simulate", "T = 1e12\n", ("T", "tau")),
     ("simulate", "tau = 1e-12\n", ("tau",)),
@@ -1009,38 +1038,71 @@ def test_summary_write_error_is_a_record(tmp_path, capsys):
     ("jacobian", "n_states = 2\nn_draws = 2^53\n", ("n_states", "n_draws")),
     ("phase-area", "T = 1e4\nn_vertices = 100000\n",
      ("T", "tau", "n_vertices")),
+    # Arrays that went uncounted: a histogram grid per snapshot in each of
+    # 512 chunks (122 GiB), the per-seed sums of 2^30 seeds (48 GiB), and a
+    # polygon of 2^33 vertices (4,100 GiB).
+    ("histogram", "n_paths = 1048576\nbins_p = 4000\nbins_q = 4000\n"
+                  "times = 0,2^-8\n", ("n_paths", "bins_p", "bins_q")),
+    ("ergodic-average", "n_seeds = 1073741824\nT = 2^-7\nburn_in = 2^-8\n",
+     ("n_seeds",)),
+    ("phase-area", "n_vertices = 8589934592\nT = 2^-4\ntau = 2^-10\n",
+     ("n_vertices",)),
 ])
 def test_oversized_run_is_exit_two_before_any_work(tmp_path, capsys,
-                                                   monkeypatch, name,
+                                                   drivers_on_eight_gib, name,
                                                    config_text, keys):
     # These once ended in a MemoryError after asking for TiB, were killed
     # once their overcommitted arrays were touched, or ran for days.  On a
-    # box of 8 GiB they exit 2 before any work: the drivers are made to
-    # fail if reached.
-    def no_work(*args, **kwargs):
-        raise AssertionError("the run started")
-
-    for module, attr in [(langsplit.cli, "simulate"),
-                         (analysis, "strong_error"), (analysis, "weak_error"),
-                         (experiments, "long_time_error"),
-                         (experiments, "ergodic_averages"),
-                         (experiments, "histogram_snapshots"),
-                         (experiments, "msd_experiment"),
-                         (analysis, "exp_moment_monitor"),
-                         (analysis, "jacobian_det"),
-                         (analysis, "phase_area"),
-                         (analysis, "h0_dissipation_compare")]:
-        monkeypatch.setattr(module, attr, no_work)
-    sysconf = os.sysconf
-    monkeypatch.setattr(os, "sysconf", lambda name: {
-        "SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 2**12}.get(name)
-        or sysconf(name))
+    # box of 8 GiB they exit 2 before any work: the drivers fail if reached.
     code, out = run_cli(tmp_path, name, config_text)
     assert code == 2
     record = json.loads(capsys.readouterr().err)["error"]
     assert record["type"] == "config"
     assert all(repr(key) in record["message"] for key in keys)
     assert not any(out.iterdir())
+
+
+# Edge values of a key: zero, a negative, a tiny normal and the least
+# subnormal float, a huge float, a small step, an integer past 2^53 and a
+# large count.
+EDGE_VALUES = (0.0, -1.0, 1e-300, 5e-324, 1e300, 1e-12, 2.0**-20,
+               2.0**53 + 2, 1e6)
+
+
+def _with_edge(used, x):
+    """The config text of a key whose run used ``used``, set to the edge
+    value ``x``; a list takes ``x`` as its last entry (a pair as both)."""
+    if not isinstance(used, list):
+        return repr(x)
+    if isinstance(used[-1], list):
+        return ";".join(f"{p!r},{q!r}" for p, q in [*used[:-1], [x, x]])
+    return ",".join(map(repr, [*used[:-1], x]))
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_every_edge_value_is_refused_or_starts_the_run(tmp_path, capsys,
+                                                       drivers_on_eight_gib,
+                                                       name):
+    # Pre-flight as a property.  Each key the recipe reads (its record,
+    # Config.used), one at a time at each edge value on top of its small
+    # config, either exits 2 with one config record or reaches the driver:
+    # no other error, no traceback and no file.
+    entries = dict(line.split(" = ")
+                   for line in SMALL_CONFIGS[name].splitlines())
+    cfg = Config({"experiment": name, **entries})
+    with pytest.raises(RunStarted):
+        RECIPES[name](cfg)
+    for key, used in list(cfg.used.items())[1:]:
+        for x in EDGE_VALUES:
+            edged = {**entries, key: _with_edge(used, x)}
+            config_text = "".join(f"{k} = {v}\n" for k, v in edged.items())
+            code, out = run_cli(tmp_path, name, config_text)
+            lines = capsys.readouterr().err.splitlines()
+            case = (key, x, lines)
+            assert len(lines) == 1, case
+            kind = json.loads(lines[0])["error"]["type"]
+            assert (code, kind) in {(2, "config"), (1, "RunStarted")}, case
+            assert not out.exists() or not any(out.iterdir()), case
 
 
 def test_size_check_needs_a_memory_figure(tmp_path, monkeypatch):
